@@ -694,21 +694,24 @@ BM_KernelMlpUpdate(benchmark::State &state, int tier)
     }
 }
 
-/** The blocked canonical-dot GEMM the batched Mlp::predict(Matrix)
- *  serve path runs on: C (n x n) = bias + A (n x n) * B^T. */
+/** The column-major canonical-dot GEMM the batched MLP^T predict runs
+ *  on, at the paper-scale hidden-layer shape: m target machines (the
+ *  range argument) x 14 units x 28 benchmark features. */
 void
-BM_KernelGemmDot(benchmark::State &state, int tier)
+BM_KernelGemmDotColumns(benchmark::State &state, int tier)
 {
     util::Rng rng(26);
-    const auto n = static_cast<std::size_t>(state.range(0));
-    const linalg::Matrix a = randomMatrix(n, n, rng);
-    const linalg::Matrix b = randomMatrix(n, n, rng);
+    const auto m = static_cast<std::size_t>(state.range(0));
+    const std::size_t n = 14;
+    const std::size_t k = 28;
+    const linalg::Matrix at = randomMatrix(k, m, rng);
+    const linalg::Matrix b = randomMatrix(n, k, rng);
     const auto bias = randomVector(n, rng);
-    linalg::Matrix out(n, n);
+    linalg::Matrix out(n, m);
     const simd::KernelTable &kt = kernelTable(tier);
     for (auto _ : state) {
-        simd::gemmDot(kt, n, n, n, a.rowData(0), n, b.rowData(0), n,
-                      bias.data(), out.rowData(0), n);
+        simd::gemmDotColumns(kt, m, n, k, at.rowData(0), m, b.rowData(0),
+                             k, bias.data(), out.rowData(0), m);
         benchmark::DoNotOptimize(out.rowData(0));
         benchmark::ClobberMemory();
     }
@@ -791,8 +794,8 @@ registerKernelBenchmarks()
                             BM_KernelSquaredDistance, {256, 1024});
     registerKernelBenchmark("BM_KernelGemmMicro", BM_KernelGemmMicro,
                             {64, 256});
-    registerKernelBenchmark("BM_KernelGemmDot", BM_KernelGemmDot,
-                            {64, 256});
+    registerKernelBenchmark("BM_KernelGemmDotColumns",
+                            BM_KernelGemmDotColumns, {256, 20000});
     // MLP layer widths stay L2-resident (128^2 weights = 128 KiB):
     // beyond that both tiers are bandwidth-bound and the comparison
     // stops measuring the kernels.

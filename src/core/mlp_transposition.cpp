@@ -1,6 +1,8 @@
 #include "core/mlp_transposition.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "simd/simd.h"
 #include "util/error.h"
@@ -102,21 +104,38 @@ MlpTransposition::fit(const TranspositionProblem &problem)
         if (!problem.targetMask.dense())
             target_means = observedBenchMeans(problem.targetBenchScores,
                                               problem.targetMask);
-        linalg::Matrix all(kept.size() + n_target, n_bench);
-        for (std::size_t r = 0; r < kept.size(); ++r)
-            all.setRow(r, train.row(r));
-        for (std::size_t t = 0; t < n_target; ++t) {
-            std::vector<double> row(n_bench);
-            for (std::size_t b = 0; b < n_bench; ++b) {
-                const double raw =
-                    problem.targetMask.valid(b, t)
-                        ? problem.targetBenchScores(b, t)
-                        : target_means[b];
-                row[b] = maybe_log(raw);
+        // Per-benchmark range over the kept predictive rows, then the
+        // targets: the order RangeNormalizer::fit visits a stacked
+        // (kept + targets) x bench matrix, so min/max get the same
+        // bits, swept feature-major without staging that matrix.
+        util::require(!kept.empty() || n_target > 0,
+                      "MlpTransposition::fit: no machines to normalize "
+                      "over");
+        std::vector<double> lo(n_bench);
+        std::vector<double> hi(n_bench);
+        for (std::size_t b = 0; b < n_bench; ++b) {
+            const double *src = problem.targetBenchScores.rowData(b);
+            auto target_value = [&](std::size_t t) {
+                return maybe_log(problem.targetMask.valid(b, t)
+                                     ? src[t]
+                                     : target_means[b]);
+            };
+            std::size_t t = 0;
+            double l = kept.empty() ? target_value(t++) : train(0, b);
+            double h = l;
+            for (std::size_t r = 1; r < kept.size(); ++r) {
+                l = std::min(l, train(r, b));
+                h = std::max(h, train(r, b));
             }
-            all.setRow(kept.size() + t, row);
+            for (; t < n_target; ++t) {
+                const double v = target_value(t);
+                l = std::min(l, v);
+                h = std::max(h, v);
+            }
+            lo[b] = l;
+            hi[b] = h;
         }
-        feature_norm_.fit(all);
+        feature_norm_.setRanges(std::move(lo), std::move(hi));
         train = feature_norm_.transform(train);
         target_norm_.fitSeries(targets);
         for (double &v : targets)
@@ -130,8 +149,7 @@ MlpTransposition::fit(const TranspositionProblem &problem)
 }
 
 std::vector<double>
-MlpTransposition::predictColumns(
-    const linalg::Matrix &target_bench_scores) const
+MlpTransposition::predictColumns(linalg::Matrix target_bench_scores) const
 {
     util::require(network_.has_value() && network_->trained(),
                   "MlpTransposition::predictColumns: fit() first");
@@ -141,30 +159,24 @@ MlpTransposition::predictColumns(
                   "MlpTransposition::predictColumns: benchmark count "
                   "does not match the fitted network");
 
-    auto maybe_log = [&](double v) {
-        return config_.logSpace ? std::log2(v) : v;
-    };
     auto maybe_exp = [&](double v) {
         return config_.logSpace ? std::exp2(v) : v;
     };
 
-    // Benchmark-major fill: the inner loop streams a whole source row
-    // (contiguous) while writes stride by n_bench, instead of striding
-    // reads by n_target — which, for wide coalesced batches, walks the
-    // source a cache line (or worse, an aliasing 4KiB) apart on every
-    // element. Each entry is still the same maybe_log of the same
-    // element, so the transposed fill is bit-identical.
-    linalg::Matrix test(n_target, n_bench);
+    // Log and normalize in place, feature-major: one benchmark row at
+    // a time (each row has one min/max pair), leaving the layout the
+    // network's column-major forward pass reads. Same per-element
+    // expressions as the row-major transforms, so the same bits.
     for (std::size_t b = 0; b < n_bench; ++b) {
-        const double *src = target_bench_scores.rowData(b);
-        for (std::size_t t = 0; t < n_target; ++t)
-            test(t, b) = maybe_log(src[t]);
+        double *row = target_bench_scores.rowData(b);
+        if (config_.logSpace)
+            for (std::size_t t = 0; t < n_target; ++t)
+                row[t] = std::log2(row[t]);
+        if (config_.transductiveNormalization)
+            feature_norm_.transformFeature(b, row, row, n_target);
     }
-    if (config_.transductiveNormalization)
-        test = feature_norm_.transform(test);
-
-    // Batched forward pass over all requested machines at once.
-    std::vector<double> predictions = network_->predict(test);
+    std::vector<double> predictions =
+        network_->predictColumns(target_bench_scores);
     for (std::size_t t = 0; t < n_target; ++t) {
         double raw = predictions[t];
         if (config_.transductiveNormalization)
@@ -198,7 +210,7 @@ MlpTransposition::predictColumns(
         for (std::size_t t = 0; t < filled.cols(); ++t)
             if (!mask.valid(b, t))
                 filled(b, t) = means[b];
-    return predictColumns(filled);
+    return predictColumns(std::move(filled));
 }
 
 double

@@ -79,12 +79,14 @@ class MlpTransposition : public TranspositionPredictor
      * fit(); bit-identical to the matching entries of predict() on the
      * fitted problem. Batching columns from concurrent queries into
      * one call cannot change any column's result: the forward pass is
-     * a per-row computation (ml::Mlp::predict(Matrix) is bit-identical
-     * to per-row scalar predicts) and the normalization is
-     * per-element.
+     * a per-column computation (ml::Mlp::predictColumns is
+     * bit-identical to per-machine scalar predicts) and the
+     * normalization is per-element. The scores are taken by value and
+     * logged and normalized in place: pass a temporary (or move) to
+     * spare the copy.
      */
     std::vector<double>
-    predictColumns(const linalg::Matrix &target_bench_scores) const;
+    predictColumns(linalg::Matrix target_bench_scores) const;
 
     /**
      * Masked predictColumns: unobserved cells of `target_bench_scores`

@@ -599,7 +599,7 @@ Mlp::forward(const std::vector<double> &input) const
         const std::vector<double> &prev = outputs.back();
         std::vector<double> next(layer.weights.rows(), 0.0);
         // bias + canonical dot per unit: the same formulation as the
-        // batched predict(Matrix), so scalar and batched predictions
+        // batched predictColumns(), so scalar and batched predictions
         // stay bit-identical at every dispatch tier.
         for (std::size_t r = 0; r < layer.weights.rows(); ++r) {
             const double net =
@@ -640,33 +640,64 @@ Mlp::predict(const linalg::Matrix &x) const
     util::require(trained_, "Mlp::predict: model not trained");
     util::require(x.cols() == input_size_,
                   "Mlp::predict: feature count mismatch");
-    // Batched forward pass: one blocked canonical-dot GEMM per layer
-    // (simd::gemmDot) instead of per-row temporaries. acts is
-    // rows x layer-width throughout; weights are out x in, so both
-    // GEMM operands stream row-contiguously and a panel of weight
-    // rows stays cache-hot across all input rows. Each output entry
-    // is still bias + canonical dot — the exact arithmetic of
-    // forward() — so batch and scalar predictions are bit-identical
-    // at every dispatch tier and any gemmDot block size.
-    linalg::Matrix acts =
-        config_.normalize ? featureNorm_.transform(x) : x;
+    return predictColumns(x.transposed());
+}
+
+std::vector<double>
+Mlp::predictColumns(const linalg::Matrix &xt) const
+{
+    util::require(trained_, "Mlp::predictColumns: model not trained");
+    util::require(xt.rows() == input_size_,
+                  "Mlp::predictColumns: feature count mismatch");
+    const std::size_t m = xt.cols();
+    std::vector<double> out(m);
+    if (m == 0)
+        return out;
+
+    // Per tile of samples, every layer's activations live in tile
+    // scratch (unit-major, one row of `tile` lanes per unit), so the
+    // whole network runs cache-resident and the call holds no buffer
+    // that grows with m beyond `out`.
+    constexpr std::size_t kTile = 256;
+    const std::size_t tile = std::min(m, kTile);
+    std::size_t widest = 0;
+    for (const Layer &layer : layers_)
+        widest = std::max(widest, layer.weights.rows());
+    std::vector<double> normalized(config_.normalize ? input_size_ * tile
+                                                     : 0);
+    std::vector<double> acts(2 * widest * tile);
     const simd::KernelTable &kt = simd::kernels();
-    for (const Layer &layer : layers_) {
-        const std::size_t out = layer.weights.rows();
-        linalg::Matrix net(acts.rows(), out);
-        simd::gemmDot(kt, acts.rows(), out, acts.cols(),
-                      acts.rowData(0), acts.cols(),
-                      layer.weights.rowData(0), layer.weights.cols(),
-                      layer.bias.data(), net.rowData(0), out);
-        applyActivation(layer.activation, acts.rows() * out,
-                        net.rowData(0));
-        acts = std::move(net);
+
+    for (std::size_t i0 = 0; i0 < m; i0 += tile) {
+        const std::size_t w = std::min(tile, m - i0);
+        const double *in = xt.rowData(0) + i0;
+        std::size_t ld = m;
+        if (config_.normalize) {
+            for (std::size_t c = 0; c < input_size_; ++c)
+                featureNorm_.transformFeature(c, xt.rowData(c) + i0,
+                                              normalized.data() + c * w,
+                                              w);
+            in = normalized.data();
+            ld = w;
+        }
+        double *next = acts.data();
+        for (const Layer &layer : layers_) {
+            const std::size_t units = layer.weights.rows();
+            simd::gemmDotColumns(kt, w, units, layer.weights.cols(), in,
+                                 ld, layer.weights.rowData(0),
+                                 layer.weights.cols(), layer.bias.data(),
+                                 next, w);
+            applyActivation(layer.activation, units * w, next);
+            in = next;
+            ld = w;
+            next = next == acts.data() ? acts.data() + widest * tile
+                                       : acts.data();
+        }
+        for (std::size_t i = 0; i < w; ++i)
+            out[i0 + i] = config_.normalize
+                              ? targetNorm_.inverseTransformScalar(in[i])
+                              : in[i];
     }
-    std::vector<double> out(x.rows());
-    for (std::size_t r = 0; r < x.rows(); ++r)
-        out[r] = config_.normalize
-                     ? targetNorm_.inverseTransformScalar(acts(r, 0))
-                     : acts(r, 0);
     return out;
 }
 

@@ -184,11 +184,25 @@ class Mlp
     double predict(const std::vector<double> &features) const;
 
     /**
-     * Predicts for each row of a raw feature matrix in one batched
-     * forward pass (one layer-wide sweep per layer); bit-identical to
+     * Predicts for each row of a raw feature matrix; a thin wrapper
+     * over predictColumns() on the transpose, so bit-identical to
      * calling the scalar predict() on every row.
      */
     std::vector<double> predict(const linalg::Matrix &x) const;
+
+    /**
+     * Predicts for each column of a raw FEATURE-MAJOR matrix (one row
+     * per feature, one column per sample — the benchmark x machine
+     * layout). The batched forward pass: per tile of samples, one
+     * column-major canonical-dot GEMM per layer
+     * (simd::gemmDotColumns) with the samples as vector lanes. Each
+     * sample's arithmetic is the scalar predict()'s (bias + canonical
+     * dot per unit, the same activation and normalization
+     * expressions), so the result is bit-identical to predict() on
+     * every column, at every dispatch tier, whatever else is in the
+     * batch.
+     */
+    std::vector<double> predictColumns(const linalg::Matrix &xt) const;
 
     /** True once fit() has completed. */
     bool trained() const { return trained_; }

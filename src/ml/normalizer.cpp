@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "stats/descriptive.h"
 #include "util/error.h"
@@ -35,6 +36,17 @@ RangeNormalizer::fitSeries(const std::vector<double> &values)
                                    "input");
     mins_ = {stats::minimum(values)};
     maxs_ = {stats::maximum(values)};
+}
+
+void
+RangeNormalizer::setRanges(std::vector<double> mins,
+                           std::vector<double> maxs)
+{
+    util::require(!mins.empty() && mins.size() == maxs.size(),
+                  "RangeNormalizer::setRanges: need one min and one max "
+                  "per feature");
+    mins_ = std::move(mins);
+    maxs_ = std::move(maxs);
 }
 
 std::vector<double>
@@ -75,6 +87,22 @@ RangeNormalizer::transform(const linalg::Matrix &x) const
         }
     }
     return out;
+}
+
+void
+RangeNormalizer::transformFeature(std::size_t c, const double *in,
+                                  double *out, std::size_t n) const
+{
+    util::require(c < mins_.size(),
+                  "RangeNormalizer::transformFeature: no such feature");
+    const double lo = mins_[c];
+    const double span = maxs_[c] - lo;
+    if (span == 0.0) {
+        std::fill_n(out, n, 0.0);
+        return;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = 2.0 * (in[i] - lo) / span - 1.0;
 }
 
 double

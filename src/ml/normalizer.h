@@ -32,11 +32,27 @@ class RangeNormalizer
     /** Learns min/max of a single series (for targets). */
     void fitSeries(const std::vector<double> &values);
 
+    /**
+     * Adopts per-feature ranges the caller swept itself, e.g. over
+     * data held feature-major or spread over several sources. Equal
+     * to fit() on a matrix whose column c has minimum mins[c] and
+     * maximum maxs[c].
+     */
+    void setRanges(std::vector<double> mins, std::vector<double> maxs);
+
     /** Maps one row of raw features into [-1, 1] coordinates. */
     std::vector<double> transform(const std::vector<double> &row) const;
 
     /** Maps a whole matrix. */
     linalg::Matrix transform(const linalg::Matrix &x) const;
+
+    /**
+     * Maps n values of feature c (one row of a feature-major matrix):
+     * out[i] = the transform of in[i]. `out` may equal `in` (in-place
+     * normalization); same per-element expression as transform().
+     */
+    void transformFeature(std::size_t c, const double *in, double *out,
+                          std::size_t n) const;
 
     /** Maps one scalar through the single-series normalization. */
     double transformScalar(double value) const;

@@ -317,27 +317,43 @@ RankEngine::gatherColumns(const Session &session,
     return out;
 }
 
+std::vector<std::size_t>
+rankOrder(const std::vector<double> &scores,
+          const std::vector<std::uint32_t> &machines, std::uint32_t top_k)
+{
+    std::vector<std::size_t> order(scores.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    const auto before = [&](std::size_t a, std::size_t b) {
+        if (scores[a] != scores[b])
+            return scores[a] > scores[b];
+        return machines[a] < machines[b];
+    };
+    // A default request keeps the top 10 of ~20k targets: sort only
+    // those rather than the whole universe.
+    const std::size_t keep =
+        top_k == 0 ? order.size()
+                   : std::min<std::size_t>(order.size(), top_k);
+    const auto mid = order.begin() + static_cast<std::ptrdiff_t>(keep);
+    if (mid == order.end())
+        std::sort(order.begin(), order.end(), before);
+    else
+        std::partial_sort(order.begin(), mid, order.end(), before);
+    order.erase(mid, order.end());
+    return order;
+}
+
 RankOutcome
 RankEngine::rankFrom(const Resolved &resolved,
                      const std::vector<double> &scores,
                      std::uint32_t top_k) const
 {
     RankOutcome outcome;
-    std::vector<std::size_t> order(resolved.machines.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  if (scores[a] != scores[b])
-                      return scores[a] > scores[b];
-                  return resolved.machines[a] < resolved.machines[b];
-              });
-    std::size_t keep = order.size();
-    if (top_k != 0)
-        keep = std::min<std::size_t>(keep, top_k);
-    outcome.ranking.reserve(keep);
-    for (std::size_t i = 0; i < keep; ++i)
-        outcome.ranking.push_back(RankedMachine{
-            resolved.machines[order[i]], scores[order[i]]});
+    const std::vector<std::size_t> order =
+        rankOrder(scores, resolved.machines, top_k);
+    outcome.ranking.reserve(order.size());
+    for (std::size_t i : order)
+        outcome.ranking.push_back(
+            RankedMachine{resolved.machines[i], scores[i]});
     return outcome;
 }
 
@@ -423,8 +439,8 @@ RankEngine::executeBatch(const std::vector<RankRequest> &batch)
         // in first-appearance order. Concurrent requests overwhelmingly
         // overlap — the default request ranks the whole universe — so
         // one forward pass over the union answers all of them; each
-        // gemmDot output row depends only on its own input row, so a
-        // machine's score is bit-identical whichever requests share the
+        // machine's forward pass depends only on its own input column,
+        // so its score is bit-identical whichever requests share the
         // batch.
         std::vector<std::int32_t> slot(
             session.universe->machines.size(), -1);

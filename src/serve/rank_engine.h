@@ -80,6 +80,17 @@ struct RankOutcome
 };
 
 /**
+ * The ranking order of a response: positions into `scores` (and the
+ * parallel, distinct `machines`) sorted by score descending, ties by
+ * machine index ascending, truncated to the best `top_k` (0 = all).
+ * That order is strict and total, so the truncated result is exactly
+ * the prefix of the full sort; only the kept entries are sorted.
+ */
+std::vector<std::size_t> rankOrder(const std::vector<double> &scores,
+                                   const std::vector<std::uint32_t> &machines,
+                                   std::uint32_t top_k);
+
+/**
  * Stateless-per-request, cached-per-session rank executor. Thread-safe:
  * workers call execute()/executeBatch() concurrently.
  */

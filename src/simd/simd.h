@@ -1,7 +1,7 @@
 /**
  * @file
  * Runtime-dispatched SIMD kernel layer for the project's dense inner
- * loops: dot products, axpy/scale sweeps, the blocked GEMM microkernel,
+ * loops: dot products, axpy/scale sweeps, the GEMM kernels,
  * the kNN distance evaluations and the MLP layer micro-ops.
  *
  * Three tiers implement the same kernel table:
@@ -45,6 +45,22 @@
  * Elementwise kernels (axpy, scale, mul_add, the GEMM microkernel
  * inner sweep, the MLP update) never sum across elements, so they are
  * bit-identical across tiers by construction at any lane width.
+ *
+ * # Lane-parallel dots
+ *
+ * The contract fixes each dot's operation sequence, not which
+ * register holds it. Many INDEPENDENT dots of the same length k (one
+ * per sample, all against one weight row) can therefore run with the
+ * samples as vector lanes: keep each of the 16 partials, and the
+ * tail, as a vector over the samples, zero-initialized; add term i's
+ * products into partial (i mod 16) while i is inside a full block and
+ * into the tail after it (an elementwise axpy per term); then fold
+ * the vectors elementwise with the combine tree above and add the
+ * tail last. Every lane performs exactly the per-row kernel's adds in
+ * the per-row kernel's order, and IEEE multiplication commutes
+ * (w * x == x * w), so each lane is bit-identical to kt.dot on its
+ * row, in every tier — no per-tier code is needed. gemmDotColumns is
+ * this form.
  */
 
 #pragma once
@@ -291,36 +307,31 @@ void setTier(Tier tier);
 Tier requestTier(Tier tier);
 
 /**
- * Blocked "canonical-dot GEMM": with A row-major m x k (leading
- * dimension lda) and B row-major n x k (ldb), computes
+ * Column-major "canonical-dot GEMM": with A stored feature-major (k
+ * rows of m samples; element (sample i, feature kk) at
+ * at[kk * lda + i]) and B row-major n x k (ldb), computes
  *
- *     c[i * ldc + j] = (bias ? bias[j] : 0) + dot(A row i, B row j, k)
+ *     ct[j * ldc + i] = bias[j] + dot(A column i, B row j, k)
  *
- * i.e. C = bias + A * B^T where every output entry is ONE
- * canonical-reduction dot product. The blocking only reorders which
- * (i, j) entries are computed when — never the arithmetic inside an
- * entry — so the result is bit-identical to the naive per-entry
- * `bias[j] + kt.dot(...)` loop, in every tier, at any block size.
- * This is the workhorse of the minibatch MLP forward pass and the
- * batched predict: B rows are the transposed operand (for the MLP,
- * unit-major weight rows), kept hot in cache across a panel of A rows.
+ * i.e. C^T = bias + B * A^T, stored output-major (one row of m samples
+ * per output j — the layout the next layer reads as its A). Every
+ * entry is ONE canonical-reduction dot product in its lane-parallel
+ * form (see "Lane-parallel dots" above), so the result is
+ * bit-identical to the naive per-entry `bias[j] + kt.dot(...)` loop in
+ * every tier, at any tiling. This is the MLP's batched forward pass:
+ * samples (target machines) are the vector lanes, so the benchmark x
+ * machine layout the data already has is the input as is, and each
+ * indirect call (kt.axpy) advances a whole tile of samples instead of
+ * one (sample, unit) entry.
  */
-void gemmDot(const KernelTable &kt, std::size_t m, std::size_t n,
-             std::size_t k, const double *a, std::size_t lda,
-             const double *b, std::size_t ldb, const double *bias,
-             double *c, std::size_t ldc);
+void gemmDotColumns(const KernelTable &kt, std::size_t m, std::size_t n,
+                    std::size_t k, const double *at, std::size_t lda,
+                    const double *b, std::size_t ldb, const double *bias,
+                    double *ct, std::size_t ldc);
 
 // ---------------------------------------------------------------------
 // Convenience dispatchers: the names consumers call.
 // ---------------------------------------------------------------------
-
-inline void
-gemmDot(std::size_t m, std::size_t n, std::size_t k, const double *a,
-        std::size_t lda, const double *b, std::size_t ldb,
-        const double *bias, double *c, std::size_t ldc)
-{
-    gemmDot(kernels(), m, n, k, a, lda, b, ldb, bias, c, ldc);
-}
 
 inline double
 dot(const double *a, const double *b, std::size_t n)

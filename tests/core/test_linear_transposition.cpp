@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,9 +151,12 @@ randomProblem(std::size_t benchmarks, std::size_t predictive,
 /** Predicts with the given scan mode and returns all outputs. */
 std::pair<std::vector<double>, core::LinearTranspositionDiagnostics>
 runScan(const core::TranspositionProblem &problem, core::ScanMode scan,
-        std::size_t tile, std::size_t threads, bool log_space = false)
+        std::size_t tile, std::size_t threads, bool log_space = false,
+        core::FitCriterion criterion =
+            core::FitCriterion::ResidualSumSquares)
 {
     core::LinearTranspositionConfig config;
+    config.criterion = criterion;
     config.scan = scan;
     config.targetTile = tile;
     config.threads = threads;
@@ -188,6 +192,62 @@ TEST(LinearTransposition, TiledScanMatchesNaiveInLogSpace)
         runScan(problem, core::ScanMode::Tiled, 32, 1, true);
     EXPECT_EQ(naive_pred, tiled_pred);
     EXPECT_EQ(naive_diag.chosenPredictive, tiled_diag.chosenPredictive);
+}
+
+/**
+ * The naive per-pair oracle against the target-major tiled scan over
+ * the shapes that stress its lane blocks (1 and 3 targets fill part of
+ * one block, 255/257 straddle the 256-target tile, 5000 spans many
+ * tiles), a lone predictor up to Table 2's ~100, both criteria, log
+ * space on and off, serial and pooled. Every problem with more than
+ * one machine on a side carries a constant predictive column
+ * (sxx == 0: slope 0, intercept mean(y)) and a constant target column
+ * (ss_tot == 0: R² from the rss == 0 rule). The constant predictor is
+ * machine 0, so the constant target — which every predictor fits
+ * exactly — picks it and reports its sxx == 0 intercept.
+ */
+TEST(LinearTransposition, TiledScanMatchesNaiveAcrossShapesAndModes)
+{
+    for (const std::size_t targets : {1u, 3u, 21u, 255u, 257u, 5000u}) {
+        for (const std::size_t preds : {1u, 10u, 100u}) {
+            auto problem = randomProblem(28, preds, targets,
+                                         41 + targets * 7 + preds);
+            for (std::size_t b = 0; b < 28; ++b) {
+                if (preds > 1)
+                    problem.predictiveBenchScores(b, 0) = 7.0;
+                if (targets > 1)
+                    problem.targetBenchScores(b, targets / 2) = 13.0;
+            }
+            for (const auto criterion :
+                 {core::FitCriterion::ResidualSumSquares,
+                  core::FitCriterion::RSquared}) {
+                for (const bool log_space : {false, true}) {
+                    SCOPED_TRACE(
+                        "targets=" + std::to_string(targets) +
+                        " preds=" + std::to_string(preds) + " r2=" +
+                        std::to_string(criterion ==
+                                       core::FitCriterion::RSquared) +
+                        " log=" + std::to_string(log_space));
+                    const auto [naive_pred, naive_diag] =
+                        runScan(problem, core::ScanMode::Naive, 256, 1,
+                                log_space, criterion);
+                    for (const std::size_t threads : {1u, 4u}) {
+                        const auto [tiled_pred, tiled_diag] =
+                            runScan(problem, core::ScanMode::Tiled, 256,
+                                    threads, log_space, criterion);
+                        EXPECT_EQ(naive_pred, tiled_pred);
+                        EXPECT_EQ(naive_diag.chosenPredictive,
+                                  tiled_diag.chosenPredictive);
+                        EXPECT_EQ(naive_diag.fitRSquared,
+                                  tiled_diag.fitRSquared);
+                        EXPECT_EQ(naive_diag.slope, tiled_diag.slope);
+                        EXPECT_EQ(naive_diag.intercept,
+                                  tiled_diag.intercept);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(LinearTransposition, ScaledScanThreadCountCannotChangeOutput)

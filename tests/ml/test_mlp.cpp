@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ml/mlp.h"
 #include "simd/simd.h"
 #include "util/error.h"
@@ -213,27 +216,52 @@ TEST(Mlp, BatchPredictMatchesScalar)
 
 TEST(Mlp, BatchPredictIsBitIdenticalOnWideNetworks)
 {
-    // Multi-feature inputs and two hidden layers exercise the batched
-    // layer sweep with several accumulation terms per unit; the result
-    // must still match the scalar path exactly, not just approximately.
-    util::Rng rng(3);
-    Matrix x(30, 5);
-    std::vector<double> y(30);
-    for (std::size_t i = 0; i < 30; ++i) {
-        for (std::size_t c = 0; c < 5; ++c)
-            x(i, c) = rng.uniform(-3.0, 3.0);
-        y[i] = x(i, 0) - 2.0 * x(i, 3);
-    }
-    ml::MlpConfig config = fastConfig();
-    config.epochs = 40;
-    config.hiddenLayers = {6, 4};
-    ml::Mlp net(config);
-    net.fit(x, y);
+    // Multi-feature inputs and several hidden layers exercise the
+    // batched layer sweep with several accumulation terms per unit; the
+    // result must still match the scalar path exactly, not just
+    // approximately. The second shape is DEEP^T's (three 16-unit
+    // layers, minibatch-trained) over 28 benchmark features, asked
+    // about 300 samples: 28 terms straddle the 16-term canonical
+    // block, and 300 is neither a multiple of the forward pass's
+    // sample tile nor of a lane width.
+    struct Shape
+    {
+        std::size_t features;
+        std::vector<std::size_t> hidden;
+        std::size_t batchSize;
+        std::size_t queries;
+    };
+    const Shape shapes[] = {{5, {6, 4}, 1, 30}, {28, {16, 16, 16}, 8, 300}};
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE("features=" + std::to_string(shape.features));
+        util::Rng rng(3);
+        Matrix x(30, shape.features);
+        std::vector<double> y(30);
+        for (std::size_t i = 0; i < 30; ++i) {
+            for (std::size_t c = 0; c < shape.features; ++c)
+                x(i, c) = rng.uniform(-3.0, 3.0);
+            y[i] = x(i, 0) - 2.0 * x(i, 3);
+        }
+        ml::MlpConfig config = fastConfig();
+        config.epochs = 40;
+        config.hiddenLayers = shape.hidden;
+        config.batchSize = shape.batchSize;
+        ml::Mlp net(config);
+        net.fit(x, y);
 
-    const auto batch = net.predict(x);
-    ASSERT_EQ(batch.size(), 30u);
-    for (std::size_t r = 0; r < 30; ++r)
-        EXPECT_EQ(batch[r], net.predict(x.row(r))) << "row " << r;
+        Matrix q(shape.queries, shape.features);
+        for (std::size_t i = 0; i < shape.queries; ++i)
+            for (std::size_t c = 0; c < shape.features; ++c)
+                q(i, c) = rng.uniform(-4.0, 4.0);
+        const auto batch = net.predict(q);
+        const auto columns = net.predictColumns(q.transposed());
+        ASSERT_EQ(batch.size(), shape.queries);
+        for (std::size_t r = 0; r < shape.queries; ++r) {
+            const double scalar = net.predict(q.row(r));
+            EXPECT_EQ(batch[r], scalar) << "row " << r;
+            EXPECT_EQ(columns[r], scalar) << "row " << r;
+        }
+    }
 }
 
 TEST(Mlp, MinibatchConvergesOnLinearFunction)

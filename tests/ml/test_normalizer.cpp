@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -55,6 +56,33 @@ TEST(RangeNormalizer, MatrixTransform)
     const Matrix z = norm.transform(x);
     EXPECT_DOUBLE_EQ(z(0, 0), -1.0);
     EXPECT_DOUBLE_EQ(z(1, 1), 1.0);
+}
+
+TEST(RangeNormalizer, FeatureMajorPathsMatchTheMatrixTransform)
+{
+    // setRanges() from the columns' own min/max is fit(), and
+    // transformFeature() over a column (into a buffer or in place) is
+    // that column of transform(), bit for bit; the constant middle
+    // feature maps to 0.
+    const Matrix x{{0.3, 7.0, -2.0}, {1.9, 7.0, 5.5}, {-0.7, 7.0, 1.25}};
+    ml::RangeNormalizer fitted;
+    fitted.fit(x);
+    ml::RangeNormalizer swept;
+    swept.setRanges({-0.7, 7.0, -2.0}, {1.9, 7.0, 5.5});
+    const Matrix z = fitted.transform(x);
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+        std::vector<double> col = x.column(c);
+        std::vector<double> out(col.size());
+        swept.transformFeature(c, col.data(), out.data(), col.size());
+        swept.transformFeature(c, col.data(), col.data(), col.size());
+        EXPECT_EQ(out, z.column(c)) << "feature " << c;
+        EXPECT_EQ(col, z.column(c)) << "feature " << c;
+    }
+    EXPECT_THROW(swept.setRanges({0.0}, {1.0, 2.0}), util::InvalidArgument);
+    EXPECT_THROW(swept.setRanges({}, {}), util::InvalidArgument);
+    double v = 0.0;
+    EXPECT_THROW(swept.transformFeature(3, &v, &v, 1),
+                 util::InvalidArgument);
 }
 
 TEST(RangeNormalizer, ScalarSeriesRoundTrip)

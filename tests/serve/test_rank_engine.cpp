@@ -109,6 +109,38 @@ TEST_F(RankEngineTest, RankingSortedByScoreWithTopKTruncation)
               outcome.ranking[2].predicted);
 }
 
+TEST(RankOrder, TopKIsThePrefixOfTheFullSortWithTies)
+{
+    // Heavy ties (scores drawn from 5 values) and shuffled machine ids,
+    // so the machine-ascending tie-break decides most of the order.
+    util::Rng rng(31);
+    const std::size_t n = 200;
+    std::vector<double> scores(n);
+    for (double &v : scores)
+        v = static_cast<double>(rng.index(5)) * 0.5;
+    std::vector<std::size_t> ids =
+        rng.sampleWithoutReplacement(10 * n, n);
+    std::vector<std::uint32_t> machines(ids.begin(), ids.end());
+
+    std::vector<std::size_t> full(n);
+    for (std::size_t i = 0; i < n; ++i)
+        full[i] = i;
+    std::sort(full.begin(), full.end(), [&](std::size_t a, std::size_t b) {
+        if (scores[a] != scores[b])
+            return scores[a] > scores[b];
+        return machines[a] < machines[b];
+    });
+
+    EXPECT_EQ(rankOrder(scores, machines, 0), full);
+    for (const std::uint32_t k : {1u, 7u, 200u, 201u, 5000u}) {
+        const std::size_t keep = std::min<std::size_t>(k, n);
+        const std::vector<std::size_t> prefix(
+            full.begin(), full.begin() + static_cast<std::ptrdiff_t>(keep));
+        EXPECT_EQ(rankOrder(scores, machines, k), prefix) << "top_k " << k;
+    }
+    EXPECT_TRUE(rankOrder({}, {}, 10).empty());
+}
+
 TEST_F(RankEngineTest, BatchedExecutionIsBitIdentical)
 {
     // Mixed subset requests of one session, with heavy target overlap

@@ -278,42 +278,60 @@ TEST_P(KernelEquality, BatchKernelsMatchPerSampleLoops)
 }
 
 /**
- * gemmDot: the blocked canonical-dot GEMM must match the naive
- * `bias[j] + dot(...)` double loop bit-for-bit on shapes that straddle
- * its 16x256 panel boundaries, and the vector tier must match the
- * scalar tier entry by entry.
+ * gemmDotColumns: the column-major canonical-dot GEMM (samples as
+ * lanes) must match the naive per-entry `bias[j] + dot(...)` loop
+ * bit-for-bit, in the scalar tier and in the vector tier against both
+ * tiers' own dot. k straddles the 16-term canonical block (all-tail,
+ * exact block, block + tail, two blocks + tail); m is never a
+ * multiple of a lane width or of the 128-sample tile; the input and
+ * output rows are padded (lda, ldc > m) so a stride slip shows.
  */
 TEST_P(KernelEquality, GemmDotMatchesNaiveDotLoopAcrossBlocks)
 {
-    const std::size_t ms[] = {1, 3, 16, 31, 257};
-    const std::size_t ns[] = {1, 2, 15, 16, 17, 33};
-    const std::size_t ks[] = {1, 7, 16, 28, 67};
+    const std::size_t ms[] = {1, 3, 13, 127, 129, 301};
+    const std::size_t ns[] = {1, 14};
+    const std::size_t ks[] = {1, 15, 16, 17, 28, 33};
     for (std::size_t m : ms) {
         for (std::size_t n : ns) {
             for (std::size_t k : ks) {
                 SCOPED_TRACE("m=" + std::to_string(m) +
                              " n=" + std::to_string(n) +
                              " k=" + std::to_string(k));
-                const auto a = operand(m * k, 1800 + m * 131 + k);
+                const std::size_t lda = m + 3;
+                const std::size_t ldc = m + 5;
+                // A stored feature-major: k rows of lda samples.
+                const auto at = operand(k * lda, 1800 + m * 131 + k);
                 const auto b = operand(n * k, 1900 + n * 17 + k);
                 const auto bias = operand(n, 2000 + n);
 
-                std::vector<double> naive(m * n);
-                for (std::size_t i = 0; i < m; ++i)
-                    for (std::size_t j = 0; j < n; ++j)
-                        naive[i * n + j] =
-                            bias[j] + scalar_.dot(a.data() + i * k,
+                std::vector<double> sample(k);
+                std::vector<double> naive_s(n * ldc, 0.0);
+                std::vector<double> naive_v(n * ldc, 0.0);
+                for (std::size_t i = 0; i < m; ++i) {
+                    for (std::size_t kk = 0; kk < k; ++kk)
+                        sample[kk] = at[kk * lda + i];
+                    for (std::size_t j = 0; j < n; ++j) {
+                        naive_s[j * ldc + i] =
+                            bias[j] + scalar_.dot(sample.data(),
                                                   b.data() + j * k, k);
+                        naive_v[j * ldc + i] =
+                            bias[j] + vec_->dot(sample.data(),
+                                                b.data() + j * k, k);
+                    }
+                }
 
-                std::vector<double> blocked_s(m * n);
-                simd::gemmDot(scalar_, m, n, k, a.data(), k, b.data(),
-                              k, bias.data(), blocked_s.data(), n);
-                EXPECT_EQ(naive, blocked_s);
+                std::vector<double> cols_s(n * ldc, 0.0);
+                simd::gemmDotColumns(scalar_, m, n, k, at.data(), lda,
+                                     b.data(), k, bias.data(),
+                                     cols_s.data(), ldc);
+                EXPECT_EQ(naive_s, cols_s);
 
-                std::vector<double> blocked_v(m * n);
-                simd::gemmDot(*vec_, m, n, k, a.data(), k, b.data(), k,
-                              bias.data(), blocked_v.data(), n);
-                EXPECT_EQ(naive, blocked_v);
+                std::vector<double> cols_v(n * ldc, 0.0);
+                simd::gemmDotColumns(*vec_, m, n, k, at.data(), lda,
+                                     b.data(), k, bias.data(),
+                                     cols_v.data(), ldc);
+                EXPECT_EQ(naive_v, cols_v);
+                EXPECT_EQ(naive_s, cols_v);
             }
         }
     }

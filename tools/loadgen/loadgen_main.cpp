@@ -24,6 +24,7 @@
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,33 +151,37 @@ main(int argc, char **argv)
                       "--owned must leave target machines");
         util::Rng rng(seed);
 
+        // A session is its app and sorted partial vector only: the
+        // target machines are sampled per request by rejection against
+        // the predictive set, so memory stays O(sessions x owned), not
+        // O(sessions x machines) (~40 GB at 100k sessions on 100k
+        // machines).
         struct SessionSpec
         {
             std::uint32_t app = 0;
             std::vector<std::pair<std::uint32_t, double>> predictive;
-            std::vector<std::uint32_t> complement;
+        };
+        const auto owns = [](const SessionSpec &spec, std::uint32_t m) {
+            return std::binary_search(
+                spec.predictive.begin(), spec.predictive.end(),
+                std::pair<std::uint32_t, double>(m, 0.0),
+                [](const auto &a, const auto &b) {
+                    return a.first < b.first;
+                });
         };
         std::vector<SessionSpec> sessions(n_sessions);
         for (std::size_t s = 0; s < n_sessions; ++s) {
             SessionSpec &spec = sessions[s];
             spec.app = static_cast<std::uint32_t>(s % n_bench);
-            std::vector<std::size_t> owned =
-                rng.sampleWithoutReplacement(n_machines, n_owned);
-            std::sort(owned.begin(), owned.end());
-            std::vector<char> is_owned(n_machines, 0);
-            for (std::size_t m : owned) {
-                is_owned[m] = 1;
-                // The database's own score: satisfiable by
-                // construction and byte-identical to the offline
-                // harness's predictive matrix.
-                spec.predictive.emplace_back(
-                    static_cast<std::uint32_t>(m),
-                    scores(spec.app, m));
-            }
-            for (std::size_t m = 0; m < n_machines; ++m)
-                if (!is_owned[m])
-                    spec.complement.push_back(
-                        static_cast<std::uint32_t>(m));
+            std::set<std::uint32_t> owned;
+            while (owned.size() < n_owned)
+                owned.insert(static_cast<std::uint32_t>(
+                    rng.index(n_machines)));
+            // The database's own score: satisfiable by construction
+            // and byte-identical to the offline harness's predictive
+            // matrix.
+            for (std::uint32_t m : owned)
+                spec.predictive.emplace_back(m, scores(spec.app, m));
         }
 
         const auto total = static_cast<std::size_t>(qps * duration);
@@ -187,6 +192,7 @@ main(int argc, char **argv)
 
         std::vector<std::vector<std::uint8_t>> frames(total);
         std::vector<std::uint8_t> method_of(total);
+        std::set<std::uint32_t> picked;
         for (std::size_t i = 0; i < total; ++i) {
             const SessionSpec &spec = sessions[i % n_sessions];
             serve::Request request;
@@ -196,19 +202,24 @@ main(int argc, char **argv)
             request.rank.app = spec.app;
             request.rank.topK = top_k;
             request.rank.predictive = spec.predictive;
-            if (n_targets != 0 && n_targets < spec.complement.size()) {
-                std::vector<std::size_t> pick =
-                    rng.sampleWithoutReplacement(spec.complement.size(),
-                                                 n_targets);
-                std::sort(pick.begin(), pick.end());
-                for (std::size_t p : pick)
-                    request.rank.targets.push_back(spec.complement[p]);
+            if (n_targets != 0 && n_targets < n_machines - n_owned) {
+                picked.clear();
+                while (picked.size() < n_targets) {
+                    const auto m =
+                        static_cast<std::uint32_t>(rng.index(n_machines));
+                    if (!owns(spec, m))
+                        picked.insert(m);
+                }
+                request.rank.targets.assign(picked.begin(), picked.end());
             }
             method_of[i] =
                 static_cast<std::uint8_t>(request.rank.method);
             serve::appendFrame(frames[i],
                                serve::encodeRequest(request));
         }
+        std::cout << "loadgen: " << total << " requests over "
+                  << n_sessions << " sessions generated\n"
+                  << std::flush;
 
         // ---- open-loop send + receive ------------------------------
         const std::string host = args.get("host");
