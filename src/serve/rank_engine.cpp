@@ -84,7 +84,7 @@ RankEngine::batchKey(const RankRequest &request) const
 {
     // Only MLP^T coalesces: its per-request work is the GEMM forward
     // pass that batching amortizes. The other methods answer subset
-    // requests from a memoized full-universe vector, so there is
+    // requests from a memoized all-machine vector, so there is
     // nothing to fuse. The key folds in everything that selects the
     // fitted network; validation failures are left to execute(), where
     // they fail individually.
@@ -93,49 +93,6 @@ RankEngine::batchKey(const RankRequest &request) const
     const util::HashKey key = sessionKey(request);
     const std::uint64_t folded = key.hi ^ (key.lo * 0x2545f4914f6cdd1dULL);
     return folded | 1; // never 0
-}
-
-std::shared_ptr<const RankEngine::Universe>
-RankEngine::universeFor(const std::vector<std::size_t> &predictive)
-{
-    util::ContentHasher hasher;
-    hasher.add(std::string_view("serve-universe"));
-    hasher.add(static_cast<std::uint64_t>(predictive.size()));
-    for (std::size_t m : predictive)
-        hasher.add(static_cast<std::uint64_t>(m));
-    const util::HashKey key = hasher.key();
-
-    {
-        util::LockGuard lock(cacheMutex_);
-        auto it = universes_.find(key);
-        if (it != universes_.end())
-            return it->second;
-    }
-
-    auto universe = std::make_shared<Universe>();
-    universe->position.assign(db_.machineCount(), -1);
-    std::vector<char> is_predictive(db_.machineCount(), 0);
-    for (std::size_t m : predictive)
-        is_predictive[m] = 1;
-    for (std::size_t m = 0; m < db_.machineCount(); ++m) {
-        if (is_predictive[m])
-            continue;
-        universe->position[m] =
-            static_cast<std::int32_t>(universe->machines.size());
-        universe->machines.push_back(m);
-    }
-    universe->targetDb = db_.selectMachines(universe->machines);
-
-    util::LockGuard lock(cacheMutex_);
-    auto [it, inserted] = universes_.emplace(key, std::move(universe));
-    if (inserted) {
-        universeOrder_.push_back(key);
-        while (universeOrder_.size() > config_.sessionCapacity) {
-            universes_.erase(universeOrder_.front());
-            universeOrder_.pop_front();
-        }
-    }
-    return it->second;
 }
 
 std::shared_ptr<RankEngine::Session>
@@ -157,7 +114,8 @@ RankEngine::sessionFor(const RankRequest &request)
 
     auto session = std::make_shared<Session>();
     session->app = request.app;
-    session->universe = universeFor(predictive);
+    session->predictive = predictive;
+    std::sort(session->predictive.begin(), session->predictive.end());
 
     // The predictive database is the machine selection with the app
     // row replaced by the client's partial score vector. When the
@@ -195,33 +153,37 @@ RankEngine::resolve(const RankRequest &request)
 
     Resolved resolved;
     resolved.session = sessionFor(request);
-    const Universe &universe = *resolved.session->universe;
+    const std::vector<std::size_t> &predictive =
+        resolved.session->predictive;
+    const std::size_t machine_count = db_.machineCount();
 
     if (request.targets.empty()) {
-        // Default: rank the whole universe.
-        resolved.positions.resize(universe.machines.size());
-        std::iota(resolved.positions.begin(), resolved.positions.end(),
-                  std::size_t{0});
-        resolved.machines.reserve(universe.machines.size());
-        for (std::size_t m : universe.machines)
-            resolved.machines.push_back(static_cast<std::uint32_t>(m));
+        // Default: rank every machine outside the predictive set (the
+        // complement, by a merge against the sorted predictive set).
+        resolved.machines.reserve(machine_count - predictive.size());
+        auto owned = predictive.begin();
+        for (std::size_t m = 0; m < machine_count; ++m) {
+            if (owned != predictive.end() && *owned == m)
+                ++owned;
+            else
+                resolved.machines.push_back(static_cast<std::uint32_t>(m));
+        }
         return resolved;
     }
 
-    std::vector<char> seen(universe.machines.size(), 0);
-    resolved.positions.reserve(request.targets.size());
+    std::vector<char> seen(machine_count, 0);
     resolved.machines.reserve(request.targets.size());
     for (std::uint32_t machine : request.targets) {
-        util::require(machine < universe.position.size(),
+        util::require(machine < machine_count,
                       "rank request: target machine index out of range");
-        const std::int32_t pos = universe.position[machine];
-        util::require(pos >= 0,
+        util::require(!std::binary_search(predictive.begin(),
+                                          predictive.end(),
+                                          std::size_t{machine}),
                       "rank request: target machine is in the "
                       "predictive set");
-        util::require(seen[static_cast<std::size_t>(pos)] == 0,
+        util::require(seen[machine] == 0,
                       "rank request: duplicate target machine");
-        seen[static_cast<std::size_t>(pos)] = 1;
-        resolved.positions.push_back(static_cast<std::size_t>(pos));
+        seen[machine] = 1;
         resolved.machines.push_back(machine);
     }
     return resolved;
@@ -236,8 +198,8 @@ RankEngine::fittedMlp(Session &session)
         cfg.mlp.seed =
             experiments::taskMlpSeed(config_.suite, 0, session.app);
         auto model = std::make_shared<core::MlpTransposition>(cfg);
-        model->fit(core::makeLeaveOneOutProblem(
-            session.predDb, session.universe->targetDb, session.app));
+        model->fit(
+            core::makeLeaveOneOutProblem(session.predDb, db_, session.app));
         session.mlp = std::move(model);
     }
     return session.mlp;
@@ -284,8 +246,7 @@ RankEngine::fullPrediction(Session &session, experiments::Method method)
 
     auto predicted =
         std::make_shared<std::vector<double>>(experiments::predictTask(
-            method, config_.suite, session.predDb,
-            session.universe->targetDb, session.app,
+            method, config_.suite, session.predDb, db_, session.app,
             experiments::taskMlpSeed(config_.suite, 0, session.app),
             session.gaknn.get(),
             characteristics_.has_value() ? &*characteristics_ : nullptr,
@@ -295,23 +256,23 @@ RankEngine::fullPrediction(Session &session, experiments::Method method)
 }
 
 linalg::Matrix
-RankEngine::gatherColumns(const Session &session,
-                          const std::vector<std::size_t> &all) const
+RankEngine::gatherColumns(std::size_t app,
+                          const std::vector<std::uint32_t> &machines) const
 {
     // Rows are the training benchmarks — every benchmark except the
     // application of interest, in database order — matching the
     // orientation of TranspositionProblem::targetBenchScores that
     // MlpTransposition::fit() saw.
-    const linalg::Matrix &scores = session.universe->targetDb.scores();
+    const linalg::Matrix &scores = db_.scores();
     const std::size_t n_bench = scores.rows();
-    linalg::Matrix out(n_bench - 1, all.size());
+    linalg::Matrix out(n_bench - 1, machines.size());
     std::size_t r = 0;
     for (std::size_t b = 0; b < n_bench; ++b) {
-        if (b == session.app)
+        if (b == app)
             continue;
         const double *src = scores.rowData(b);
-        for (std::size_t j = 0; j < all.size(); ++j)
-            out(r, j) = src[all[j]];
+        for (std::size_t j = 0; j < machines.size(); ++j)
+            out(r, j) = src[machines[j]];
         ++r;
     }
     return out;
@@ -329,7 +290,7 @@ rankOrder(const std::vector<double> &scores,
         return machines[a] < machines[b];
     };
     // A default request keeps the top 10 of ~20k targets: sort only
-    // those rather than the whole universe.
+    // those rather than every target.
     const std::size_t keep =
         top_k == 0 ? order.size()
                    : std::min<std::size_t>(order.size(), top_k);
@@ -367,12 +328,12 @@ RankEngine::execute(const RankRequest &request)
         if (request.method == experiments::Method::MlpT) {
             const auto model = fittedMlp(session);
             scores = model->predictColumns(
-                gatherColumns(session, resolved.positions));
+                gatherColumns(session.app, resolved.machines));
         } else {
             const auto full = fullPrediction(session, request.method);
-            scores.reserve(resolved.positions.size());
-            for (std::size_t pos : resolved.positions)
-                scores.push_back((*full)[pos]);
+            scores.reserve(resolved.machines.size());
+            for (std::uint32_t machine : resolved.machines)
+                scores.push_back((*full)[machine]);
         }
         return rankFrom(resolved, scores, request.topK);
     } catch (const util::Error &e) {
@@ -415,11 +376,10 @@ RankEngine::executeBatch(const std::vector<RankRequest> &batch)
 
     // batchKey is a 64-bit fold of the 128-bit session hash, so a
     // collision (or a cache eviction between resolves) can put
-    // requests with *different* sessions in one batch; the coalesced
-    // path below sizes slot[] by the lead session's universe, so a
-    // foreign request's positions could index out of bounds. Keep
-    // only requests that resolved to the lead Session and answer the
-    // rest through the per-request path.
+    // requests with *different* sessions in one batch, whose scores
+    // come from a different fitted model. Keep only requests that
+    // resolved to the lead Session and answer the rest through the
+    // per-request path.
     std::vector<std::size_t> coalesced;
     const std::shared_ptr<Session> &lead =
         resolved[live.front()].session;
@@ -435,31 +395,31 @@ RankEngine::executeBatch(const std::vector<RankRequest> &batch)
         Session &session = *resolved[live.front()].session;
         const auto model = fittedMlp(session);
 
-        // Deduplicated union of every live request's target positions,
+        // Deduplicated union of every live request's target machines,
         // in first-appearance order. Concurrent requests overwhelmingly
-        // overlap — the default request ranks the whole universe — so
-        // one forward pass over the union answers all of them; each
-        // machine's forward pass depends only on its own input column,
-        // so its score is bit-identical whichever requests share the
-        // batch.
-        std::vector<std::int32_t> slot(
-            session.universe->machines.size(), -1);
-        std::vector<std::size_t> unique;
+        // overlap — the default request ranks every machine outside
+        // the predictive set — so one forward pass over the union
+        // answers all of them; each machine's forward pass depends
+        // only on its own input column, so its score is bit-identical
+        // whichever requests share the batch.
+        std::vector<std::int32_t> slot(db_.machineCount(), -1);
+        std::vector<std::uint32_t> unique;
         for (std::size_t i : live)
-            for (std::size_t pos : resolved[i].positions)
-                if (slot[pos] < 0) {
-                    slot[pos] = static_cast<std::int32_t>(unique.size());
-                    unique.push_back(pos);
+            for (std::uint32_t machine : resolved[i].machines)
+                if (slot[machine] < 0) {
+                    slot[machine] =
+                        static_cast<std::int32_t>(unique.size());
+                    unique.push_back(machine);
                 }
         const std::vector<double> scores =
-            model->predictColumns(gatherColumns(session, unique));
+            model->predictColumns(gatherColumns(session.app, unique));
 
         std::vector<double> slice;
         for (std::size_t i : live) {
-            slice.resize(resolved[i].positions.size());
+            slice.resize(resolved[i].machines.size());
             for (std::size_t j = 0; j < slice.size(); ++j)
                 slice[j] = scores[static_cast<std::size_t>(
-                    slot[resolved[i].positions[j]])];
+                    slot[resolved[i].machines[j]])];
             outcomes[i] = rankFrom(resolved[i], slice, batch[i].topK);
         }
     } catch (const util::Error &e) {

@@ -4,34 +4,47 @@
  * for this application, given a partial score vector" with the exact
  * arithmetic of the offline experiment harness.
  *
- * Bit-identity contract. A request is resolved into the same objects
- * the harness uses — a predictive database whose application row
- * carries the client's partial score vector, the fixed target universe
- * (every machine outside the predictive set), and
- * experiments::predictTask with split_tag 0 — so a single request's
- * predicted scores equal the offline evaluateSplit() entries for the
- * same split, model and seed, bit for bit.
+ * Bit-identity contract. A request is resolved into the objects the
+ * harness uses — a predictive database whose application row carries
+ * the client's partial score vector, and experiments::predictTask with
+ * split_tag 0 — so a single request's predicted scores equal the
+ * offline evaluateSplit() entries for the same split, model and seed,
+ * bit for bit.
  *
- * MLP^T and coalescing. The MLP's transductive normalization makes its
- * predictions depend on the target-set composition, so the engine
- * always fits the network against the full target universe and
- * answers any requested subset by selecting columns of that fitted
- * model (core::MlpTransposition::fit / predictColumns). That is what
- * makes micro-batching sound: one predictColumns() GEMM over the
- * deduplicated union of many concurrent requests' target columns
- * cannot change any request's scores, because the forward pass is
- * per-row and the normalization per-element — and since concurrent
- * requests overwhelmingly overlap (the default request ranks the whole
- * universe), the union is barely wider than one request, so a batch of
- * N costs about one forward pass instead of N.
+ * Zero-copy targets. The harness predicts over a copy of the target
+ * machines; the engine predicts over its own database, in place, and
+ * picks each requested target out by global machine index. The extra
+ * targets (the predictive machines themselves) cannot change any
+ * other target's bits:
+ *  - NN^T, SPL^T, kNN^T, GA-kNN and the MLP forward pass compute each
+ *    target from its own score column alone.
+ *  - MLP^T/DEEP^T's transductive feature scaling takes per-benchmark
+ *    min/max over the predictive machines plus the targets. That set
+ *    is predictive ∪ complement offline and predictive ∪ all machines
+ *    here: the same set. std::min/std::max are exact and
+ *    order-independent on it, since scores are positive and finite
+ *    (no NaN) and log2 of a positive number is never -0.0.
+ *
+ * MLP^T and coalescing. Because the scaling is fitted over every
+ * machine, any requested subset is answered by selecting columns of
+ * one fitted model (core::MlpTransposition::fit / predictColumns).
+ * That is what makes micro-batching sound: one predictColumns() GEMM
+ * over the deduplicated union of many concurrent requests' target
+ * columns cannot change any request's scores, because the forward
+ * pass is per-column and the normalization per-element — and since
+ * concurrent requests overwhelmingly overlap (the default request
+ * ranks every machine outside the predictive set), the union is barely
+ * wider than one request, so a batch of N costs about one forward pass
+ * instead of N.
  *
  * Caching. Sessions — one per (predictive set, partial vector, app) —
- * memoize the resolved databases, the fitted MLP^T network, the
- * GA-kNN split model and each method's full-universe prediction
- * vector, bounded FIFO. Non-MLP predictions additionally go through
- * the shared experiments::TrainedModelCache with the same content-hash
- * keys as the offline harness, so a daemon warmed by requests and a
- * batch experiment warm each other.
+ * hold the predictive database and memoize the fitted MLP^T network,
+ * the GA-kNN split model and each method's all-machine prediction
+ * vector, bounded FIFO. A session holds no copy of the database's
+ * target scores. Non-MLP predictions additionally go through the
+ * shared experiments::TrainedModelCache; their keys hash the engine's
+ * database as the target matrix, so they are a deterministic function
+ * of (session, database) and survive session eviction.
  */
 
 #pragma once
@@ -137,31 +150,25 @@ class RankEngine
     const RankEngineConfig &config() const { return config_; }
 
   private:
-    /** Target universe shared by every session with one predictive set. */
-    struct Universe
-    {
-        /** Machine indices outside the predictive set, ascending. */
-        std::vector<std::size_t> machines;
-        dataset::PerfDatabase targetDb;
-        /** Global machine index -> position in `machines` (-1 = none). */
-        std::vector<std::int32_t> position;
-    };
-
     /** Cached state of one (predictive set, partial vector, app). */
     struct Session
     {
         std::size_t app = 0;
         dataset::PerfDatabase predDb; ///< App row = partial vector.
-        std::shared_ptr<const Universe> universe;
+        /** Predictive machine indices, ascending. */
+        std::vector<std::size_t> predictive;
 
         util::Mutex mutex;
-        /** Lazily fitted MLP^T model (fixed target universe). */
+        /** Lazily fitted MLP^T model (scaled over every machine). */
         std::shared_ptr<const core::MlpTransposition> mlp
             DTRANK_GUARDED_BY(mutex);
         /** Lazily trained GA-kNN split model. */
         std::shared_ptr<const baseline::GaKnnModel> gaknn
             DTRANK_GUARDED_BY(mutex);
-        /** Full-universe predictions per method (enum order). */
+        /**
+         * Per method (enum order): predictions for every machine of
+         * the database, indexed by global machine index.
+         */
         std::array<std::shared_ptr<const std::vector<double>>, 6>
             fullPredictions DTRANK_GUARDED_BY(mutex);
     };
@@ -170,8 +177,6 @@ class RankEngine
     struct Resolved
     {
         std::shared_ptr<Session> session;
-        /** Requested targets as positions into the universe. */
-        std::vector<std::size_t> positions;
         /** Requested targets as global machine indices. */
         std::vector<std::uint32_t> machines;
     };
@@ -179,19 +184,18 @@ class RankEngine
     util::HashKey sessionKey(const RankRequest &request) const;
     /** Validates and resolves; throws util::Error with the message. */
     Resolved resolve(const RankRequest &request);
-    std::shared_ptr<const Universe>
-    universeFor(const std::vector<std::size_t> &predictive);
     std::shared_ptr<Session> sessionFor(const RankRequest &request);
 
     /** The session's fitted MLP^T model, fitting it on first use. */
     std::shared_ptr<const core::MlpTransposition>
     fittedMlp(Session &session);
-    /** Full-universe predictions of a non-MLP method, memoized. */
+    /** All-machine predictions of a non-MLP method, memoized. */
     std::shared_ptr<const std::vector<double>>
     fullPrediction(Session &session, experiments::Method method);
-    /** Stacked feature matrix (training benchmark rows x positions). */
-    linalg::Matrix gatherColumns(const Session &session,
-                                 const std::vector<std::size_t> &all) const;
+    /** Stacked feature matrix (training benchmark rows x machines). */
+    linalg::Matrix
+    gatherColumns(std::size_t app,
+                  const std::vector<std::uint32_t> &machines) const;
 
     RankOutcome rankFrom(const Resolved &resolved,
                          const std::vector<double> &scores,
@@ -202,11 +206,6 @@ class RankEngine
     RankEngineConfig config_;
 
     mutable util::Mutex cacheMutex_;
-    std::unordered_map<util::HashKey, std::shared_ptr<const Universe>,
-                       util::HashKeyHasher>
-        universes_ DTRANK_GUARDED_BY(cacheMutex_);
-    std::deque<util::HashKey> universeOrder_
-        DTRANK_GUARDED_BY(cacheMutex_);
     std::unordered_map<util::HashKey, std::shared_ptr<Session>,
                        util::HashKeyHasher>
         sessions_ DTRANK_GUARDED_BY(cacheMutex_);

@@ -1,9 +1,11 @@
 /**
  * @file
  * RankEngine tests: the serve bit-identity contract (a request's
- * predictions equal the offline evaluateSplit entries exactly), the
- * coalesced executeBatch == per-request execute equivalence including
- * target-union deduplication, and per-request validation errors.
+ * predictions equal the offline evaluateSplit entries exactly, for
+ * every method and app, default and explicit targets), the coalesced
+ * executeBatch == per-request execute equivalence including
+ * target-union deduplication, the trained-model cache leaving outcomes
+ * unchanged, and per-request validation errors.
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +13,14 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "dataset/mica.h"
+#include "dataset/scaled_spec.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/harness.h"
+#include "experiments/model_cache.h"
 #include "linalg/matrix.h"
 #include "serve/rank_engine.h"
 #include "util/rng.h"
@@ -23,6 +29,119 @@ namespace dtrank::serve
 {
 namespace
 {
+
+/** The wire form of an offline split for one method and app. */
+RankRequest
+requestFor(const dataset::PerfDatabase &db,
+           const std::vector<std::size_t> &predictive,
+           experiments::Method method, std::size_t app)
+{
+    RankRequest request;
+    request.method = method;
+    request.app = static_cast<std::uint32_t>(app);
+    for (std::size_t m : predictive)
+        request.predictive.emplace_back(static_cast<std::uint32_t>(m),
+                                        db.scores()(app, m));
+    return request;
+}
+
+/** Every machine outside `predictive`, ascending. */
+std::vector<std::size_t>
+complementOf(std::size_t machine_count,
+             const std::vector<std::size_t> &predictive)
+{
+    std::vector<char> owned(machine_count, 0);
+    for (std::size_t m : predictive)
+        owned[m] = 1;
+    std::vector<std::size_t> rest;
+    for (std::size_t m = 0; m < machine_count; ++m)
+        if (!owned[m])
+            rest.push_back(m);
+    return rest;
+}
+
+/**
+ * The daemon's defaults with a cheap GA search: the contract is about
+ * bits, not accuracy.
+ */
+experiments::MethodSuiteConfig
+fastSuite()
+{
+    experiments::MethodSuiteConfig suite;
+    suite.gaKnn.ga.populationSize = 10;
+    suite.gaKnn.ga.generations = 4;
+    return suite;
+}
+
+/**
+ * Runs `methods` on one split offline (evaluateSplit over every
+ * machine outside `predictive`) and through a fresh engine, for every
+ * app. The default request, and an explicit target subset in shuffled
+ * order, must both reproduce the offline entries bit for bit.
+ */
+void
+expectEngineMatchesOffline(const dataset::PerfDatabase &db,
+                           const linalg::Matrix &characteristics,
+                           const experiments::MethodSuiteConfig &suite,
+                           const std::vector<std::size_t> &predictive,
+                           const std::vector<experiments::Method> &methods,
+                           const std::string &label)
+{
+    const std::vector<std::size_t> targets =
+        complementOf(db.machineCount(), predictive);
+    const experiments::SplitEvaluator evaluator(db, characteristics,
+                                                suite);
+    const experiments::SplitResults reference =
+        evaluator.evaluateSplit(predictive, targets, methods, 0);
+    RankEngineConfig config;
+    config.suite = suite;
+    RankEngine engine(db, characteristics, config);
+    util::Rng rng(29);
+
+    for (const experiments::Method method : methods) {
+        for (std::size_t app = 0; app < db.benchmarkCount(); ++app) {
+            const std::vector<double> &expected =
+                reference.at(method)[app].predicted;
+            const std::string where = label + " " +
+                                      experiments::methodName(method) +
+                                      " app " + std::to_string(app);
+            RankRequest request = requestFor(db, predictive, method, app);
+
+            const RankOutcome full = engine.execute(request);
+            ASSERT_EQ(full.status, Status::Ok) << where << full.error;
+            std::map<std::uint32_t, double> by_machine;
+            for (const RankedMachine &r : full.ranking)
+                by_machine[r.machine] = r.predicted;
+            ASSERT_EQ(by_machine.size(), targets.size()) << where;
+            std::size_t mismatches = 0;
+            for (std::size_t t = 0; t < targets.size(); ++t)
+                mismatches +=
+                    by_machine.at(static_cast<std::uint32_t>(
+                        targets[t])) != expected[t];
+            EXPECT_EQ(mismatches, 0u) << where << " (all targets)";
+
+            const std::vector<std::size_t> pick =
+                rng.sampleWithoutReplacement(
+                    targets.size(), std::min<std::size_t>(
+                                        targets.size(), 1 + app % 7));
+            for (std::size_t p : pick)
+                request.targets.push_back(
+                    static_cast<std::uint32_t>(targets[p]));
+            const RankOutcome subset = engine.execute(request);
+            ASSERT_EQ(subset.status, Status::Ok) << where << subset.error;
+            ASSERT_EQ(subset.ranking.size(), pick.size()) << where;
+            by_machine.clear();
+            for (const RankedMachine &r : subset.ranking)
+                by_machine[r.machine] = r.predicted;
+            mismatches = 0;
+            for (std::size_t p : pick)
+                mismatches +=
+                    by_machine.at(static_cast<std::uint32_t>(
+                        targets[p])) != expected[p];
+            EXPECT_EQ(mismatches, 0u) << where << " (explicit targets)";
+        }
+    }
+}
 
 class RankEngineTest : public ::testing::Test
 {
@@ -35,27 +154,15 @@ class RankEngineTest : public ::testing::Test
         predictive_ =
             rng.sampleWithoutReplacement(db_.machineCount(), 10);
         std::sort(predictive_.begin(), predictive_.end());
-        std::vector<char> owned(db_.machineCount(), 0);
-        for (std::size_t m : predictive_)
-            owned[m] = 1;
-        for (std::size_t m = 0; m < db_.machineCount(); ++m)
-            if (!owned[m])
-                targets_.push_back(m);
+        targets_ = complementOf(db_.machineCount(), predictive_);
         engine_ = std::make_unique<RankEngine>(db_, std::nullopt,
                                                RankEngineConfig{});
     }
 
-    /** The wire form of the offline split for one method and app. */
     RankRequest
     makeRequest(experiments::Method method, std::uint32_t app) const
     {
-        RankRequest request;
-        request.method = method;
-        request.app = app;
-        for (std::size_t m : predictive_)
-            request.predictive.emplace_back(
-                static_cast<std::uint32_t>(m), db_.scores()(app, m));
-        return request;
+        return requestFor(db_, predictive_, method, app);
     }
 
     dataset::PerfDatabase db_;
@@ -66,33 +173,121 @@ class RankEngineTest : public ::testing::Test
 
 TEST_F(RankEngineTest, MatchesOfflineEvaluateSplitBitForBit)
 {
-    const std::vector<experiments::Method> methods = {
-        experiments::Method::NnT, experiments::Method::MlpT,
-        experiments::Method::SplT, experiments::Method::MultiNnT};
-    // GA-kNN is not under test; a zero characteristics matrix keeps the
-    // evaluator constructible without one.
-    const experiments::SplitEvaluator evaluator(
-        db_, linalg::Matrix(db_.benchmarkCount(), 1),
-        engine_->config().suite);
-    const experiments::SplitResults reference =
-        evaluator.evaluateSplit(predictive_, targets_, methods, 0);
+    const std::vector<experiments::Method> &methods =
+        experiments::extendedMethods();
+    const experiments::MethodSuiteConfig suite = fastSuite();
+    const linalg::Matrix paper_chars =
+        dataset::MicaGenerator().generateForCatalog();
 
-    for (const experiments::Method method : methods) {
-        const std::uint32_t app = 2;
-        const RankOutcome outcome =
-            engine_->execute(makeRequest(method, app));
-        ASSERT_EQ(outcome.status, Status::Ok) << outcome.error;
-        std::map<std::uint32_t, double> by_machine;
-        for (const RankedMachine &r : outcome.ranking)
-            by_machine[r.machine] = r.predicted;
-        const std::vector<double> &expected =
-            reference.at(method)[app].predicted;
-        ASSERT_EQ(by_machine.size(), targets_.size());
-        for (std::size_t t = 0; t < targets_.size(); ++t)
-            EXPECT_EQ(by_machine.at(static_cast<std::uint32_t>(
-                          targets_[t])),
-                      expected[t])
-                << experiments::methodName(method) << " target " << t;
+    // The paper database, every method and app.
+    expectEngineMatchesOffline(db_, paper_chars, suite, predictive_,
+                               methods, "paper");
+
+    // A 2000-machine database with its own characteristics.
+    {
+        dataset::ScaledSpecConfig spec;
+        spec.machines = 2000;
+        const dataset::ScaledSpecGenerator generator(spec);
+        const dataset::PerfDatabase scaled = generator.generate();
+        const linalg::Matrix chars = dataset::MicaGenerator().generate(
+            generator.benchmarkProfiles());
+        // Few owned machines: SPL^T's per-(target, owned) spline fits
+        // dominate the cost at this size.
+        util::Rng rng(41);
+        std::vector<std::size_t> owned =
+            rng.sampleWithoutReplacement(scaled.machineCount(), 4);
+        expectEngineMatchesOffline(scaled, chars, suite, owned, methods,
+                                   "scaled:2000");
+    }
+
+    // NN^T and MLP^T in log2 space.
+    {
+        experiments::MethodSuiteConfig logged = suite;
+        logged.linear.logSpace = true;
+        logged.mlp.logSpace = true;
+        expectEngineMatchesOffline(
+            db_, paper_chars, logged, predictive_,
+            {experiments::Method::NnT, experiments::Method::MlpT},
+            "paper log2");
+    }
+
+    // Predictive machines that carry some benchmarks' min and max
+    // scores, in unsorted wire order: MLP^T's feature ranges then come
+    // from the predictive columns, which the engine also sees again
+    // among its targets.
+    {
+        std::vector<std::size_t> owned;
+        const auto own = [&](std::size_t m) {
+            if (std::find(owned.begin(), owned.end(), m) == owned.end())
+                owned.push_back(m);
+        };
+        for (std::size_t b = 0; b < 4; ++b) {
+            const std::vector<double> row = db_.benchmarkScores(b);
+            own(static_cast<std::size_t>(
+                std::max_element(row.begin(), row.end()) - row.begin()));
+            own(static_cast<std::size_t>(
+                std::min_element(row.begin(), row.end()) - row.begin()));
+        }
+        own(predictive_.front());
+        own(predictive_.back());
+        ASSERT_GE(owned.size(), 3u);
+        expectEngineMatchesOffline(
+            db_, paper_chars, suite, owned,
+            {experiments::Method::NnT, experiments::Method::MlpT,
+             experiments::Method::DeepT},
+            "extremes owned");
+        experiments::MethodSuiteConfig logged = suite;
+        logged.mlp.logSpace = true;
+        expectEngineMatchesOffline(db_, paper_chars, logged, owned,
+                                   {experiments::Method::MlpT},
+                                   "extremes owned log2");
+    }
+}
+
+TEST_F(RankEngineTest, ModelCacheLeavesOutcomesUnchanged)
+{
+    const linalg::Matrix chars =
+        dataset::MicaGenerator().generateForCatalog();
+    RankEngineConfig plain;
+    plain.suite = fastSuite();
+    RankEngineConfig cached = plain;
+    cached.suite.modelCache =
+        std::make_shared<experiments::TrainedModelCache>();
+    cached.sessionCapacity = 1;
+    RankEngine reference(db_, chars, plain);
+    RankEngine engine(db_, chars, cached);
+
+    const auto expectSame = [](const RankOutcome &a, const RankOutcome &b,
+                               const std::string &where) {
+        ASSERT_EQ(a.status, Status::Ok) << where << a.error;
+        ASSERT_EQ(b.status, Status::Ok) << where << b.error;
+        ASSERT_EQ(a.ranking.size(), b.ranking.size()) << where;
+        for (std::size_t r = 0; r < a.ranking.size(); ++r) {
+            EXPECT_EQ(a.ranking[r].machine, b.ranking[r].machine) << where;
+            EXPECT_EQ(a.ranking[r].predicted, b.ranking[r].predicted)
+                << where;
+        }
+    };
+
+    for (const experiments::Method method :
+         experiments::extendedMethods()) {
+        const std::string where = experiments::methodName(method);
+        const RankRequest first = makeRequest(method, 5);
+        const RankRequest second = makeRequest(method, 6);
+        const RankOutcome expected = reference.execute(first);
+        expectSame(expected, engine.execute(first), where);
+
+        // Capacity 1: the second session evicts the first, so asking
+        // for the first again rebuilds its session, and its models
+        // come back out of the trained-model cache.
+        expectSame(reference.execute(second), engine.execute(second),
+                   where);
+        if (method == experiments::Method::MlpT)
+            continue; // fitted per session, never cached
+        const std::uint64_t hits =
+            cached.suite.modelCache->stats().hits;
+        expectSame(expected, engine.execute(first), where);
+        EXPECT_GT(cached.suite.modelCache->stats().hits, hits) << where;
     }
 }
 
@@ -159,7 +354,8 @@ TEST_F(RankEngineTest, BatchedExecutionIsBitIdentical)
                 static_cast<std::uint32_t>(targets_[p]));
         batch.push_back(std::move(request));
     }
-    // Two full-universe requests: the common case the coalescer fuses.
+    // Two default (whole-complement) requests: the common case the
+    // coalescer fuses.
     batch.push_back(makeRequest(experiments::Method::MlpT, 4));
     batch.push_back(makeRequest(experiments::Method::MlpT, 4));
 
@@ -199,9 +395,8 @@ TEST_F(RankEngineTest, MixedSessionBatchFallsBackPerRequest)
     // session hash, so a collision can hand executeBatch requests
     // from *different* sessions. Simulate one directly: the lead
     // request's session has 10 predictive machines while the foreign
-    // request keeps only 3, so the foreign universe is *larger* than
-    // the lead's and its whole-universe positions would index past
-    // the lead-sized slot table if the coalesced path trusted the key.
+    // request keeps only 3, so its default targets differ from the
+    // lead's and its scores must come from its own fitted model.
     std::vector<RankRequest> batch;
     batch.push_back(makeRequest(experiments::Method::MlpT, 4));
     RankRequest foreign = makeRequest(experiments::Method::MlpT, 4);
@@ -223,7 +418,7 @@ TEST_F(RankEngineTest, MixedSessionBatchFallsBackPerRequest)
                       batched[i].ranking[r].predicted);
         }
     }
-    // The two same-session requests rank the lead universe; the
+    // The two same-session requests rank the lead's complement; the
     // foreign session's is bigger by the 7 machines it freed up.
     EXPECT_EQ(batched[1].ranking.size(),
               batched[0].ranking.size() + 7);
