@@ -216,6 +216,55 @@ BM_MlpTrainEpochsMinibatch(benchmark::State &state)
 }
 BENCHMARK(BM_MlpTrainEpochsMinibatch)->Arg(10)->Arg(50);
 
+/**
+ * One Table 2 split's MLP^T training: 29 networks of the 28 -> 14 -> 1
+ * shape over one shared 100-machine x 29-benchmark matrix, network l
+ * holding out benchmark l, 50 epochs each. per_network fits them one
+ * at a time (the path before the lane engine); lanes trains them
+ * through Mlp::fitLanes. The networks come out bit-identical; only the
+ * time differs.
+ */
+void
+BM_MlpFitSplit(benchmark::State &state, bool lanes)
+{
+    util::Rng rng(4);
+    const std::size_t rows = 100;
+    const std::size_t benchmarks = 29;
+    linalg::Matrix x(rows, benchmarks);
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t b = 0; b < benchmarks; ++b)
+            x(r, b) = rng.uniform(-1.0, 1.0);
+    std::vector<std::vector<std::size_t>> columns(benchmarks);
+    std::vector<std::vector<double>> targets(benchmarks);
+    for (std::size_t app = 0; app < benchmarks; ++app) {
+        for (std::size_t b = 0; b < benchmarks; ++b)
+            if (b != app)
+                columns[app].push_back(b);
+        targets[app] = x.column(app);
+    }
+    ml::MlpConfig config;
+    config.epochs = 50;
+    config.normalize = false;
+    for (auto _ : state) {
+        std::vector<ml::Mlp> nets;
+        for (std::size_t app = 0; app < benchmarks; ++app) {
+            config.seed = app + 1;
+            nets.emplace_back(config);
+        }
+        if (lanes) {
+            ml::Mlp::fitLanes(nets, x, columns, targets);
+        } else {
+            for (std::size_t app = 0; app < benchmarks; ++app)
+                nets[app].fit(x.selectColumns(columns[app]), targets[app]);
+        }
+        benchmark::DoNotOptimize(nets.back().trainingMse());
+    }
+}
+BENCHMARK_CAPTURE(BM_MlpFitSplit, per_network, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MlpFitSplit, lanes, true)
+    ->Unit(benchmark::kMillisecond);
+
 void
 BM_MlpPredict(benchmark::State &state)
 {

@@ -14,6 +14,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <optional>
 
 #include "core/transposition.h"
@@ -101,12 +102,51 @@ class MlpTransposition : public TranspositionPredictor
 
     std::string name() const override { return "MLP^T"; }
 
+    /**
+     * The split-level MLP^T step: for every app in `apps`, the
+     * predictions over `target`'s machines of MLP^T with that app held
+     * out as the application of interest and config.mlp.seed =
+     * seeds[i]. App by app, bit-identical to
+     * MlpTransposition(config with that seed).predict(
+     * makeLeaveOneOutProblem(predictive, target, app)).
+     *
+     * Rather than one leave-one-out problem per app, the step builds
+     * ONE machine x benchmark training matrix for the split (log space
+     * and imputation applied, and under transductive normalization
+     * range-normalized over predictive plus target machines). A
+     * benchmark's range does not depend on which app is held out, so
+     * the matrix minus an app's column holds exactly that app's
+     * normalized training inputs. Apps that keep the same predictive
+     * machines (those observing the app; all of them when dense)
+     * train together through ml::Mlp::fitLanes, each network reading
+     * its features through a column map that skips its app. Their
+     * lane groups, at most simd::kMlpLanes networks each, run through
+     * util::parallelFor over `threads` workers (see
+     * util::ParallelConfig); an app whose kept machines no other app
+     * shares is a group of one.
+     */
+    static std::vector<std::vector<double>>
+    predictHeldOutApps(const MlpTranspositionConfig &config,
+                       const dataset::PerfDatabase &predictive,
+                       const dataset::PerfDatabase &target,
+                       const std::vector<std::size_t> &apps,
+                       const std::vector<std::uint64_t> &seeds,
+                       std::size_t threads);
+
     /** Training MSE of the most recently trained network. */
     double lastTrainingMse() const;
 
     const MlpTranspositionConfig &config() const { return config_; }
 
   private:
+    /**
+     * The network's config for training on `targets` (the logged app
+     * scores of the kept machines). Under transductive normalization
+     * fits target_norm_ on them, maps them in place and turns the
+     * network's own normalization off.
+     */
+    ml::MlpConfig networkConfig(std::vector<double> &targets);
+
     MlpTranspositionConfig config_;
     std::optional<double> last_mse_;
     std::optional<ml::Mlp> network_;

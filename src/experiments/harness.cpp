@@ -65,6 +65,78 @@ targetRowMask(const dataset::PerfDatabase &target_db, std::size_t app)
     return target_db.masked() ? target_db.mask().rowData(app) : nullptr;
 }
 
+/**
+ * A task's prediction when it needs no training. With the app
+ * unobserved on every owned machine there is nothing for any model to
+ * transpose: the targets are ranked by their overall observed speed
+ * instead (only reachable under missingness with a small owned set; a
+ * full database never has an empty row). Otherwise, with a cache, the
+ * task's key goes to `key` and the cache is looked up.
+ *
+ * @return true when `predicted` holds the fallback or a cache hit;
+ *         false when the caller must train, and then (with a cache)
+ *         store its prediction under `key`.
+ */
+bool
+untrainedPrediction(Method method, const MethodSuiteConfig &config,
+                    const dataset::PerfDatabase &pred_db,
+                    const dataset::PerfDatabase &target_db,
+                    std::size_t app, std::uint64_t mlp_seed,
+                    TrainedModelCache *cache, util::HashKey &key,
+                    std::vector<double> &predicted)
+{
+    if (pred_db.masked() && pred_db.mask().observedInRow(app) == 0) {
+        predicted = target_db.machineGeometricMeans();
+        return true;
+    }
+    if (cache == nullptr)
+        return false;
+    key = taskPredictionKey(method, config, pred_db, target_db, app,
+                            mlp_seed);
+    return cache->lookup(key, predicted);
+}
+
+/**
+ * Every app's MLP^T prediction of one split, as predictTask computes
+ * each (the same fallback and cache policy, untrainedPrediction), with
+ * the apps that need training trained together by the split-level
+ * lane step.
+ */
+std::vector<std::vector<double>>
+predictMlpTSplit(const MethodSuiteConfig &config,
+                 const dataset::PerfDatabase &pred_db,
+                 const dataset::PerfDatabase &target_db,
+                 std::uint64_t split_tag, TrainedModelCache *cache)
+{
+    const std::size_t n_bench = pred_db.benchmarkCount();
+    obs::TraceSpan span("mlpt_split", "experiments");
+    span.arg("apps", static_cast<std::uint64_t>(n_bench));
+    std::vector<std::vector<double>> predicted(n_bench);
+    std::vector<util::HashKey> keys(n_bench);
+    std::vector<std::size_t> misses;
+    std::vector<std::uint64_t> seeds;
+    for (std::size_t app = 0; app < n_bench; ++app) {
+        const std::uint64_t seed = taskMlpSeed(config, split_tag, app);
+        if (untrainedPrediction(Method::MlpT, config, pred_db, target_db,
+                                app, seed, cache, keys[app],
+                                predicted[app]))
+            continue;
+        misses.push_back(app);
+        seeds.push_back(seed);
+    }
+    span.arg("trained", static_cast<std::uint64_t>(misses.size()));
+    std::vector<std::vector<double>> trained =
+        core::MlpTransposition::predictHeldOutApps(
+            config.mlp, pred_db, target_db, misses, seeds,
+            config.parallel.threads);
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+        if (cache != nullptr)
+            cache->store(keys[misses[i]], trained[i]);
+        predicted[misses[i]] = std::move(trained[i]);
+    }
+    return predicted;
+}
+
 } // namespace
 
 util::HashKey
@@ -125,13 +197,6 @@ predictTask(Method method, const MethodSuiteConfig &config,
             const linalg::Matrix *characteristics,
             TrainedModelCache *cache)
 {
-    // With the app unobserved on every owned machine there is nothing
-    // for any model to transpose: rank the targets by their overall
-    // observed speed instead. Only reachable under missingness with a
-    // small owned set (a full database never has an empty row).
-    if (pred_db.masked() && pred_db.mask().observedInRow(app) == 0)
-        return target_db.machineGeometricMeans();
-
     // Transposition predictions are cached per task; GA-kNN is not
     // (its per-task prediction is a cheap kNN combine — the expensive
     // GA training is cached at the split level by the caller).
@@ -139,12 +204,9 @@ predictTask(Method method, const MethodSuiteConfig &config,
         cache = nullptr;
     util::HashKey key;
     std::vector<double> predicted;
-    if (cache != nullptr) {
-        key = taskPredictionKey(method, config, pred_db, target_db, app,
-                                mlp_seed);
-        if (cache->lookup(key, predicted))
-            return predicted;
-    }
+    if (untrainedPrediction(method, config, pred_db, target_db, app,
+                            mlp_seed, cache, key, predicted))
+        return predicted;
 
     switch (method) {
       case Method::NnT: {
@@ -328,6 +390,16 @@ SplitEvaluator::evaluateSplit(const std::vector<std::size_t> &predictive,
         }
     }
 
+    // MLP^T trains split-wide first: every app's network in lane
+    // groups over one shared matrix, with the same per-app seeds,
+    // cache keys and bits as a per-app predictTask.
+    std::vector<std::vector<double>> mlpt_predicted;
+    if (std::find(methods.begin(), methods.end(), Method::MlpT) !=
+        methods.end())
+        mlpt_predicted =
+            predictMlpTSplit(config_, pred_db, target_db, split_tag,
+                             config_.modelCache.get());
+
     // One independent task per (method, held-out benchmark). Every
     // task writes into its pre-sized slot and derives any randomness
     // from (split_tag, app), so the parallel schedule cannot influence
@@ -339,8 +411,12 @@ SplitEvaluator::evaluateSplit(const std::vector<std::size_t> &predictive,
         [&](std::size_t t) {
             const std::size_t mi = t / n_bench;
             const std::size_t app = t % n_bench;
-            slots[mi][app] = runTask(methods[mi], app, pred_db,
-                                     target_db, gaknn_model, split_tag);
+            slots[mi][app] =
+                methods[mi] == Method::MlpT
+                    ? taskResult(app, target_db,
+                                 std::move(mlpt_predicted[app]))
+                    : runTask(methods[mi], app, pred_db, target_db,
+                              gaknn_model, split_tag);
         });
 
     SplitResults results;
@@ -361,13 +437,19 @@ SplitEvaluator::runTask(Method method, std::size_t app,
         span.arg("method", methodName(method));
         span.arg("app", static_cast<std::uint64_t>(app));
     }
+    return taskResult(app, target_db,
+                      predictTask(method, config_, pred_db, target_db, app,
+                                  taskMlpSeed(config_, split_tag, app),
+                                  &gaknn_model, &characteristics_,
+                                  config_.modelCache.get()));
+}
+
+TaskResult
+SplitEvaluator::taskResult(std::size_t app,
+                           const dataset::PerfDatabase &target_db,
+                           std::vector<double> predicted) const
+{
     harnessMetrics().tasks.inc();
-
-    std::vector<double> predicted = predictTask(
-        method, config_, pred_db, target_db, app,
-        taskMlpSeed(config_, split_tag, app), &gaknn_model,
-        &characteristics_, config_.modelCache.get());
-
     TaskResult task;
     task.benchmark = db_.benchmark(app).name;
     {

@@ -194,6 +194,10 @@ class SplitEvaluator
      * over config().parallel workers; each task derives its own seed
      * and writes into a pre-sized result slot, so the outcome is
      * bit-identical to a serial run regardless of the thread count.
+     * MLP^T runs first as one split-level step
+     * (core::MlpTransposition::predictHeldOutApps: every app's
+     * network trained in lane groups over one shared matrix), with
+     * the seeds, cache keys and bits of a per-app predictTask.
      *
      * @param predictive Machine indices available to the user.
      * @param target Machine indices to rank (disjoint from predictive).
@@ -219,6 +223,11 @@ class SplitEvaluator
                        const dataset::PerfDatabase &target_db,
                        const baseline::GaKnnModel &gaknn_model,
                        std::uint64_t split_tag) const;
+
+    /** A task's result from its predictions over the target machines. */
+    TaskResult taskResult(std::size_t app,
+                          const dataset::PerfDatabase &target_db,
+                          std::vector<double> predicted) const;
 
     const dataset::PerfDatabase &db_;
     linalg::Matrix characteristics_;

@@ -22,6 +22,7 @@ struct MlpMetrics
     obs::Counter &fits;
     obs::Counter &epochs;
     obs::Counter &retries;
+    obs::Counter &laneDropouts;
 };
 
 const MlpMetrics &
@@ -37,8 +38,72 @@ mlpMetrics()
         obs::MetricsRegistry::global().counter(
             "dtrank_mlp_retries_total",
             "Training attempts that diverged and restarted with a "
-            "halved learning rate")};
+            "halved learning rate"),
+        obs::MetricsRegistry::global().counter(
+            "dtrank_mlp_lane_dropouts_total",
+            "Lane-trained networks that diverged, left their lane "
+            "group and restarted on the per-network path")};
     return metrics;
+}
+
+/** The per-thread workspace of fits that bring none of their own. */
+MlpWorkspace &
+threadWorkspace()
+{
+    thread_local MlpWorkspace workspace;
+    return workspace;
+}
+
+/**
+ * The buffers of one lane group: every per-network array of the
+ * per-sample engine with a trailing lane index (element e of lane l
+ * at [e * kMlpLanes + l], the simd::MlpLaneStep layout). One per
+ * thread, like MlpWorkspace; resize() zero-fills, so lanes a group
+ * does not use hold zeros and stay finite.
+ */
+struct LaneWorkspace
+{
+    std::vector<double> w1, pw1, b1, pb1, w2, pw2, b2, pb2;
+    std::vector<double> act, delta, x, y, sse;
+    std::vector<std::vector<std::size_t>> visit; ///< per lane
+
+    void
+    resize(std::size_t in, std::size_t hidden, std::size_t rows)
+    {
+        constexpr std::size_t kS = simd::kMlpLanes;
+        for (std::vector<double> *v : {&w1, &pw1})
+            v->assign(in * hidden * kS, 0.0);
+        for (std::vector<double> *v : {&b1, &pb1, &w2, &pw2, &act, &delta})
+            v->assign(hidden * kS, 0.0);
+        for (std::vector<double> *v : {&b2, &pb2, &y, &sse})
+            v->assign(kS, 0.0);
+        x.assign(in * kS, 0.0);
+        visit.resize(kS);
+        for (std::vector<std::size_t> &order : visit) {
+            // Exact size: the whole vector is shuffled each epoch.
+            order.resize(rows);
+            for (std::size_t i = 0; i < rows; ++i)
+                order[i] = i;
+        }
+    }
+
+    /** Zeroes lane l's network, so a dropped lane computes zeros. */
+    void
+    clearLane(std::size_t l)
+    {
+        constexpr std::size_t kS = simd::kMlpLanes;
+        for (std::vector<double> *v :
+             {&w1, &pw1, &b1, &pb1, &w2, &pw2, &b2, &pb2, &x, &y})
+            for (std::size_t e = l; e < v->size(); e += kS)
+                (*v)[e] = 0.0;
+    }
+};
+
+LaneWorkspace &
+threadLaneWorkspace()
+{
+    thread_local LaneWorkspace workspace;
+    return workspace;
 }
 
 // The hot per-sample linear algebra (layer nets, delta recurrence,
@@ -206,8 +271,18 @@ Mlp::Mlp(MlpConfig config) : config_(std::move(config))
 void
 Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y)
 {
-    thread_local MlpWorkspace workspace;
-    fit(x, y, workspace);
+    fit(x, y, threadWorkspace());
+}
+
+void
+Mlp::resolveHidden(std::size_t inputs)
+{
+    // WEKA's automatic hidden layer: (#attributes + #outputs) / 2.
+    hidden_ = config_.hiddenLayers;
+    if (hidden_.empty())
+        hidden_ = {std::max<std::size_t>(1, (inputs + 1) / 2)};
+    for (std::size_t h : hidden_)
+        util::require(h >= 1, "Mlp::fit: hidden layer size must be >= 1");
 }
 
 void
@@ -223,13 +298,7 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
     span.arg("epochs", static_cast<std::uint64_t>(config_.epochs));
 
     input_size_ = x.cols();
-
-    // Resolve WEKA's automatic hidden layer: (#attributes + #outputs)/2.
-    hidden_ = config_.hiddenLayers;
-    if (hidden_.empty())
-        hidden_ = {std::max<std::size_t>(1, (input_size_ + 1) / 2)};
-    for (std::size_t h : hidden_)
-        util::require(h >= 1, "Mlp::fit: hidden layer size must be >= 1");
+    resolveHidden(input_size_);
 
     // Normalization of attributes and the numeric target.
     linalg::Matrix xn;
@@ -244,6 +313,16 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
         xn = x;
     }
 
+    const std::size_t attempts =
+        trainAndPublish(xn, yn, ws, 0, config_.learningRate);
+    span.arg("attempts", static_cast<std::uint64_t>(attempts));
+}
+
+std::size_t
+Mlp::trainAndPublish(const linalg::Matrix &xn, const std::vector<double> &yn,
+                     MlpWorkspace &ws, std::size_t first_attempt,
+                     double lr_base)
+{
     // Size the workspace once per architecture; every buffer the
     // epoch x sample loop touches lives in it, so repeat fits with a
     // warm workspace allocate nothing inside trainOnce.
@@ -264,12 +343,10 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
 
     // Train, restarting with a halved learning rate if stochastic
     // backprop diverges (possible on very small training sets).
-    double lr_base = config_.learningRate;
-    for (std::size_t attempt = 0;; ++attempt) {
-        if (trainOnce(xn, yn, lr_base, config_.seed + attempt, ws)) {
-            span.arg("attempts", static_cast<std::uint64_t>(attempt + 1));
+    std::size_t attempt = first_attempt;
+    for (;; ++attempt) {
+        if (trainOnce(xn, yn, lr_base, config_.seed + attempt, ws))
             break;
-        }
         util::require(attempt < config_.maxRestarts,
                       "Mlp::fit: training diverged even after reducing "
                       "the learning rate");
@@ -284,33 +361,244 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
     // Publish the accepted run: copy weights out of the workspace and
     // record only this run's loss history (diverged attempts are gone).
     const std::size_t n_layers = sizes.size() - 1;
+    std::vector<const double *> wt(n_layers);
+    std::vector<const double *> bias(n_layers);
+    for (std::size_t li = 0; li < n_layers; ++li) {
+        wt[li] = ws.weights_.data() + ws.wOff_[li];
+        bias[li] = ws.bias_.data() + ws.uOff_[li + 1];
+    }
+    publish(wt, bias, 1);
+    loss_history_.assign(ws.loss_.begin(),
+                         ws.loss_.begin() +
+                             static_cast<std::ptrdiff_t>(config_.epochs));
+    return attempt + 1;
+}
+
+void
+Mlp::publish(std::span<const double *const> wt,
+             std::span<const double *const> bias, std::size_t stride)
+{
+    const std::size_t n_layers = hidden_.size() + 1;
     layers_.clear();
     layers_.reserve(n_layers);
+    std::size_t in = input_size_;
     for (std::size_t li = 0; li < n_layers; ++li) {
+        const std::size_t out = li < hidden_.size() ? hidden_[li] : 1;
         Layer layer;
-        const std::size_t in = sizes[li];
-        const std::size_t out = sizes[li + 1];
         layer.weights = linalg::Matrix(out, in);
-        const double *wt = ws.weights_.data() + ws.wOff_[li];
         for (std::size_t r = 0; r < out; ++r) {
             // Both engines train in the transposed [input][unit]
             // layout; gather each unit's row out of it.
             double *row = layer.weights.rowData(r);
             for (std::size_t c = 0; c < in; ++c)
-                row[c] = wt[c * out + r];
+                row[c] = wt[li][(c * out + r) * stride];
         }
-        layer.bias.assign(ws.bias_.begin() +
-                              static_cast<std::ptrdiff_t>(ws.uOff_[li + 1]),
-                          ws.bias_.begin() +
-                              static_cast<std::ptrdiff_t>(ws.uOff_[li + 1] +
-                                                          out));
+        layer.bias.resize(out);
+        for (std::size_t r = 0; r < out; ++r)
+            layer.bias[r] = bias[li][r * stride];
         layer.activation = layerActivation(li, n_layers);
         layers_.push_back(std::move(layer));
+        in = out;
     }
-    loss_history_.assign(ws.loss_.begin(),
-                         ws.loss_.begin() +
-                             static_cast<std::ptrdiff_t>(config_.epochs));
     trained_ = true;
+}
+
+bool
+Mlp::lanesSupport(const MlpConfig &config)
+{
+    return config.batchSize == 1 && config.hiddenLayers.size() <= 1 &&
+           config.hiddenActivation == Activation::Sigmoid &&
+           config.outputActivation == Activation::Linear;
+}
+
+void
+Mlp::fitLanes(std::span<Mlp> nets, const linalg::Matrix &x,
+              std::span<const std::vector<std::size_t>> columns,
+              std::span<const std::vector<double>> targets)
+{
+    util::require(!nets.empty(), "Mlp::fitLanes: no networks");
+    util::require(columns.size() == nets.size() &&
+                      targets.size() == nets.size(),
+                  "Mlp::fitLanes: one column set and one target series "
+                  "per network");
+    const MlpConfig &shape = nets[0].config_;
+    bool laned = lanesSupport(shape);
+    for (std::size_t l = 0; l < nets.size(); ++l) {
+        util::require(columns[l].size() == columns[0].size(),
+                      "Mlp::fitLanes: every network needs the same "
+                      "feature count");
+        MlpConfig cfg = nets[l].config_;
+        cfg.seed = shape.seed;
+        laned = laned && cfg == shape;
+    }
+    if (!laned) {
+        for (std::size_t l = 0; l < nets.size(); ++l)
+            nets[l].fit(x.selectColumns(columns[l]), targets[l]);
+        return;
+    }
+
+    util::require(x.rows() >= 1, "Mlp::fit: needs at least one instance");
+    util::require(!columns[0].empty(),
+                  "Mlp::fit: needs at least one feature");
+    // A column's range (and so its normalized values) depends on that
+    // column alone: normalizing the shared matrix once hands every
+    // lane exactly the inputs and feature ranges fit() would compute
+    // from its own column selection.
+    linalg::Matrix normalized;
+    RangeNormalizer shared;
+    if (shape.normalize) {
+        shared.fit(x);
+        normalized = shared.transform(x);
+    }
+    const linalg::Matrix &xn = shape.normalize ? normalized : x;
+    std::vector<std::vector<double>> yn(targets.begin(), targets.end());
+    for (std::size_t l = 0; l < nets.size(); ++l) {
+        Mlp &net = nets[l];
+        util::require(targets[l].size() == x.rows(),
+                      "Mlp::fit: row count mismatch");
+        for (std::size_t c : columns[l])
+            util::require(c < x.cols(), "Mlp::fitLanes: no such column");
+        net.input_size_ = columns[l].size();
+        net.resolveHidden(net.input_size_);
+        if (shape.normalize) {
+            net.featureNorm_ = shared.selectFeatures(columns[l]);
+            net.targetNorm_.fitSeries(targets[l]);
+            for (double &v : yn[l])
+                v = net.targetNorm_.transformScalar(v);
+        }
+    }
+
+    const std::span<const std::vector<double>> yn_all(yn);
+    for (std::size_t g0 = 0; g0 < nets.size(); g0 += simd::kMlpLanes) {
+        const std::size_t k =
+            std::min(simd::kMlpLanes, nets.size() - g0);
+        fitLaneGroup(nets.subspan(g0, k), xn, columns.subspan(g0, k),
+                     yn_all.subspan(g0, k));
+    }
+}
+
+void
+Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
+                  std::span<const std::vector<std::size_t>> columns,
+                  std::span<const std::vector<double>> yn)
+{
+    constexpr std::size_t kS = simd::kMlpLanes;
+    const MlpConfig &cfg = nets[0].config_;
+    const std::size_t k = nets.size();
+    const std::size_t n = xn.rows();
+    const std::size_t in = nets[0].input_size_;
+    const std::size_t hidden = nets[0].hidden_[0];
+
+    obs::TraceSpan span("mlp_fit_lanes", "ml");
+    span.arg("lanes", static_cast<std::uint64_t>(k));
+    span.arg("rows", static_cast<std::uint64_t>(n));
+    span.arg("epochs", static_cast<std::uint64_t>(cfg.epochs));
+
+    LaneWorkspace &ws = threadLaneWorkspace();
+    ws.resize(in, hidden, n);
+    // Each lane records its losses straight into its network; a lane
+    // that diverges gets a fresh history from its restart.
+    for (Mlp &net : nets)
+        net.loss_history_.assign(cfg.epochs, 0.0);
+
+    // Each lane draws its initial weights from its own generator in
+    // the per-sample engine's order: per layer, per unit, the incoming
+    // weights input-ascending, then the bias.
+    std::vector<util::Rng> rngs;
+    rngs.reserve(k);
+    const double range = cfg.initWeightRange;
+    for (std::size_t l = 0; l < k; ++l) {
+        util::Rng &rng = rngs.emplace_back(nets[l].config_.seed);
+        for (std::size_t r = 0; r < hidden; ++r) {
+            for (std::size_t c = 0; c < in; ++c)
+                ws.w1[(c * hidden + r) * kS + l] = rng.uniform(-range, range);
+            ws.b1[r * kS + l] = rng.uniform(-range, range);
+        }
+        for (std::size_t c = 0; c < hidden; ++c)
+            ws.w2[c * kS + l] = rng.uniform(-range, range);
+        ws.b2[l] = rng.uniform(-range, range);
+    }
+
+    simd::MlpLaneStep step{k,
+                           in,
+                           hidden,
+                           0.0,
+                           cfg.momentum,
+                           ws.x.data(),
+                           ws.y.data(),
+                           ws.w1.data(),
+                           ws.pw1.data(),
+                           ws.b1.data(),
+                           ws.pb1.data(),
+                           ws.w2.data(),
+                           ws.pw2.data(),
+                           ws.b2.data(),
+                           ws.pb2.data(),
+                           ws.act.data(),
+                           ws.delta.data(),
+                           ws.sse.data()};
+    const simd::KernelTable &kt = simd::kernels();
+    std::vector<bool> live(k, true);
+    std::size_t n_live = k;
+    for (std::size_t epoch = 0; epoch < cfg.epochs && n_live > 0; ++epoch) {
+        for (std::size_t l = 0; l < k; ++l)
+            if (live[l] && cfg.shuffleEachEpoch)
+                rngs[l].shuffle(ws.visit[l]);
+        step.lr = cfg.learningRate /
+                  (1.0 + cfg.learningRateDecay * static_cast<double>(epoch));
+        std::fill(ws.sse.begin(), ws.sse.end(), 0.0);
+        for (std::size_t vi = 0; vi < n; ++vi) {
+            for (std::size_t l = 0; l < k; ++l) {
+                if (!live[l])
+                    continue;
+                const std::size_t i = ws.visit[l][vi];
+                const double *row = xn.rowData(i);
+                const std::size_t *cols = columns[l].data();
+                for (std::size_t c = 0; c < in; ++c)
+                    ws.x[c * kS + l] = row[cols[c]];
+                ws.y[l] = yn[l][i];
+            }
+            kt.mlpLaneStep(step);
+        }
+        // Each lane's own divergence check, as trainOnce runs it.
+        for (std::size_t l = 0; l < k; ++l) {
+            if (!live[l])
+                continue;
+            std::vector<double> &loss = nets[l].loss_history_;
+            loss[epoch] = ws.sse[l] / static_cast<double>(n);
+            const double bound =
+                cfg.divergenceFactor * std::max(loss[0], 1e-6);
+            if (!std::isfinite(loss[epoch]) || loss[epoch] > bound) {
+                live[l] = false;
+                --n_live;
+                ws.clearLane(l);
+                mlpMetrics().epochs.inc(epoch + 1);
+                mlpMetrics().laneDropouts.inc();
+            }
+        }
+    }
+
+    for (std::size_t l = 0; l < k; ++l) {
+        Mlp &net = nets[l];
+        if (live[l]) {
+            mlpMetrics().epochs.inc(cfg.epochs);
+            mlpMetrics().fits.inc();
+            const double *wt[] = {ws.w1.data() + l, ws.w2.data() + l};
+            const double *bias[] = {ws.b1.data() + l, ws.b2.data() + l};
+            net.publish(wt, bias, kS);
+            continue;
+        }
+        // Attempt 0 diverged: retry alone, exactly as fit() goes on.
+        util::require(cfg.maxRestarts > 0,
+                      "Mlp::fit: training diverged even after reducing "
+                      "the learning rate");
+        util::debug("Mlp::fit: attempt 1 diverged; retrying with "
+                    "learning rate " +
+                    std::to_string(cfg.learningRate * 0.5));
+        mlpMetrics().retries.inc();
+        net.trainAndPublish(xn.selectColumns(columns[l]), yn[l],
+                            threadWorkspace(), 1, cfg.learningRate * 0.5);
+    }
 }
 
 bool

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -75,6 +76,8 @@ struct MlpConfig
     std::size_t maxRestarts = 6;
     /** Loss growth factor that counts as divergence. */
     double divergenceFactor = 100.0;
+
+    bool operator==(const MlpConfig &other) const = default;
 };
 
 /**
@@ -180,6 +183,43 @@ class Mlp
     void fit(const linalg::Matrix &x, const std::vector<double> &y,
              MlpWorkspace &workspace);
 
+    /**
+     * Trains every network of `nets`: nets[l] on the rows of `x` seen
+     * through the feature columns columns[l], with targets targets[l].
+     * Network by network this is bit-identical to
+     * nets[l].fit(x.selectColumns(columns[l]), targets[l]): the same
+     * weights, predictions and lossHistory(), and the same
+     * dtrank_mlp_{fits,epochs,retries}_total increments.
+     *
+     * When lanesSupport() accepts nets[0]'s config and every other
+     * config equals it apart from the seed, the networks train
+     * simd::kMlpLanes at a time as vector lanes (the mlpLaneStep
+     * kernel) straight from the shared matrix: per step each lane
+     * gathers its own columns of the row its own shuffle visits next,
+     * and with normalization on, `x` is range-normalized once (a
+     * column's range depends on that column alone, so each lane sees
+     * exactly fit()'s normalized inputs). A lane whose loss diverges
+     * drops out of its group (dtrank_mlp_lane_dropouts_total) and
+     * retries alone on the per-network path with seed + 1 and a
+     * halved learning rate, as fit() would. Anything else trains
+     * network by network through fit().
+     *
+     * @param x Shared training matrix, one row per training instance.
+     * @param columns Per network, the columns of `x` it reads as its
+     *        features (the same count for every network).
+     * @param targets Per network, one target per row of `x`.
+     */
+    static void fitLanes(std::span<Mlp> nets, const linalg::Matrix &x,
+                         std::span<const std::vector<std::size_t>> columns,
+                         std::span<const std::vector<double>> targets);
+
+    /**
+     * True when fitLanes() trains networks with this config as lanes:
+     * per-sample training (batchSize 1), one hidden layer (explicit or
+     * WEKA's automatic one) of sigmoid units and a linear output.
+     */
+    static bool lanesSupport(const MlpConfig &config);
+
     /** Predicts the target for one raw (unnormalized) feature vector. */
     double predict(const std::vector<double> &features) const;
 
@@ -229,6 +269,38 @@ class Mlp
         std::vector<double> bias; // out
         Activation activation = Activation::Sigmoid;
     };
+
+    /** Resolves hidden_ for `inputs` features (WEKA's 'a' default). */
+    void resolveHidden(std::size_t inputs);
+
+    /**
+     * Trains on already-normalized data, restarting with a halved
+     * learning rate on divergence, from attempt `first_attempt` at base
+     * rate `lr_base`, and publishes the accepted run.
+     * @return the number of the accepted attempt plus one.
+     */
+    std::size_t trainAndPublish(const linalg::Matrix &xn,
+                                const std::vector<double> &yn,
+                                MlpWorkspace &ws, std::size_t first_attempt,
+                                double lr_base);
+
+    /**
+     * Copies an accepted run's weights into layers_. wt[li] and
+     * bias[li] point at layer li's weights (transposed [input][unit]
+     * layout) and biases, whose consecutive elements lie `stride`
+     * doubles apart.
+     */
+    void publish(std::span<const double *const> wt,
+                 std::span<const double *const> bias, std::size_t stride);
+
+    /**
+     * fitLanes() on at most simd::kMlpLanes lane-capable networks
+     * whose hidden_/normalizers fitLanes() already set: `xn` and `yn`
+     * are normalized as fit() would normalize them.
+     */
+    static void fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
+                             std::span<const std::vector<std::size_t>> columns,
+                             std::span<const std::vector<double>> yn);
 
     /** Forward pass on normalized features; fills per-layer outputs. */
     std::vector<std::vector<double>>

@@ -49,6 +49,22 @@ RangeNormalizer::setRanges(std::vector<double> mins,
     maxs_ = std::move(maxs);
 }
 
+RangeNormalizer
+RangeNormalizer::selectFeatures(const std::vector<std::size_t> &features) const
+{
+    util::require(fitted(), "RangeNormalizer: not fitted");
+    RangeNormalizer out;
+    out.mins_.reserve(features.size());
+    out.maxs_.reserve(features.size());
+    for (std::size_t f : features) {
+        util::require(f < mins_.size(),
+                      "RangeNormalizer::selectFeatures: no such feature");
+        out.mins_.push_back(mins_[f]);
+        out.maxs_.push_back(maxs_[f]);
+    }
+    return out;
+}
+
 std::vector<double>
 RangeNormalizer::transform(const std::vector<double> &row) const
 {

@@ -40,6 +40,13 @@ class RangeNormalizer
      */
     void setRanges(std::vector<double> mins, std::vector<double> maxs);
 
+    /**
+     * The normalizer of the given features alone, in the given order:
+     * feature i of the result is feature features[i] of this one.
+     */
+    RangeNormalizer
+    selectFeatures(const std::vector<std::size_t> &features) const;
+
     /** Maps one row of raw features into [-1, 1] coordinates. */
     std::vector<double> transform(const std::vector<double> &row) const;
 

@@ -28,6 +28,8 @@
 
 #include <cmath>
 
+#include "simd/mlp_lane_step.h"
+
 namespace dtrank::simd
 {
 
@@ -769,6 +771,7 @@ avx2Kernels()
         mlpUpdateLayerAvx2,
         mlpBatchNetsAvx2,
         mlpGradAccumAvx2,
+        mlpLaneStepBody<4>,
         maskedDotAvx2,
         maskedSumAvx2,
         maskedSquaredDistanceAvx2,

@@ -33,6 +33,8 @@
 
 #include <cmath>
 
+#include "simd/mlp_lane_step.h"
+
 namespace dtrank::simd
 {
 
@@ -671,6 +673,7 @@ avx512Kernels()
         mlpUpdateLayerAvx512,
         mlpBatchNetsAvx512,
         mlpGradAccumAvx512,
+        mlpLaneStepBody<8>,
         maskedDotAvx512,
         maskedSumAvx512,
         maskedSquaredDistanceAvx512,

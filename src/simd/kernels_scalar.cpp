@@ -16,6 +16,8 @@
 
 #include <cmath>
 
+#include "simd/mlp_lane_step.h"
+
 namespace dtrank::simd
 {
 
@@ -395,6 +397,7 @@ scalarKernels()
         mlpUpdateLayerScalar,
         mlpBatchNetsScalar,
         mlpGradAccumScalar,
+        mlpLaneStepBody<1>,
         maskedDotScalar,
         maskedSumScalar,
         maskedSquaredDistanceScalar,

@@ -39,8 +39,9 @@
  * identical (s[l] + s[l+4]) + (s[l+8] + s[l+12]) association. Fused
  * multiply-add is deliberately NOT used in any tier: FMA rounds once
  * where mul+add rounds twice, so an FMA tier could never be
- * bit-identical to a portable one (see the DTRANK_NATIVE note in the
- * top-level CMakeLists.txt).
+ * bit-identical to a portable one. Every target builds with
+ * -ffp-contract=off (top-level CMakeLists.txt) so the compiler cannot
+ * fuse a mul+add pair behind the source's back either.
  *
  * Elementwise kernels (axpy, scale, mul_add, the GEMM microkernel
  * inner sweep, the MLP update) never sum across elements, so they are
@@ -61,6 +62,15 @@
  * (w * x == x * w), so each lane is bit-identical to kt.dot on its
  * row, in every tier — no per-tier code is needed. gemmDotColumns is
  * this form.
+ *
+ * # Lane-parallel networks
+ *
+ * The same argument carries over from dots to whole training steps:
+ * k independent MLPs of one shape, one network per lane, each lane
+ * doing exactly the per-sample engine's operations in its order
+ * (see mlpLaneStep). Only the layout is new — every per-network
+ * array gains a trailing lane index — so one templated body
+ * (mlp_lane_step.h) serves every tier at its own vector width.
  */
 
 #pragma once
@@ -78,6 +88,45 @@ enum class Tier
     Scalar = 0,
     Avx2 = 1,
     Avx512 = 2,
+};
+
+/**
+ * Lane stride of the MLP lane step: every lane-parallel array holds
+ * kMlpLanes doubles per element, lane l at offset l. A multiple of
+ * every tier's vector width, so each tier walks whole vectors.
+ */
+inline constexpr std::size_t kMlpLanes = 8;
+
+/**
+ * Operands of one mlpLaneStep call: one per-sample backpropagation
+ * step of up to kMlpLanes independent networks with one sigmoid
+ * hidden layer and one linear output unit. Every array is lane-minor
+ * with stride kMlpLanes: element e of lane l lives at
+ * [e * kMlpLanes + l]. Per lane, the weight arrays use the per-sample
+ * engine's transposed layout (w1 element c * hidden + r is the weight
+ * from input c to hidden unit r; w2 element r the weight from hidden
+ * unit r to the output).
+ */
+struct MlpLaneStep
+{
+    std::size_t lanes;  ///< lanes to step, [1, kMlpLanes]
+    std::size_t in;     ///< inputs per network
+    std::size_t hidden; ///< hidden units per network
+    double lr;          ///< learning rate of this epoch
+    double momentum;    ///< momentum of the weight updates
+    const double *x;    ///< [in] this step's input row of each lane
+    const double *y;    ///< [1] each lane's target
+    double *w1;         ///< [in * hidden] hidden-layer weights
+    double *pw1;        ///< [in * hidden] their previous updates
+    double *b1;         ///< [hidden] hidden biases
+    double *pb1;        ///< [hidden] their previous updates
+    double *w2;         ///< [hidden] output weights
+    double *pw2;        ///< [hidden] their previous updates
+    double *b2;         ///< [1] output bias
+    double *pb2;        ///< [1] its previous update
+    double *act;        ///< [hidden] scratch: hidden activations
+    double *delta;      ///< [hidden] scratch: hidden deltas
+    double *sse;        ///< [1] running squared error, += err * err
 };
 
 /**
@@ -199,6 +248,33 @@ struct KernelTable
     void (*mlpGradAccum)(std::size_t bn, std::size_t out, std::size_t in,
                          const double *d, std::size_t ldd,
                          const double *a, std::size_t lda, double *gw);
+
+    /**
+     * One per-sample backpropagation step of s.lanes independent
+     * networks at once (see MlpLaneStep), the lane engine behind
+     * ml::Mlp::fitLanes. Each lane performs exactly the per-sample
+     * engine's operations, in its order, on its own operands:
+     *   - hidden nets as mlpLayerNets: for one hidden unit, b1 +
+     *     the canonical-reduction dot of w1 and x; for wider layers,
+     *     bias first, then input-ascending adds of w1 * x;
+     *   - sigmoid 1.0 / (1.0 + std::exp(-net)), one scalar libm exp
+     *     per lane and unit — never a vector exp, whose rounding
+     *     differs from libm's;
+     *   - output: b2 + the canonical-reduction dot of w2 and the
+     *     activations in its lane-parallel form (for fewer than 16
+     *     hidden units, 0.0 + the sequential tail); linear output;
+     *   - err = y - pred, sse += err * err;
+     *   - hidden deltas (w2 * err) * (a * (1.0 - a)) from the
+     *     pre-update w2 (mlpLayerDeltas then the sigmoid derivative);
+     *   - both layers' momentum updates as mlpUpdateLayer: the deltas
+     *     scaled by lr, then dw = d * in + momentum * prev per weight
+     *     and db = d + momentum * prev per bias.
+     * So lane l is bit-identical to the per-sample engine training
+     * that network alone, in every tier: nothing sums across lanes
+     * and every lane's arithmetic is the scalar expressions'. Lanes
+     * at or past s.lanes may hold anything and are left unspecified.
+     */
+    void (*mlpLaneStep)(const MlpLaneStep &s);
 
     // -----------------------------------------------------------------
     // Masked reductions (ragged score matrices). `valid` is a packed
