@@ -8,11 +8,11 @@
 #include <iostream>
 
 #include "dataset/mica.h"
-#include "obs/clock.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/bench_options.h"
 #include "experiments/family_cv.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -53,7 +53,7 @@ main(int argc, char **argv)
                  "(family cross-validation) ==\n\n";
     util::BenchJsonWriter json("fig7_top1_error");
     experiments::applySimdOption(args, &json);
-    const auto t0 = obs::monotonicNow();
+    const auto t0 = util::monotonicNow();
     const auto results = cv.run(experiments::allMethods());
     json.addTimed("family_cv", t0,
                   {{"threads", args.get("threads")},

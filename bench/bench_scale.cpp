@@ -33,9 +33,9 @@
 #include "dataset/mica.h"
 #include "dataset/scaled_spec.h"
 #include "experiments/bench_options.h"
-#include "obs/clock.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -160,9 +160,9 @@ main(int argc, char **argv)
         gen_config.seed = seed;
         gen_config.threads = threads;
         const dataset::ScaledSpecGenerator generator(gen_config);
-        auto t0 = obs::monotonicNow();
+        auto t0 = util::monotonicNow();
         const dataset::PerfDatabase db = generator.generate();
-        const double gen_ms = obs::secondsSince(t0) * 1e3;
+        const double gen_ms = util::secondsSince(t0) * 1e3;
         record(json, "generate", n_machines, gen_ms,
                {{"scores_per_s",
                  util::formatFixed(static_cast<double>(n_machines) *
@@ -173,14 +173,14 @@ main(int argc, char **argv)
         // ---- columnar round trip -----------------------------------
         const std::string path =
             "bench_scale_" + std::to_string(n_machines) + ".dtc";
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         dataset::saveColumnar(db, path);
-        const double save_ms = obs::secondsSince(t0) * 1e3;
+        const double save_ms = util::secondsSince(t0) * 1e3;
 
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         const auto columnar = dataset::ColumnarDatabase::open(path);
         const dataset::PerfDatabase reloaded = columnar.toDatabase();
-        const double load_ms = obs::secondsSince(t0) * 1e3;
+        const double load_ms = util::secondsSince(t0) * 1e3;
         util::require(bitEqual(db.scores().data(),
                                reloaded.scores().data()),
                       "columnar round trip is not bit-identical");
@@ -205,9 +205,9 @@ main(int argc, char **argv)
             core::LinearTranspositionConfig config;
             config.scan = core::ScanMode::Naive;
             core::LinearTransposition nn(config);
-            t0 = obs::monotonicNow();
+            t0 = util::monotonicNow();
             naive_pred = nn.predict(problem);
-            naive_ms = obs::secondsSince(t0) * 1e3;
+            naive_ms = util::secondsSince(t0) * 1e3;
             record(json, "nnt_naive", n_machines, naive_ms);
         }
 
@@ -215,9 +215,9 @@ main(int argc, char **argv)
         tiled_config.scan = core::ScanMode::Tiled;
         tiled_config.threads = threads;
         core::LinearTransposition tiled(tiled_config);
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         const auto tiled_pred = tiled.predict(problem);
-        const double tiled_ms = obs::secondsSince(t0) * 1e3;
+        const double tiled_ms = util::secondsSince(t0) * 1e3;
         const double nnt_speedup =
             naive_ms > 0.0 && tiled_ms > 0.0 ? naive_ms / tiled_ms : 0.0;
         if (!naive_pred.empty())
@@ -253,10 +253,10 @@ main(int argc, char **argv)
             ref_config.sweepPredict = false;
             baseline::GaKnnModel ref(ref_config);
             ref.restore(model.weights(), model.trainingFitness());
-            t0 = obs::monotonicNow();
+            t0 = util::monotonicNow();
             ga_ref_pred =
                 ref.predictApp(app_chars, chars, db.scores(), 0);
-            ga_ref_ms = obs::secondsSince(t0) * 1e3;
+            ga_ref_ms = util::secondsSince(t0) * 1e3;
             record(json, "gaknn_reference", n_machines, ga_ref_ms);
         }
 
@@ -265,10 +265,10 @@ main(int argc, char **argv)
         sweep_config.predictThreads = threads;
         baseline::GaKnnModel sweep(sweep_config);
         sweep.restore(model.weights(), model.trainingFitness());
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         const auto ga_sweep_pred =
             sweep.predictApp(app_chars, chars, db.scores(), 0);
-        const double ga_sweep_ms = obs::secondsSince(t0) * 1e3;
+        const double ga_sweep_ms = util::secondsSince(t0) * 1e3;
         if (!ga_ref_pred.empty())
             util::require(bitEqual(ga_ref_pred, ga_sweep_pred),
                           "GA-kNN sweep predict diverged from reference");

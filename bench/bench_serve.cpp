@@ -34,13 +34,13 @@
 
 #include "experiments/bench_options.h"
 #include "experiments/harness.h"
-#include "obs/clock.h"
 #include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/rank_engine.h"
 #include "serve/server.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
@@ -143,12 +143,12 @@ main(int argc, char **argv)
             experiments::Method::MultiNnT};
 
         // ---- offline reference -------------------------------------
-        auto t0 = obs::monotonicNow();
+        auto t0 = util::monotonicNow();
         const experiments::SplitEvaluator evaluator(
             db, data.characteristics, suite);
         const experiments::SplitResults reference =
             evaluator.evaluateSplit(predictive, targets, methods, 0);
-        const double offline_ms = obs::secondsSince(t0) * 1e3;
+        const double offline_ms = util::secondsSince(t0) * 1e3;
         record(json, "offline_reference", offline_ms);
 
         serve::RankEngineConfig engine_config;
@@ -172,7 +172,7 @@ main(int argc, char **argv)
 
         // ---- 1. single-request bit-identity ------------------------
         std::size_t checked = 0, mismatched = 0;
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         for (const experiments::Method method : methods) {
             for (std::uint32_t app = 0; app < n_bench; ++app) {
                 const serve::RankOutcome outcome =
@@ -199,7 +199,7 @@ main(int argc, char **argv)
                 }
             }
         }
-        const double identity_ms = obs::secondsSince(t0) * 1e3;
+        const double identity_ms = util::secondsSince(t0) * 1e3;
         util::require(mismatched == 0,
                       "serve predictions diverged from the offline "
                       "evaluateSplit reference: " +
@@ -304,13 +304,13 @@ main(int argc, char **argv)
                         std::min(i + batch_max, n_requests)));
         (void)engine.execute(full_requests.front());
 
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         std::vector<serve::RankOutcome> full_serial(n_requests);
         for (std::size_t i = 0; i < n_requests; ++i)
             full_serial[i] = engine.execute(full_requests[i]);
-        const double serial_ms = obs::secondsSince(t0) * 1e3;
+        const double serial_ms = util::secondsSince(t0) * 1e3;
 
-        t0 = obs::monotonicNow();
+        t0 = util::monotonicNow();
         std::vector<serve::RankOutcome> full_batched;
         full_batched.reserve(n_requests);
         for (const std::vector<serve::RankRequest> &batch :
@@ -320,7 +320,7 @@ main(int argc, char **argv)
             for (auto &outcome : outcomes)
                 full_batched.push_back(std::move(outcome));
         }
-        const double batched_ms = obs::secondsSince(t0) * 1e3;
+        const double batched_ms = util::secondsSince(t0) * 1e3;
 
         for (std::size_t i = 0; i < n_requests; ++i) {
             util::require(full_serial[i].status == serve::Status::Ok &&

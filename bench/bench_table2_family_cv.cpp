@@ -9,12 +9,12 @@
 #include <iostream>
 
 #include "dataset/mica.h"
-#include "obs/clock.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/bench_options.h"
 #include "experiments/family_cv.h"
 #include "experiments/paper_reference.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -58,7 +58,7 @@ main(int argc, char **argv)
 
     util::BenchJsonWriter json("table2_family_cv");
     experiments::applySimdOption(args, &json);
-    const auto t0 = obs::monotonicNow();
+    const auto t0 = util::monotonicNow();
     const auto results = cv.run(experiments::allMethods());
     json.addTimed("family_cv", t0,
                   {{"threads", args.get("threads")},

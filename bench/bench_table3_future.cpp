@@ -8,12 +8,12 @@
 #include <iostream>
 
 #include "dataset/mica.h"
-#include "obs/clock.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/bench_options.h"
 #include "experiments/future.h"
 #include "experiments/paper_reference.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -113,7 +113,7 @@ main(int argc, char **argv)
               << " machines from older machines ==\n\n";
     util::BenchJsonWriter json("table3_future");
     experiments::applySimdOption(args, &json);
-    const auto t0 = obs::monotonicNow();
+    const auto t0 = util::monotonicNow();
     const auto results = protocol.run(experiments::allMethods());
     json.addTimed("future_prediction", t0,
                   {{"threads", args.get("threads")},

@@ -7,12 +7,12 @@
 #include <iostream>
 
 #include "dataset/mica.h"
-#include "obs/clock.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/bench_options.h"
 #include "experiments/paper_reference.h"
 #include "experiments/subset.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
 #include "util/table.h"
@@ -117,7 +117,7 @@ main(int argc, char **argv)
               << subset_config.draws << " random draws per size)\n\n";
     util::BenchJsonWriter json("table4_subset");
     experiments::applySimdOption(args, &json);
-    const auto t0 = obs::monotonicNow();
+    const auto t0 = util::monotonicNow();
     const auto results = protocol.run(experiments::allMethods());
     json.addTimed("subset_experiment", t0,
                   {{"threads", args.get("threads")},

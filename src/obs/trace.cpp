@@ -3,7 +3,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/clock.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -146,7 +146,7 @@ TraceSpan::TraceSpan(const char *name, const char *category,
     if (!target.enabled())
         return; // one relaxed load: the disabled fast path
     collector_ = &target;
-    startNanos_ = monotonicNanos();
+    startNanos_ = util::monotonicNanos();
 }
 
 TraceSpan::~TraceSpan()
@@ -157,7 +157,7 @@ TraceSpan::~TraceSpan()
     event.name = name_;
     event.category = category_;
     event.startNanos = startNanos_;
-    const std::uint64_t end = monotonicNanos();
+    const std::uint64_t end = util::monotonicNanos();
     event.durationNanos = end > startNanos_ ? end - startNanos_ : 0;
     event.tid = util::ThreadPool::workerSlot();
     event.args = std::move(args_);

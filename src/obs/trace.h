@@ -3,7 +3,7 @@
  * RAII trace spans emitting Chrome trace_event JSON.
  *
  * TraceSpan brackets a scope (a protocol split, an Mlp::fit, a GA
- * generation) with monotonic-clock timestamps from obs/clock.h; the
+ * generation) with monotonic-clock timestamps from util/clock.h; the
  * finished spans accumulate in a TraceCollector and are written as a
  * `{"traceEvents": [...]}` document (`--trace-out <path>`) that opens
  * directly in chrome://tracing or Perfetto.

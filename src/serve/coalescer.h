@@ -32,8 +32,8 @@
 #include <functional>
 #include <vector>
 
-#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -151,9 +151,9 @@ class Coalescer
             if (key != 0 && config_.batchMax > 1) {
                 takeMatching(key, batch);
                 const auto deadline =
-                    obs::monotonicNow() + config_.batchHold;
+                    util::monotonicNow() + config_.batchHold;
                 while (batch.size() < config_.batchMax && !stopped_) {
-                    const auto now = obs::monotonicNow();
+                    const auto now = util::monotonicNow();
                     if (now >= deadline)
                         break;
                     available_.waitFor(mutex_, deadline - now);

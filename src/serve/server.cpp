@@ -5,8 +5,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/clock.h"
 #include "obs/metrics.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"

@@ -3,11 +3,10 @@
  * The MLP lane step (KernelTable::mlpLaneStep), written once as a body
  * templated on the lane width W and included by each tier's TU, which
  * instantiates it at its own width: scalar W = 1 (plain doubles),
- * avx2 W = 4, avx512 W = 8 (GCC vector types, lowered to the tier's
- * registers by its -m flags). Every operation below is elementwise
- * across lanes, so the width cannot change a lane's bits; each lane
- * runs the per-sample engine's expressions in its order (the contract
- * in simd.h). Like every TU, the includers build with
+ * avx2 W = 4, avx512 W = 8 (lane_vector.h). Every operation below is
+ * elementwise across lanes, so the width cannot change a lane's bits;
+ * each lane runs the per-sample engine's expressions in its order (the
+ * contract in simd.h). Like every TU, the includers build with
  * -ffp-contract=off, so no mul+add pair is fused.
  *
  * Internal linkage throughout: each tier's TU gets its own copy,
@@ -17,8 +16,8 @@
 #pragma once
 
 #include <cmath>
-#include <cstring>
 
+#include "simd/lane_vector.h"
 #include "simd/simd.h"
 
 namespace dtrank::simd
@@ -26,48 +25,6 @@ namespace dtrank::simd
 
 namespace
 {
-
-/**
- * W lanes in one value: a plain double at W = 1, a GCC vector of W
- * doubles otherwise. Spelled out per width because GCC drops a
- * vector_size attribute whose size depends on a template parameter.
- */
-template <std::size_t W>
-struct LaneVector;
-
-template <>
-struct LaneVector<1>
-{
-    using Type = double;
-};
-
-template <>
-struct LaneVector<4>
-{
-    using Type = double __attribute__((vector_size(4 * sizeof(double))));
-};
-
-template <>
-struct LaneVector<8>
-{
-    using Type = double __attribute__((vector_size(8 * sizeof(double))));
-};
-
-template <std::size_t W>
-inline typename LaneVector<W>::Type
-loadLanes(const double *p)
-{
-    typename LaneVector<W>::Type v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-template <typename V>
-inline void
-storeLanes(double *p, V v)
-{
-    std::memcpy(p, &v, sizeof(v));
-}
 
 /**
  * The canonical-reduction dot of a[i] and b[i] over i < n (16 partials

@@ -5,13 +5,16 @@
  * the kNN distance evaluations and the MLP layer micro-ops.
  *
  * Three tiers implement the same kernel table:
- *   - scalar  portable C++, compiles and runs everywhere;
- *   - avx2    256-bit AVX2 intrinsics, selected at startup when the
+ *   - scalar  portable C++, compiles and runs everywhere; the
+ *             hand-written reference (kernels_scalar.cpp);
+ *   - avx2    4 lanes of 256-bit AVX2, selected at startup when the
  *             CPU reports AVX2 support (overridable with --simd or the
  *             DTRANK_SIMD environment variable);
- *   - avx512  512-bit AVX-512F intrinsics, selected when the CPU
+ *   - avx512  8 lanes of 512-bit AVX-512F, selected when the CPU
  *             reports avx512f (same overrides; an unavailable request
  *             falls back to the best remaining tier).
+ * The two vector tiers are one body (kernels_vector.h) templated on a
+ * per-width traits struct, which each tier's TU instantiates.
  *
  * # The canonical reduction contract
  *
@@ -33,10 +36,12 @@
  *     separate scalar, added last:  result = R + tail.
  *
  * The scalar tier spells this order out with 16 named partials; the
- * AVX2 tier reaches it with four vector accumulators and the exact
- * fold above; the AVX-512 tier holds the same 16 partials in two zmm
- * registers and folds halves so each 256-bit lane-add lands on the
- * identical (s[l] + s[l+4]) + (s[l+8] + s[l+12]) association. Fused
+ * vector tiers hold them in 16 / W vectors of W lanes (partial j in
+ * lane j % W of vector j / W) and fold them with their width's
+ * spelling of the tree above: at 4 lanes the vector adds and the
+ * 128-bit fold, at 8 lanes a 256-bit half-add first, so each lane-add
+ * lands on the identical (s[l] + s[l+4]) + (s[l+8] + s[l+12])
+ * association. Fused
  * multiply-add is deliberately NOT used in any tier: FMA rounds once
  * where mul+add rounds twice, so an FMA tier could never be
  * bit-identical to a portable one. Every target builds with

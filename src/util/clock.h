@@ -13,8 +13,7 @@
  * section.
  *
  * The shim lives in util (the bottom of the module DAG) so that util
- * itself may time things; src/obs/clock.h re-exports the names under
- * dtrank::obs for the observability layer and its consumers.
+ * itself may time things.
  */
 
 #pragma once

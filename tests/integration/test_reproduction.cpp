@@ -11,7 +11,6 @@
 #include "dataset/mica.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/family_cv.h"
-#include "util/error.h"
 
 namespace
 {

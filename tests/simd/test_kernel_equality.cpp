@@ -152,7 +152,8 @@ TEST_P(KernelEquality, GemmMicroAgreesOnRemainderHeavyShapes)
 
 TEST_P(KernelEquality, MlpKernelsAgreeAcrossLayerShapes)
 {
-    const std::size_t widths[] = {1, 2, 3, 5, 8, 15, 16, 17, 33, 67};
+    // 28 and 14 are MLP^T's hidden layer over the paper's benchmarks.
+    const std::size_t widths[] = {1, 2, 3, 5, 8, 14, 15, 16, 17, 28, 33, 67};
     for (std::size_t in : widths) {
         for (std::size_t out : widths) {
             SCOPED_TRACE("in=" + std::to_string(in) +
@@ -218,8 +219,11 @@ TEST_P(KernelEquality, MlpKernelsAgreeAcrossLayerShapes)
 TEST_P(KernelEquality, BatchKernelsMatchPerSampleLoops)
 {
     const std::size_t bns[] = {1, 2, 3, 4, 5, 8, 13};
-    const std::size_t ins[] = {1, 2, 7, 16, 28, 33};
-    const std::size_t outs[] = {1, 2, 4, 8, 14, 17};
+    // Between them, ins and outs leave every column and unit remainder
+    // from 1 to 7 at 8 lanes and from 1 to 3 at 4 lanes: the masked
+    // loads and stores of the vector tiers' partial blocks.
+    const std::size_t ins[] = {1, 2, 7, 11, 13, 16, 22, 28, 33};
+    const std::size_t outs[] = {1, 2, 3, 4, 8, 13, 14, 17, 23};
     for (std::size_t bn : bns) {
         for (std::size_t in : ins) {
             for (std::size_t out : outs) {

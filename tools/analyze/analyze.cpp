@@ -337,7 +337,7 @@ matchRawClock(const LineView &line)
                 return quotedMessage(
                     "raw monotonic clock ", clock,
                     "outside src/obs/ and bench/; read time through "
-                    "the obs clock shim (obs/clock.h: monotonicNow, "
+                    "the clock shim (util/clock.h: monotonicNow, "
                     "monotonicNanos) so traces, metrics and bench "
                     "timings share one epoch");
         }
@@ -386,7 +386,7 @@ appliesOutsideMutexWrapper(const std::string &path)
 bool
 appliesOutsideObsAndBench(const std::string &path)
 {
-    // util/clock.h is the shim itself; obs/clock.h re-exports it.
+    // util/clock.h is the shim itself.
     return !underDir(path, "src/obs") && !underDir(path, "bench") &&
            path != "src/util/clock.h";
 }
@@ -1006,25 +1006,21 @@ formatFinding(const Finding &finding)
 }
 
 std::vector<std::string>
-ruleIds(RuleSet set)
+ruleIds()
 {
     std::vector<std::string> ids;
     for (const LineRule &rule : lineRules())
         ids.push_back(rule.id);
-    ids.push_back("pragma-once");
-    if (set == RuleSet::All) {
-        ids.push_back("layering");
-        ids.push_back("include-cycle");
-        ids.push_back("unused-include");
-        ids.push_back("no-fp-accumulate");
-        ids.push_back("no-unordered-iteration");
-        ids.push_back("no-unguarded-static");
-    }
+    for (const char *id :
+         {"pragma-once", "layering", "include-cycle", "unused-include",
+          "no-fp-accumulate", "no-unordered-iteration",
+          "no-unguarded-static"})
+        ids.push_back(id);
     return ids;
 }
 
 std::vector<Finding>
-analyzeSources(const std::vector<SourceFile> &files, RuleSet set)
+analyzeSources(const std::vector<SourceFile> &files)
 {
     std::vector<Finding> findings;
     // Line views per path, kept for suppression of cross-file rules.
@@ -1035,23 +1031,17 @@ analyzeSources(const std::vector<SourceFile> &files, RuleSet set)
 
     for (const auto &[path, file] : lexed) {
         runLineRules(path, file, findings);
-        if (set == RuleSet::All)
-            runDeterminismRules(path, file, findings);
+        runDeterminismRules(path, file, findings);
     }
 
-    if (set == RuleSet::All) {
-        for (Finding &finding : includeGraphFindings(files)) {
-            const auto it = std::find_if(
-                lexed.begin(), lexed.end(),
-                [&](const auto &entry) {
-                    return entry.first == finding.file;
-                });
-            if (it != lexed.end() &&
-                suppressedAt(it->second.lines, finding.line,
-                             finding.rule))
-                continue;
-            findings.push_back(std::move(finding));
-        }
+    for (Finding &finding : includeGraphFindings(files)) {
+        const auto it = std::find_if(
+            lexed.begin(), lexed.end(),
+            [&](const auto &entry) { return entry.first == finding.file; });
+        if (it != lexed.end() &&
+            suppressedAt(it->second.lines, finding.line, finding.rule))
+            continue;
+        findings.push_back(std::move(finding));
     }
 
     sortFindings(findings);
@@ -1059,15 +1049,14 @@ analyzeSources(const std::vector<SourceFile> &files, RuleSet set)
 }
 
 std::vector<Finding>
-analyzeContent(const std::string &path, const std::string &content,
-               RuleSet set)
+analyzeContent(const std::string &path, const std::string &content)
 {
-    return analyzeSources({{path, content}}, set);
+    return analyzeSources({{path, content}});
 }
 
 std::vector<Finding>
 analyzeTree(const std::string &root,
-            const std::vector<std::string> &top_dirs, RuleSet set)
+            const std::vector<std::string> &top_dirs)
 {
     namespace fs = std::filesystem;
     static const std::vector<std::string> kDefaultDirs = {
@@ -1120,7 +1109,7 @@ analyzeTree(const std::string &root,
         buffer << in.rdbuf();
         files.push_back({path, buffer.str()});
     }
-    return analyzeSources(files, set);
+    return analyzeSources(files);
 }
 
 std::string
@@ -1156,7 +1145,7 @@ toSarif(const std::vector<Finding> &findings)
         << "        \"driver\": {\n"
         << "          \"name\": \"dtrank_analyze\",\n"
         << "          \"rules\": [";
-    const std::vector<std::string> ids = ruleIds(RuleSet::All);
+    const std::vector<std::string> ids = ruleIds();
     for (std::size_t i = 0; i < ids.size(); ++i) {
         out << (i == 0 ? "\n" : ",\n");
         out << "            {\"id\": \"" << jsonEscape(ids[i])

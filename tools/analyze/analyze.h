@@ -2,8 +2,8 @@
  * @file
  * dtrank_analyze: token-level static analysis engine.
  *
- * Successor to the line/regex dtrank_lint (tools/lint is now a
- * compatibility shim over this engine). Rules run over the token
+ * Successor to the line/regex dtrank_lint, whose rules it runs
+ * token-accurately alongside its own. Rules run over the token
  * stream produced by lexer.h — so comments, string bodies, raw
  * strings and preprocessor lines are classified correctly — and over
  * the project include graph extracted by include_graph.h, which
@@ -81,18 +81,11 @@ struct SourceFile
     std::string content;
 };
 
-/** Which rules to run. */
-enum class RuleSet
-{
-    Legacy, ///< Only the rules ported from dtrank_lint (shim mode).
-    All,    ///< Ported + include-graph + determinism-contract rules.
-};
-
 /** `file:line: [rule] message` — the format CI and editors parse. */
 std::string formatFinding(const Finding &finding);
 
-/** The IDs of every rule in `set`, in report order. */
-std::vector<std::string> ruleIds(RuleSet set);
+/** The IDs of every rule, in report order. */
+std::vector<std::string> ruleIds();
 
 /**
  * Analyzes a set of sources together: per-file rules on each file,
@@ -101,13 +94,11 @@ std::vector<std::string> ruleIds(RuleSet set);
  * unused-include, which needs the header's contents). Findings are
  * sorted by file, then line, then rule.
  */
-std::vector<Finding> analyzeSources(const std::vector<SourceFile> &files,
-                                    RuleSet set);
+std::vector<Finding> analyzeSources(const std::vector<SourceFile> &files);
 
 /** Analyzes one in-memory file (include-graph rules see only it). */
 std::vector<Finding> analyzeContent(const std::string &path,
-                                    const std::string &content,
-                                    RuleSet set);
+                                    const std::string &content);
 
 /**
  * Walks root/<dir> for every dir in `top_dirs` (default: src, tools,
@@ -117,8 +108,7 @@ std::vector<Finding> analyzeContent(const std::string &path,
  */
 std::vector<Finding>
 analyzeTree(const std::string &root,
-            const std::vector<std::string> &top_dirs = {},
-            RuleSet set = RuleSet::All);
+            const std::vector<std::string> &top_dirs = {});
 
 /** Findings as a JSON document `{"findings": [...], "count": N}`. */
 std::string toJson(const std::vector<Finding> &findings);

@@ -60,8 +60,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--list-rules") {
-            for (const std::string &id :
-                 dtrank::analyze::ruleIds(dtrank::analyze::RuleSet::All))
+            for (const std::string &id : dtrank::analyze::ruleIds())
                 std::cout << id << "\n";
             return 0;
         }
@@ -111,8 +110,8 @@ main(int argc, char **argv)
 
     try {
         using dtrank::analyze::Finding;
-        std::vector<Finding> findings = dtrank::analyze::analyzeTree(
-            root, targets, dtrank::analyze::RuleSet::All);
+        std::vector<Finding> findings =
+            dtrank::analyze::analyzeTree(root, targets);
 
         if (write_baseline) {
             std::ofstream out(baseline_path);

@@ -41,7 +41,7 @@ startsWith(const std::string &text, const std::string &prefix)
 /**
  * Resolves an include operand to a repo-relative path. src/ modules
  * include each other relative to src/ ("util/rng.h"); application
- * code includes itself repo-relative ("tools/lint/lint.h").
+ * code includes itself repo-relative ("tools/analyze/analyze.h").
  */
 std::string
 resolveTarget(const std::string &target)

@@ -50,13 +50,13 @@
 #include "dataset/scaled_spec.h"
 #include "dataset/synthetic_spec.h"
 #include "core/ranking_comparison.h"
-#include "obs/clock.h"
 #include "experiments/bench_options.h"
 #include "experiments/harness.h"
 #include "obs/metrics.h"
 #include "stats/bootstrap.h"
 #include "stats/kendall.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/string_utils.h"
@@ -191,13 +191,13 @@ cmdLoad(util::ArgParser &args)
 {
     const std::string path = args.get("db");
     util::require(!path.empty(), "load: --db is required");
-    const auto t0 = obs::monotonicNow();
+    const auto t0 = util::monotonicNow();
     if (dataset::isColumnarFile(path)) {
         const auto columnar = dataset::ColumnarDatabase::open(path);
-        const double open_ms = obs::secondsSince(t0) * 1e3;
-        const auto t1 = obs::monotonicNow();
+        const double open_ms = util::secondsSince(t0) * 1e3;
+        const auto t1 = util::monotonicNow();
         const dataset::PerfDatabase db = columnar.toDatabase();
-        const double mat_ms = obs::secondsSince(t1) * 1e3;
+        const double mat_ms = util::secondsSince(t1) * 1e3;
         std::cout << path << ": columnar, " << db.benchmarkCount()
                   << " benchmarks x " << db.machineCount()
                   << " machines, " << columnar.fileBytes() << " bytes, "
@@ -208,7 +208,7 @@ cmdLoad(util::ArgParser &args)
     } else {
         const dataset::PerfDatabase db =
             dataset::PerfDatabase::loadCsv(path);
-        const double ms = obs::secondsSince(t0) * 1e3;
+        const double ms = util::secondsSince(t0) * 1e3;
         std::cout << path << ": CSV, " << db.benchmarkCount()
                   << " benchmarks x " << db.machineCount()
                   << " machines\nparse " << util::formatFixed(ms, 2)

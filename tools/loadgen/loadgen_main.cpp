@@ -30,11 +30,11 @@
 #include <vector>
 
 #include "experiments/bench_options.h"
-#include "obs/clock.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
+#include "util/clock.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/string_utils.h"
@@ -231,7 +231,7 @@ main(int argc, char **argv)
             static_cast<std::int64_t>(1e9 / qps));
         const int drain_ms =
             static_cast<int>(args.getLong("drain-ms"));
-        const auto t0 = obs::monotonicNow() +
+        const auto t0 = util::monotonicNow() +
                         std::chrono::milliseconds(50); // ramp slack
 
         // Written racelessly: latencies/status slots are per request
@@ -251,7 +251,7 @@ main(int argc, char **argv)
                                  period.count() *
                                  static_cast<std::int64_t>(i));
                     for (;;) {
-                        const auto now = obs::monotonicNow();
+                        const auto now = util::monotonicNow();
                         if (now >= due)
                             break;
                         const auto gap = std::chrono::duration_cast<
@@ -276,7 +276,7 @@ main(int argc, char **argv)
                     total / n_conns + (c < total % n_conns ? 1 : 0);
                 serve::Response response;
                 while (received < expected) {
-                    const auto now = obs::monotonicNow();
+                    const auto now = util::monotonicNow();
                     if (now >= deadline)
                         break;
                     const int wait_ms = static_cast<int>(
@@ -302,7 +302,7 @@ main(int argc, char **argv)
                                  period.count() *
                                  static_cast<std::int64_t>(id));
                     latencies[id] = std::chrono::duration<double>(
-                                        obs::monotonicNow() -
+                                        util::monotonicNow() -
                                         scheduled)
                                         .count();
                     status_of[id] =
@@ -315,7 +315,7 @@ main(int argc, char **argv)
 
         // ---- aggregate ---------------------------------------------
         const double elapsed =
-            std::chrono::duration<double>(obs::monotonicNow() - t0)
+            std::chrono::duration<double>(util::monotonicNow() - t0)
                 .count();
         std::size_t n_ok = 0, n_error = 0, n_overloaded = 0,
                     n_lost = 0;
