@@ -316,6 +316,32 @@ BM_GaKnnTraining(benchmark::State &state)
 }
 BENCHMARK(BM_GaKnnTraining)->Arg(2)->Arg(5);
 
+/**
+ * One Table 2 split's GA-kNN training at the paper's GA schedule
+ * (population 50, 60 generations): the first processor family held
+ * out, every other machine a training machine.
+ */
+void
+BM_GaKnnTrainSplit(benchmark::State &state)
+{
+    const dataset::PerfDatabase &db = paperDb();
+    const linalg::Matrix chars =
+        dataset::MicaGenerator().generateForCatalog();
+    const std::string family = db.families().front();
+    std::vector<std::size_t> predictive;
+    for (std::size_t m = 0; m < db.machineCount(); ++m)
+        if (db.machine(m).family != family)
+            predictive.push_back(m);
+    const linalg::Matrix scores = db.selectMachines(predictive).scores();
+    const baseline::GaKnnConfig config;
+    for (auto _ : state) {
+        baseline::GaKnnModel model(config);
+        model.train(chars, scores);
+        benchmark::DoNotOptimize(model.trainingFitness());
+    }
+}
+BENCHMARK(BM_GaKnnTrainSplit)->Unit(benchmark::kMillisecond);
+
 void
 BM_KMedoids(benchmark::State &state)
 {

@@ -19,6 +19,7 @@
  *   bench_scale --machines 117,1000,10000 --json BENCH_scale.json
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +33,7 @@
 #include "dataset/columnar_io.h"
 #include "dataset/mica.h"
 #include "dataset/scaled_spec.h"
+#include "simd/simd.h"
 #include "experiments/bench_options.h"
 #include "util/bench_json.h"
 #include "util/cli.h"
@@ -91,6 +93,39 @@ record(util::BenchJsonWriter &json, const std::string &section,
     for (auto &kv : extra)
         rec.context.push_back(std::move(kv));
     json.add(std::move(rec));
+}
+
+/**
+ * The per-machine reference gather of GA-kNN's predictApp: each
+ * machine's neighbour scores read down a strided score column and
+ * combined one at a time. predictApp's row sweep must match it bit
+ * for bit.
+ */
+std::vector<double>
+gatherPredict(const baseline::GaKnnModel &model,
+              const std::vector<double> &app, const linalg::Matrix &chars,
+              const linalg::Matrix &scores, std::size_t exclude)
+{
+    const auto nn = model.neighbors(app, chars, exclude);
+    const bool uniform =
+        model.config().weighting == ml::KnnWeighting::Uniform;
+    std::vector<double> weight(nn.size(), 1.0);
+    for (std::size_t idx = 0; idx < nn.size() && !uniform; ++idx)
+        weight[idx] = 1.0 / (std::sqrt(simd::weightedSquaredDistance(
+                                 app.data(), chars.rowData(nn[idx]),
+                                 model.weights().data(), chars.cols())) +
+                             1e-9);
+    std::vector<double> out(scores.cols());
+    for (std::size_t m = 0; m < scores.cols(); ++m) {
+        double wsum = 0.0;
+        double acc = 0.0;
+        for (std::size_t idx = 0; idx < nn.size(); ++idx) {
+            wsum += weight[idx];
+            acc += weight[idx] * scores(nn[idx], m);
+        }
+        out[m] = acc / wsum;
+    }
+    return out;
 }
 
 } // namespace
@@ -249,19 +284,14 @@ main(int argc, char **argv)
         double ga_ref_ms = 0.0;
         std::vector<double> ga_ref_pred;
         if (n_machines <= naive_limit) {
-            baseline::GaKnnConfig ref_config = ga_config;
-            ref_config.sweepPredict = false;
-            baseline::GaKnnModel ref(ref_config);
-            ref.restore(model.weights(), model.trainingFitness());
             t0 = util::monotonicNow();
             ga_ref_pred =
-                ref.predictApp(app_chars, chars, db.scores(), 0);
+                gatherPredict(model, app_chars, chars, db.scores(), 0);
             ga_ref_ms = util::secondsSince(t0) * 1e3;
             record(json, "gaknn_reference", n_machines, ga_ref_ms);
         }
 
         baseline::GaKnnConfig sweep_config = ga_config;
-        sweep_config.sweepPredict = true;
         sweep_config.predictThreads = threads;
         baseline::GaKnnModel sweep(sweep_config);
         sweep.restore(model.weights(), model.trainingFitness());

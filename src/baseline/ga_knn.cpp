@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
+#include "obs/trace.h"
 #include "simd/simd.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -52,31 +54,338 @@ nearestByWeightedDistance(const std::vector<double> &query,
     return order;
 }
 
-/** Combines neighbour scores according to the weighting rule. */
-double
-combineNeighborScores(const std::vector<std::size_t> &nn,
-                      const std::vector<double> &d2,
-                      const linalg::Matrix &scores, std::size_t machine,
-                      ml::KnnWeighting weighting)
+/** Inverse-distance weights are 1 / (sqrt(d2) + kEps). */
+constexpr double kEps = 1e-9;
+
+/**
+ * Training machines per fitness tile: every group's error terms for
+ * one tile are live at once, so scratch stays O(population) per tile
+ * instead of O(population x machines).
+ */
+constexpr std::size_t kMachineTile = 64;
+
+/**
+ * Neighbour weights: 1 under Uniform, 1 / (sqrt(d2) + eps) under
+ * InverseDistance.
+ */
+void
+neighborWeights(ml::KnnWeighting weighting, const double *nn_d2,
+                std::size_t k, double *w)
 {
-    if (weighting == ml::KnnWeighting::Uniform) {
-        double acc = 0.0;
-        for (std::size_t j : nn)
-            acc += scores(j, machine);
-        return acc / static_cast<double>(nn.size());
+    for (std::size_t idx = 0; idx < k; ++idx)
+        w[idx] = weighting == ml::KnnWeighting::Uniform
+                     ? 1.0
+                     : 1.0 / (std::sqrt(nn_d2[idx]) + kEps);
+}
+
+/**
+ * The kNN combine over machines [lo, hi): num[m - lo] is the sum of
+ * w[idx] * scores(nn[idx], m) over the neighbours observed on m, added
+ * in neighbour order, and the prediction is num over the sum of the
+ * same neighbours' weights. Dense scores (mask null) sweep each
+ * neighbour's contiguous score row with one axpy: elementwise, so
+ * every machine sees exactly the per-machine gather's adds in its
+ * order. The training fitness and predictApp both combine here.
+ *
+ * @return Dense: the weight sum every machine shares (den untouched).
+ *         Masked: 0, with den[m - lo] the machine's own weight sum
+ *         (0 when no neighbour is observed on m).
+ */
+double
+combineNeighbors(const std::size_t *nn, const double *w, std::size_t k,
+                 const linalg::Matrix &scores,
+                 const dataset::ScoreMask *mask, std::size_t lo,
+                 std::size_t hi, double *num, double *den)
+{
+    const std::size_t len = hi - lo;
+    std::fill_n(num, len, 0.0);
+    if (mask == nullptr) {
+        double wsum = 0.0;
+        for (std::size_t idx = 0; idx < k; ++idx) {
+            simd::axpy(num, scores.rowData(nn[idx]) + lo, w[idx], len);
+            // Sequential in neighbour order, as the per-machine
+            // combine sums its weights:
+            // dtrank-analyze-ignore(no-fp-accumulate)
+            wsum += w[idx];
+        }
+        return wsum;
     }
-    constexpr double eps = 1e-9;
-    double wsum = 0.0;
-    double acc = 0.0;
-    for (std::size_t j : nn) {
-        const double w = 1.0 / (std::sqrt(d2[j]) + eps);
-        wsum += w;
-        acc += w * scores(j, machine);
+    std::fill_n(den, len, 0.0);
+    for (std::size_t idx = 0; idx < k; ++idx) {
+        const double *row = scores.rowData(nn[idx]);
+        for (std::size_t m = lo; m < hi; ++m) {
+            if (!mask->valid(nn[idx], m))
+                continue;
+            num[m - lo] += w[idx] * row[m];
+            den[m - lo] += w[idx];
+        }
     }
-    return acc / wsum;
+    return 0.0;
+}
+
+/** Order-sensitive hash of a neighbour list. */
+std::uint64_t
+listHash(const std::size_t *nn, std::size_t k)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t idx = 0; idx < k; ++idx)
+        h = (h ^ static_cast<std::uint64_t>(nn[idx])) * 0x100000001b3ULL;
+    return h;
 }
 
 } // namespace
+
+GaKnnFitness::GaKnnFitness(const linalg::Matrix &characteristics,
+                           const linalg::Matrix &train_scores,
+                           std::size_t k, ml::KnnWeighting weighting,
+                           const dataset::ScoreMask *scores_mask)
+    : chars_(characteristics), scores_(train_scores),
+      mask_(scores_mask != nullptr && !scores_mask->dense()
+                ? scores_mask
+                : nullptr),
+      k_(k), weighting_(weighting)
+{
+    const std::size_t n_bench = chars_.rows();
+    util::require(k_ >= 1, "GaKnnFitness: k must be >= 1");
+    util::require(n_bench >= 2, "GaKnnFitness: needs >= 2 benchmarks");
+    util::require(chars_.cols() >= 1,
+                  "GaKnnFitness: needs >= 1 characteristic");
+    util::require(scores_.rows() == n_bench,
+                  "GaKnnFitness: score row mismatch");
+    util::require(scores_.cols() >= 1,
+                  "GaKnnFitness: needs >= 1 training machine");
+    if (mask_ != nullptr)
+        util::require(mask_->rows() == n_bench &&
+                          mask_->cols() == scores_.cols(),
+                      "GaKnnFitness: mask shape mismatch");
+    for (std::size_t b = 0; b < n_bench; ++b) {
+        for (std::size_t c = 0; c < chars_.cols(); ++c)
+            util::require(std::isfinite(chars_(b, c)),
+                          "GaKnnFitness: characteristics must be finite");
+        // A relative error needs a finite, positive actual score; an
+        // Inf or NaN cell would turn every genome's fitness into NaN.
+        for (std::size_t m = 0; m < scores_.cols(); ++m)
+            if (mask_ == nullptr || mask_->valid(b, m))
+                util::require(std::isfinite(scores_(b, m)) &&
+                                  scores_(b, m) > 0.0,
+                              "GaKnnFitness: observed training scores "
+                              "must be finite and positive");
+    }
+}
+
+std::size_t
+GaKnnFitness::groupTerms(std::size_t i, const std::size_t *nn,
+                         const double *nn_d2, std::size_t lo,
+                         std::size_t hi, double *terms)
+{
+    const std::size_t k = std::min(k_, chars_.rows() - 1);
+    neighborWeights(weighting_, nn_d2, k, weight_.data());
+    const double wsum = combineNeighbors(nn, weight_.data(), k, scores_,
+                                         mask_, lo, hi, num_.data(),
+                                         den_.data());
+    const double *actual = scores_.rowData(i) + lo;
+    const std::size_t len = hi - lo;
+    if (mask_ == nullptr) {
+        for (std::size_t m = 0; m < len; ++m)
+            terms[m] =
+                std::fabs(num_[m] / wsum - actual[m]) / actual[m] * 100.0;
+        return len;
+    }
+    std::size_t count = 0;
+    for (std::size_t m = 0; m < len; ++m) {
+        // A skipped cell contributes +0.0, which leaves every
+        // (non-negative) error sum's bits unchanged.
+        terms[m] = 0.0;
+        if (den_[m] == 0.0 || !mask_->valid(i, lo + m))
+            continue;
+        terms[m] =
+            std::fabs(num_[m] / den_[m] - actual[m]) / actual[m] * 100.0;
+        ++count;
+    }
+    return count;
+}
+
+void
+GaKnnFitness::nearest(std::size_t i, std::size_t n)
+{
+    const std::size_t rows = chars_.rows() - 1;
+    const std::size_t k = std::min(k_, rows);
+    // Any visiting order yields the same (d2, index)-ordered lists;
+    // visiting candidates nearest-first for the batch's first genome
+    // makes the first k insertions land nearly in place and most later
+    // candidates fail one well-predicted compare, since a population's
+    // genomes rank their neighbours alike.
+    order_.resize(rows);
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+    std::sort(order_.begin(), order_.end(),
+              [&](std::size_t a, std::size_t b) {
+                  const double da = d2_[a * n];
+                  const double db = d2_[b * n];
+                  return da != db ? da < db : a < b;
+              });
+    for (std::size_t g = 0; g < n; ++g) {
+        std::size_t *nn = nn_.data() + g * k;
+        double *nd = nn_d2_.data() + g * k;
+        const auto before = [&](double d, std::size_t j, std::size_t pos) {
+            return d < nd[pos] || (d == nd[pos] && j < nn[pos]);
+        };
+        std::size_t size = 0;
+        for (std::size_t r : order_) {
+            const double d = d2_[r * n + g];
+            const std::size_t j = r < i ? r : r + 1;
+            if (size == k && !before(d, j, k - 1))
+                continue;
+            std::size_t pos = size < k ? size++ : k - 1;
+            for (; pos > 0 && before(d, j, pos - 1); --pos) {
+                nn[pos] = nn[pos - 1];
+                nd[pos] = nd[pos - 1];
+            }
+            nn[pos] = j;
+            nd[pos] = d;
+        }
+    }
+}
+
+std::size_t
+GaKnnFitness::evaluate(
+    const std::vector<const std::vector<double> *> &genomes,
+    double *scores)
+{
+    const std::size_t n = genomes.size();
+    const std::size_t n_bench = chars_.rows();
+    const std::size_t n_char = chars_.cols();
+    const std::size_t n_machine = scores_.cols();
+    const std::size_t rows = n_bench - 1; // candidates besides i
+    const std::size_t k = std::min(k_, rows);
+    const bool keyed_d2 = weighting_ == ml::KnnWeighting::InverseDistance;
+    const std::size_t tile = std::min(kMachineTile, n_machine);
+
+    // Genomes feature-major: gene c of genome g at wt_[c * n + g], the
+    // lane layout of the canonical-dot GEMM.
+    wt_.resize(n_char * n);
+    for (std::size_t g = 0; g < n; ++g) {
+        util::require(genomes[g]->size() == n_char,
+                      "GaKnnFitness::evaluate: genome length mismatch");
+        for (std::size_t c = 0; c < n_char; ++c)
+            wt_[c * n + g] = (*genomes[g])[c];
+    }
+    slab_.resize(rows * n_char);
+    zero_.assign(rows, 0.0);
+    d2_.resize(rows * n);
+    nn_.resize(n * k);
+    nn_d2_.resize(n * k);
+    hash_.resize(n);
+    group_of_.resize(n);
+    leaders_.clear();
+    err_.assign(n, 0.0);
+    count_.assign(n, 0);
+    group_count_.resize(n);
+    num_.resize(tile);
+    den_.resize(tile);
+    terms_.resize(n * tile);
+    weight_.resize(k);
+
+    const simd::KernelTable &kt = simd::kernels();
+    std::size_t distinct = 0;
+    for (std::size_t i = 0; i < n_bench; ++i) {
+        // Squared characteristic differences from benchmark i; row r is
+        // candidate j = r + (r >= i).
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::size_t j = r < i ? r : r + 1;
+            for (std::size_t c = 0; c < n_char; ++c) {
+                const double diff = chars_(i, c) - chars_(j, c);
+                slab_[r * n_char + c] = diff * diff;
+            }
+        }
+        // d2_[r * n + g] = 0 + dot(genome g, row r): each entry the
+        // bits of simd::dot(w, pair) in every tier.
+        simd::gemmDotColumns(kt, n, rows, n_char, wt_.data(), n,
+                             slab_.data(), n_char, zero_.data(),
+                             d2_.data(), n);
+        nearest(i, n);
+
+        // Genomes with equal neighbour lists (and, when the weights
+        // depend on them, equal distances) form one group, which
+        // sweeps its neighbours once.
+        leaders_.clear();
+        for (std::size_t g = 0; g < n; ++g) {
+            const std::size_t *list = nn_.data() + g * k;
+            const double *dist = nn_d2_.data() + g * k;
+            hash_[g] = listHash(list, k);
+            std::size_t q = 0;
+            for (; q < leaders_.size(); ++q) {
+                const std::size_t h = leaders_[q];
+                if (hash_[h] == hash_[g] &&
+                    std::memcmp(nn_.data() + h * k, list,
+                                k * sizeof(std::size_t)) == 0 &&
+                    (!keyed_d2 ||
+                     std::memcmp(nn_d2_.data() + h * k, dist,
+                                 k * sizeof(double)) == 0))
+                    break;
+            }
+            if (q == leaders_.size())
+                leaders_.push_back(g);
+            group_of_[g] = q;
+        }
+        distinct += leaders_.size();
+        std::fill_n(group_count_.begin(), leaders_.size(), 0);
+
+        for (std::size_t lo = 0; lo < n_machine; lo += tile) {
+            const std::size_t hi = std::min(n_machine, lo + tile);
+            const std::size_t len = hi - lo;
+            for (std::size_t q = 0; q < leaders_.size(); ++q) {
+                const std::size_t h = leaders_[q];
+                group_count_[q] +=
+                    groupTerms(i, nn_.data() + h * k, nn_d2_.data() + h * k,
+                               lo, hi, terms_.data() + q * tile);
+            }
+            // Each genome's error sum takes its group's terms in
+            // (i, m) order — the order the pinned GA trajectories fix.
+            // Four genomes at a time only hide the add latency.
+            const auto terms_of = [&](std::size_t g) {
+                return terms_.data() + group_of_[g] * tile;
+            };
+            std::size_t g = 0;
+            for (; g + 4 <= n; g += 4) {
+                const double *t0 = terms_of(g);
+                const double *t1 = terms_of(g + 1);
+                const double *t2 = terms_of(g + 2);
+                const double *t3 = terms_of(g + 3);
+                double e0 = err_[g];
+                double e1 = err_[g + 1];
+                double e2 = err_[g + 2];
+                double e3 = err_[g + 3];
+                for (std::size_t m = 0; m < len; ++m) {
+                    e0 += t0[m]; // dtrank-analyze-ignore(no-fp-accumulate)
+                    e1 += t1[m]; // dtrank-analyze-ignore(no-fp-accumulate)
+                    e2 += t2[m]; // dtrank-analyze-ignore(no-fp-accumulate)
+                    e3 += t3[m]; // dtrank-analyze-ignore(no-fp-accumulate)
+                }
+                err_[g] = e0;
+                err_[g + 1] = e1;
+                err_[g + 2] = e2;
+                err_[g + 3] = e3;
+            }
+            for (; g < n; ++g) {
+                const double *t = terms_of(g);
+                double e = err_[g];
+                for (std::size_t m = 0; m < len; ++m)
+                    e += t[m]; // dtrank-analyze-ignore(no-fp-accumulate)
+                err_[g] = e;
+            }
+        }
+        for (std::size_t g = 0; g < n; ++g)
+            count_[g] += group_count_[group_of_[g]];
+    }
+
+    for (std::size_t g = 0; g < n; ++g) {
+        util::require(count_[g] > 0,
+                      "GaKnnModel::train: no observed cell admits a "
+                      "leave-one-out prediction");
+        scores[g] = -err_[g] / static_cast<double>(count_[g]);
+    }
+    return distinct;
+}
 
 GaKnnModel::GaKnnModel(GaKnnConfig config) : config_(config)
 {
@@ -86,152 +395,23 @@ GaKnnModel::GaKnnModel(GaKnnConfig config) : config_(config)
 void
 GaKnnModel::train(const linalg::Matrix &characteristics,
                   const linalg::Matrix &train_scores,
-                  ml::FitnessMemo *memo,
                   const dataset::ScoreMask *scores_mask)
 {
-    const std::size_t n_bench = characteristics.rows();
+    GaKnnFitness fitness(characteristics, train_scores, config_.k,
+                         config_.weighting, scores_mask);
     const std::size_t n_char = characteristics.cols();
-    util::require(n_bench >= 2, "GaKnnModel::train: needs >= 2 "
-                                "benchmarks");
-    util::require(n_char >= 1, "GaKnnModel::train: needs >= 1 "
-                               "characteristic");
-    util::require(train_scores.rows() == n_bench,
-                  "GaKnnModel::train: score row mismatch");
-    util::require(train_scores.cols() >= 1,
-                  "GaKnnModel::train: needs >= 1 training machine");
-
-    const std::size_t n_machine = train_scores.cols();
-    const bool has_mask =
-        scores_mask != nullptr && !scores_mask->dense();
-    if (has_mask)
-        util::require(scores_mask->rows() == n_bench &&
-                          scores_mask->cols() == n_machine,
-                      "GaKnnModel::train: mask shape mismatch");
-
-    // Precompute the per-pair, per-characteristic squared differences
-    // (flat [i][j][c] table) when they fit the memory budget, so a
-    // fitness evaluation is a dot product per pair. Past the budget —
-    // the table is O(B^2 * C) and reaches gigabytes at scaled
-    // benchmark counts — the fitness streams each leave-one-out
-    // distance row on the fly instead. The streamed path feeds the
-    // same squared differences to the same canonical simd::dot, so
-    // both paths drive the GA through bit-identical trajectories.
-    const std::size_t per_pair_bytes = n_char * sizeof(double);
-    // Overflow-safe form of n_bench^2 * per_pair_bytes <= budget.
-    const bool use_table =
-        n_bench <=
-        config_.pairTableBudgetBytes / per_pair_bytes / n_bench;
-    std::vector<double> pair_d2;
-    if (use_table) {
-        pair_d2.assign(n_bench * n_bench * n_char, 0.0);
-        for (std::size_t i = 0; i < n_bench; ++i) {
-            for (std::size_t j = i + 1; j < n_bench; ++j) {
-                double *fwd = pair_d2.data() + (i * n_bench + j) * n_char;
-                double *rev = pair_d2.data() + (j * n_bench + i) * n_char;
-                for (std::size_t c = 0; c < n_char; ++c) {
-                    const double diff =
-                        characteristics(i, c) - characteristics(j, c);
-                    fwd[c] = diff * diff;
-                    rev[c] = diff * diff;
-                }
-            }
-        }
-    }
-
-    // Fitness: negative mean relative error of leave-one-benchmark-out
-    // kNN prediction across the training machines. Scratch buffers are
-    // hoisted so an evaluation allocates nothing but the sort index.
-    std::vector<double> row_d2(n_bench, 0.0);
-    std::vector<double> diff2(n_char, 0.0);
-    std::vector<std::size_t> order;
-    std::vector<std::size_t> valid_nn;
-    const auto fitness = [&](const std::vector<double> &w) {
-        double error_sum = 0.0;
-        std::size_t error_count = 0;
-        for (std::size_t i = 0; i < n_bench; ++i) {
-            // Weighted squared distances from benchmark i to all
-            // candidates under w — one row, built from the table or
-            // streamed from the characteristics.
-            row_d2[i] = 0.0;
-            for (std::size_t j = 0; j < n_bench; ++j) {
-                if (j == i)
-                    continue;
-                if (use_table) {
-                    row_d2[j] = simd::dot(
-                        w.data(),
-                        pair_d2.data() + (i * n_bench + j) * n_char,
-                        n_char);
-                } else {
-                    for (std::size_t c = 0; c < n_char; ++c) {
-                        const double diff = characteristics(i, c) -
-                                            characteristics(j, c);
-                        diff2[c] = diff * diff;
-                    }
-                    row_d2[j] =
-                        simd::dot(w.data(), diff2.data(), n_char);
-                }
-            }
-
-            // k nearest other benchmarks to benchmark i.
-            order.clear();
-            order.reserve(n_bench - 1);
-            for (std::size_t j = 0; j < n_bench; ++j)
-                if (j != i)
-                    order.push_back(j);
-            const std::size_t take =
-                std::min(config_.k, order.size());
-            std::partial_sort(
-                order.begin(),
-                order.begin() + static_cast<std::ptrdiff_t>(take),
-                order.end(), [&](std::size_t a, std::size_t b) {
-                    if (row_d2[a] != row_d2[b])
-                        return row_d2[a] < row_d2[b];
-                    return a < b;
-                });
-            order.resize(take);
-
-            for (std::size_t m = 0; m < n_machine; ++m) {
-                // Ragged training data: skip unobserved held-out
-                // cells and combine only the observed neighbour
-                // scores (the filtered list preserves neighbour
-                // order, so an all-valid mask leaves the arithmetic
-                // untouched).
-                if (has_mask && !scores_mask->valid(i, m))
-                    continue;
-                const std::vector<std::size_t> *use = &order;
-                if (has_mask) {
-                    valid_nn.clear();
-                    for (std::size_t j : order)
-                        if (scores_mask->valid(j, m))
-                            valid_nn.push_back(j);
-                    if (valid_nn.empty())
-                        continue;
-                    use = &valid_nn;
-                }
-                const double pred = combineNeighborScores(
-                    *use, row_d2, train_scores, m, config_.weighting);
-                const double actual = train_scores(i, m);
-                error_sum += std::fabs(pred - actual) / actual * 100.0;
-                ++error_count;
-            }
-        }
-        util::require(error_count > 0,
-                      "GaKnnModel::train: no observed cell admits a "
-                      "leave-one-out prediction");
-        return -error_sum / static_cast<double>(error_count);
-    };
-
-    const std::vector<double> lower(n_char, 0.0);
-    const std::vector<double> upper(n_char, 1.0);
-    // The fitness above is pure given the training data, so a memo is
-    // always sound on this path: force memoization on when one is
-    // supplied.
-    ml::GaConfig ga_config = config_.ga;
-    if (memo != nullptr)
-        ga_config.memoizeFitness = true;
-    const ml::GeneticAlgorithm ga(ga_config, lower, upper);
+    const ml::GeneticAlgorithm ga(config_.ga,
+                                  std::vector<double>(n_char, 0.0),
+                                  std::vector<double>(n_char, 1.0));
     util::Rng rng(config_.seed);
-    const ml::GaResult result = ga.optimize(fitness, rng, memo);
+    const ml::GaResult result = ga.optimize(
+        [&](const std::vector<const std::vector<double> *> &genomes,
+            double *scores, obs::TraceSpan &span) {
+            span.arg("distinct_lists",
+                     static_cast<std::uint64_t>(
+                         fitness.evaluate(genomes, scores)));
+        },
+        rng);
 
     weights_ = result.bestGenome;
     training_fitness_ = result.bestFitness;
@@ -294,117 +474,59 @@ GaKnnModel::predictApp(const std::vector<double> &app_characteristics,
     DTRANK_ASSERT(!nn.empty());
 
     const std::size_t n_target = candidate_scores.cols();
-
-    if (scores_mask != nullptr && !scores_mask->dense()) {
-        // Ragged candidate scores: per machine, combine the observed
-        // neighbour scores only (filtered in neighbour order, so an
-        // all-valid mask reproduces the reference path — and thereby
-        // the sweep path — bit for bit). Machines where no neighbour
-        // is observed fall back to the column's observed mean.
+    if (scores_mask != nullptr && scores_mask->dense())
+        scores_mask = nullptr;
+    if (scores_mask != nullptr)
         util::require(scores_mask->rows() == candidate_scores.rows() &&
                           scores_mask->cols() == n_target,
                       "GaKnnModel::predictApp: mask shape mismatch");
-        std::vector<double> d2(candidate_chars.rows(), 0.0);
-        for (std::size_t i = 0; i < candidate_chars.rows(); ++i)
-            d2[i] = simd::weightedSquaredDistance(
-                app_characteristics.data(), candidate_chars.rowData(i),
-                weights_.data(), candidate_chars.cols());
 
-        std::vector<double> out(n_target, 0.0);
-        const std::size_t tile = config_.predictTile;
-        const std::size_t n_tiles = (n_target + tile - 1) / tile;
-        util::parallelFor(
-            config_.predictThreads, n_tiles, [&](std::size_t ti) {
-                const std::size_t lo = ti * tile;
-                const std::size_t hi = std::min(n_target, lo + tile);
-                std::vector<std::size_t> valid_nn;
-                valid_nn.reserve(nn.size());
-                std::vector<double> col(candidate_scores.rows());
-                for (std::size_t m = lo; m < hi; ++m) {
-                    valid_nn.clear();
-                    for (std::size_t j : nn)
-                        if (scores_mask->valid(j, m))
-                            valid_nn.push_back(j);
-                    if (!valid_nn.empty()) {
-                        out[m] = combineNeighborScores(
-                            valid_nn, d2, candidate_scores, m,
-                            config_.weighting);
-                        continue;
-                    }
-                    const std::size_t observed =
-                        scores_mask->observedInColumn(m);
-                    if (observed == 0) {
-                        out[m] = 1.0; // nothing observed at all
-                        continue;
-                    }
-                    for (std::size_t r = 0;
-                         r < candidate_scores.rows(); ++r)
-                        col[r] = candidate_scores(r, m);
-                    const auto words = scores_mask->columnWords(m);
-                    const double sum = simd::kernels().maskedSum(
-                        col.data(), words.data(), col.size());
-                    out[m] = sum / static_cast<double>(observed);
-                }
-            });
-        return out;
-    }
+    std::vector<double> nn_d2(nn.size());
+    for (std::size_t idx = 0; idx < nn.size(); ++idx)
+        nn_d2[idx] = simd::weightedSquaredDistance(
+            app_characteristics.data(), candidate_chars.rowData(nn[idx]),
+            weights_.data(), candidate_chars.cols());
+    std::vector<double> weight(nn.size());
+    neighborWeights(config_.weighting, nn_d2.data(), nn.size(),
+                    weight.data());
 
-    if (!config_.sweepPredict) {
-        // Reference path: per-machine gather over strided score
-        // columns, exactly the original formulation.
-        std::vector<double> d2(candidate_chars.rows(), 0.0);
-        for (std::size_t i = 0; i < candidate_chars.rows(); ++i)
-            d2[i] = simd::weightedSquaredDistance(
-                app_characteristics.data(), candidate_chars.rowData(i),
-                weights_.data(), candidate_chars.cols());
-
-        std::vector<double> out(n_target);
-        for (std::size_t m = 0; m < n_target; ++m)
-            out[m] = combineNeighborScores(nn, d2, candidate_scores, m,
-                                           config_.weighting);
-        return out;
-    }
-
-    // Row-sweep path: accumulate each neighbour's contiguous score row
-    // into the output with one axpy per neighbour, then apply the
-    // combine divisor elementwise. The per-machine accumulator sees
-    // the neighbours in exactly the order the reference loop adds
-    // them, axpy/divide are elementwise (tier-independent), and tiles
-    // write disjoint ranges — bit-identical to the reference at any
-    // thread count, but cache-linear in the 100k-machine score matrix.
-    std::vector<double> neighbor_weight(nn.size(), 1.0);
-    double denom = static_cast<double>(nn.size());
-    if (config_.weighting == ml::KnnWeighting::InverseDistance) {
-        constexpr double eps = 1e-9;
-        double wsum = 0.0;
-        for (std::size_t idx = 0; idx < nn.size(); ++idx) {
-            const double d2 = simd::weightedSquaredDistance(
-                app_characteristics.data(),
-                candidate_chars.rowData(nn[idx]), weights_.data(),
-                candidate_chars.cols());
-            neighbor_weight[idx] = 1.0 / (std::sqrt(d2) + eps);
-            wsum += neighbor_weight[idx];
-        }
-        denom = wsum;
-    }
-
+    // Tiles of target machines write disjoint ranges, so the thread
+    // count cannot change a bit. Under a mask, a machine where no
+    // neighbour is observed falls back to its column's observed mean.
     std::vector<double> out(n_target, 0.0);
     const std::size_t tile = config_.predictTile;
     const std::size_t n_tiles = (n_target + tile - 1) / tile;
-    util::parallelFor(config_.predictThreads, n_tiles,
-                      [&](std::size_t ti) {
-                          const std::size_t lo = ti * tile;
-                          const std::size_t hi =
-                              std::min(n_target, lo + tile);
-                          for (std::size_t idx = 0; idx < nn.size();
-                               ++idx)
-                              simd::axpy(
-                                  out.data() + lo,
-                                  candidate_scores.rowData(nn[idx]) + lo,
-                                  neighbor_weight[idx], hi - lo);
-                          for (std::size_t m = lo; m < hi; ++m)
-                              out[m] = out[m] / denom;
-                      });
+    util::parallelFor(
+        config_.predictThreads, n_tiles, [&](std::size_t ti) {
+            const std::size_t lo = ti * tile;
+            const std::size_t hi = std::min(n_target, lo + tile);
+            std::vector<double> den(scores_mask != nullptr ? hi - lo : 0);
+            const double shared = combineNeighbors(
+                nn.data(), weight.data(), nn.size(), candidate_scores,
+                scores_mask, lo, hi, out.data() + lo, den.data());
+            std::vector<double> col;
+            for (std::size_t m = lo; m < hi; ++m) {
+                const double denom =
+                    scores_mask == nullptr ? shared : den[m - lo];
+                if (denom != 0.0) {
+                    out[m] = out[m] / denom;
+                    continue;
+                }
+                const std::size_t observed =
+                    scores_mask->observedInColumn(m);
+                if (observed == 0) {
+                    out[m] = 1.0; // nothing observed at all
+                    continue;
+                }
+                col.resize(candidate_scores.rows());
+                for (std::size_t r = 0; r < candidate_scores.rows(); ++r)
+                    col[r] = candidate_scores(r, m);
+                const auto words = scores_mask->columnWords(m);
+                const double sum = simd::kernels().maskedSum(
+                    col.data(), words.data(), col.size());
+                out[m] = sum / static_cast<double>(observed);
+            }
+        });
     return out;
 }
 

@@ -42,24 +42,6 @@ struct GaKnnConfig
     /** Seed for the GA's randomness. */
     std::uint64_t seed = 42;
     /**
-     * Memory budget for the precomputed B x B x C pairwise
-     * squared-difference table the GA fitness consumes. At paper scale
-     * the table is a few hundred KB and makes a fitness evaluation a
-     * dot product per pair; at thousands of benchmarks it would be
-     * gigabytes, so larger problems switch to streaming one distance
-     * row at a time (O(B + C) scratch) instead of a full-table rescan.
-     * Both paths feed identical inputs to the same canonical
-     * simd::dot, so the GA trajectory is bit-identical either way.
-     */
-    std::size_t pairTableBudgetBytes = std::size_t{64} << 20;
-    /**
-     * Use the row-sweep predictApp path: one simd::axpy sweep per
-     * neighbour over the target tile instead of a per-machine gather
-     * loop over strided columns. Bit-identical to the reference loop
-     * (kept behind `false` for tests and bench_scale comparisons).
-     */
-    bool sweepPredict = true;
-    /**
      * Worker threads for the predictApp target sweep (1 = serial,
      * 0 = hardware concurrency). Tiles are disjoint, so the thread
      * count cannot change a bit of the output.
@@ -67,6 +49,99 @@ struct GaKnnConfig
     std::size_t predictThreads = 1;
     /** Target machines per predictApp sweep tile. */
     std::size_t predictTile = 4096;
+};
+
+/**
+ * The GA-kNN training objective, scored for a whole GA population at
+ * once. A genome's fitness is the negative mean relative error (%) of
+ * leave-one-benchmark-out kNN prediction of the training scores, the
+ * neighbours of benchmark i being the k other benchmarks nearest in
+ * genome-weighted squared characteristic distance (ties to the lower
+ * index). Masked training cells are skipped as held-out cells and
+ * dropped, with renormalization, as neighbour scores.
+ *
+ * evaluate() returns, genome by genome, exactly the bits of the
+ * per-genome formulation (distance row by simd::dot, partial_sort,
+ * per-machine combine, one (i, m)-ordered error sum), while sharing
+ * the work the population has in common: per held-out benchmark i,
+ * one canonical-dot GEMM gives every genome's distances (genomes as
+ * the vector lanes), and genomes whose ordered neighbour lists agree
+ * (and, under InverseDistance, their distances) share one neighbour
+ * sweep and one set of error terms.
+ *
+ * Holds references to its inputs; they must outlive it. One instance
+ * is not safe for concurrent evaluate() calls (it owns its scratch).
+ */
+class GaKnnFitness
+{
+  public:
+    /**
+     * @param characteristics One row per benchmark (B x C, finite).
+     * @param train_scores Benchmark scores on the training machines
+     *        (B x M); every observed cell must be finite and positive.
+     * @param k Neighbours per prediction (>= 1; capped at B - 1).
+     * @param weighting How neighbour scores combine.
+     * @param scores_mask Optional validity mask over train_scores;
+     *        nullptr or an all-valid mask is the dense fitness.
+     * @throws util::InvalidArgument on a shape mismatch, a non-finite
+     *         characteristic, or a non-finite or non-positive observed
+     *         training score.
+     */
+    GaKnnFitness(const linalg::Matrix &characteristics,
+                 const linalg::Matrix &train_scores, std::size_t k,
+                 ml::KnnWeighting weighting,
+                 const dataset::ScoreMask *scores_mask = nullptr);
+
+    /**
+     * Writes the fitness of *genomes[g] to scores[g].
+     *
+     * @return The number of distinct neighbour lists, summed over the
+     *         held-out benchmarks (how many neighbour sweeps ran).
+     * @throws util::InvalidArgument when a genome's neighbours observe
+     *         no held-out cell (only possible under a mask).
+     */
+    std::size_t
+    evaluate(const std::vector<const std::vector<double> *> &genomes,
+             double *scores);
+
+  private:
+    /**
+     * Error terms of held-out benchmark i over machines [lo, hi) with
+     * neighbours `nn` (distances `nn_d2`), +0.0 where no term counts.
+     * @return How many terms count.
+     */
+    std::size_t groupTerms(std::size_t i, const std::size_t *nn,
+                           const double *nn_d2, std::size_t lo,
+                           std::size_t hi, double *terms);
+
+    /** Every genome's k nearest candidates of benchmark i into nn_. */
+    void nearest(std::size_t i, std::size_t n);
+
+    const linalg::Matrix &chars_;
+    const linalg::Matrix &scores_;
+    const dataset::ScoreMask *mask_; ///< nullptr when dense.
+    std::size_t k_;
+    ml::KnnWeighting weighting_;
+
+    // Scratch, sized per evaluate(); n genomes, B benchmarks, C
+    // characteristics, T machines per tile.
+    std::vector<double> wt_;         ///< Genomes, feature-major (C x n).
+    std::vector<double> slab_;       ///< Squared differences (B-1 x C).
+    std::vector<double> zero_;       ///< Zero bias for the GEMM (B-1).
+    std::vector<double> d2_;         ///< Distances (B-1 x n).
+    std::vector<std::size_t> order_; ///< Candidate visiting order (B-1).
+    std::vector<std::size_t> nn_;    ///< Neighbour lists (n x k).
+    std::vector<double> nn_d2_;      ///< Their distances (n x k).
+    std::vector<std::uint64_t> hash_;     ///< List hashes (n).
+    std::vector<std::size_t> group_of_;   ///< Group of each genome (n).
+    std::vector<std::size_t> leaders_;    ///< First genome per group.
+    std::vector<std::size_t> group_count_; ///< Terms per group.
+    std::vector<double> err_;        ///< Error sum per genome (n).
+    std::vector<std::size_t> count_; ///< Term count per genome (n).
+    std::vector<double> num_;        ///< Combine numerators (T).
+    std::vector<double> den_;        ///< Masked denominators (T).
+    std::vector<double> terms_;      ///< Error terms per group (n x T).
+    std::vector<double> weight_;     ///< Neighbour weights (k).
 };
 
 /**
@@ -85,14 +160,7 @@ class GaKnnModel
      * @param characteristics One row per benchmark (B x C).
      * @param train_scores Benchmark scores on the training machines
      *        (B x M). The GA maximizes leave-one-benchmark-out kNN
-     *        prediction accuracy on these machines.
-     * @param memo Optional genome -> fitness memo. The GA-kNN fitness
-     *        is a pure function of the genome (given the training
-     *        data), so memoization is sound here; passing a memo turns
-     *        it on regardless of config().ga.memoizeFitness. Elites are
-     *        re-evaluated every generation, so any memo-backed run
-     *        registers hits. Results are bit-identical with and
-     *        without a memo.
+     *        prediction accuracy on these machines (GaKnnFitness).
      * @param scores_mask Optional validity mask over train_scores
      *        (benchmarks x machines). Unobserved (i, m) cells are
      *        skipped by the leave-one-out fitness and unobserved
@@ -102,10 +170,13 @@ class GaKnnModel
      *        the learned weights — bit for bit. Characteristics are
      *        never masked: they describe benchmarks, not measurements
      *        on machines.
+     * @throws util::InvalidArgument on fewer than 2 benchmarks, no
+     *         characteristic or machine, a shape mismatch, a
+     *         non-finite characteristic, or a non-finite or
+     *         non-positive observed training score.
      */
     void train(const linalg::Matrix &characteristics,
                const linalg::Matrix &train_scores,
-               ml::FitnessMemo *memo = nullptr,
                const dataset::ScoreMask *scores_mask = nullptr);
 
     /**

@@ -259,6 +259,21 @@ MlpTransposition::predictHeldOutApps(const MlpTranspositionConfig &config,
                                      const std::vector<std::uint64_t> &seeds,
                                      std::size_t threads)
 {
+    const HeldOutPlan plan = planHeldOutApps(predictive, target, apps, seeds);
+    std::vector<std::vector<double>> out(apps.size());
+    util::parallelFor(threads, plan.groups.size(), [&](std::size_t g) {
+        trainHeldOutGroup(config, predictive, target, apps, seeds, plan, g,
+                          out);
+    });
+    return out;
+}
+
+MlpTransposition::HeldOutPlan
+MlpTransposition::planHeldOutApps(const dataset::PerfDatabase &predictive,
+                                  const dataset::PerfDatabase &target,
+                                  const std::vector<std::size_t> &apps,
+                                  const std::vector<std::uint64_t> &seeds)
+{
     const std::size_t n_bench = predictive.benchmarkCount();
     const std::size_t n_pred = predictive.machineCount();
     util::require(seeds.size() == apps.size(),
@@ -277,16 +292,9 @@ MlpTransposition::predictHeldOutApps(const MlpTranspositionConfig &config,
                       "MlpTransposition::predictHeldOutApps: app out of "
                       "range");
 
-    auto configFor = [&](std::size_t i) {
-        MlpTranspositionConfig cfg = config;
-        cfg.mlp.seed = seeds[i];
-        return cfg;
-    };
-    const linalg::Matrix &pred_scores = predictive.scores();
-    const dataset::ScoreMask &pred_mask = predictive.mask();
-
     // Apps train on the predictive machines observing them; apps that
     // keep the same machines share one (normalized) row block.
+    const dataset::ScoreMask &pred_mask = predictive.mask();
     std::map<std::vector<std::size_t>, std::vector<std::size_t>> by_kept;
     for (std::size_t i = 0; i < apps.size(); ++i) {
         std::vector<std::size_t> kept;
@@ -297,38 +305,11 @@ MlpTransposition::predictHeldOutApps(const MlpTranspositionConfig &config,
         by_kept[std::move(kept)].push_back(i);
     }
 
-    /**
-     * One row block: its kept machines and their training matrix, one
-     * row per kept machine and one column per benchmark (every app's
-     * training matrix is this minus the app's column).
-     */
-    struct Block
-    {
-        std::vector<std::size_t> kept;
-        linalg::Matrix x;
-        ml::RangeNormalizer norm;
-    };
-    /** One parallel task: a lane group of one block. */
-    struct Task
-    {
-        const Block *block;
-        std::vector<std::size_t> lanes;
-    };
-    std::vector<Block> blocks;
-    blocks.reserve(by_kept.size());
-    std::vector<Task> tasks;
+    HeldOutPlan plan;
+    plan.blocks.reserve(by_kept.size());
     for (auto &[kept, members] : by_kept) {
-        // A benchmark's imputed mean and range do not depend on the
-        // held-out app, so neither do the block's cells.
-        Block &block = blocks.emplace_back();
-        block.x = trainingRows(pred_scores, pred_mask, kept, config.logSpace);
-        if (config.transductiveNormalization) {
-            block.norm = transductiveNormalizer(block.x, target.scores(),
-                                                target.mask(),
-                                                config.logSpace);
-            block.x = block.norm.transform(block.x);
-        }
-        block.kept = kept;
+        const std::size_t block = plan.blocks.size();
+        plan.blocks.push_back(kept);
         // Balanced lane groups: as few as the lane width allows.
         const std::size_t groups =
             (members.size() + simd::kMlpLanes - 1) / simd::kMlpLanes;
@@ -338,49 +319,73 @@ MlpTransposition::predictHeldOutApps(const MlpTranspositionConfig &config,
                                      (g < members.size() % groups ? 1 : 0);
             const auto first =
                 members.begin() + static_cast<std::ptrdiff_t>(next);
-            tasks.push_back(
-                {&block, {first, first + static_cast<std::ptrdiff_t>(size)}});
+            plan.groups.push_back(
+                {block, {first, first + static_cast<std::ptrdiff_t>(size)}});
             next += size;
         }
     }
+    return plan;
+}
 
-    std::vector<std::vector<double>> out(apps.size());
-    util::parallelFor(threads, tasks.size(), [&](std::size_t ti) {
-        const Task &task = tasks[ti];
-        const Block &block = *task.block;
-        const std::size_t k = task.lanes.size();
-        std::vector<MlpTransposition> predictors;
-        std::vector<ml::Mlp> nets;
-        std::vector<std::vector<std::size_t>> columns(k);
-        std::vector<std::vector<double>> targets(k);
-        predictors.reserve(k);
-        nets.reserve(k);
-        for (std::size_t l = 0; l < k; ++l) {
-            const std::size_t app = apps[task.lanes[l]];
-            MlpTransposition &pr =
-                predictors.emplace_back(configFor(task.lanes[l]));
-            for (std::size_t b = 0; b < n_bench; ++b)
-                if (b != app)
-                    columns[l].push_back(b);
-            const double *app_row = pred_scores.rowData(app);
-            for (std::size_t p : block.kept)
-                targets[l].push_back(maybeLog(config.logSpace, app_row[p]));
-            if (config.transductiveNormalization)
-                pr.feature_norm_ = block.norm.selectFeatures(columns[l]);
-            nets.emplace_back(pr.networkConfig(targets[l]));
-        }
-        ml::Mlp::fitLanes(nets, block.x, columns, targets);
-        for (std::size_t l = 0; l < k; ++l) {
-            const std::size_t app = apps[task.lanes[l]];
-            MlpTransposition &pr = predictors[l];
-            pr.network_.emplace(std::move(nets[l]));
-            pr.last_mse_ = pr.network_->trainingMse();
-            out[task.lanes[l]] =
-                pr.predictColumns(target.scores().selectRowsExcept(app),
-                                  target.mask().selectRowsExcept(app));
-        }
-    });
-    return out;
+void
+MlpTransposition::trainHeldOutGroup(const MlpTranspositionConfig &config,
+                                    const dataset::PerfDatabase &predictive,
+                                    const dataset::PerfDatabase &target,
+                                    const std::vector<std::size_t> &apps,
+                                    const std::vector<std::uint64_t> &seeds,
+                                    const HeldOutPlan &plan,
+                                    std::size_t group,
+                                    std::vector<std::vector<double>> &out)
+{
+    const std::size_t n_bench = predictive.benchmarkCount();
+    const linalg::Matrix &pred_scores = predictive.scores();
+    const HeldOutPlan::Group &task = plan.groups[group];
+    const std::vector<std::size_t> &kept = plan.blocks[task.block];
+
+    // A benchmark's imputed mean and range do not depend on the
+    // held-out app, so neither do the block's cells: every group of
+    // the block builds the same matrix.
+    linalg::Matrix x =
+        trainingRows(pred_scores, predictive.mask(), kept, config.logSpace);
+    ml::RangeNormalizer norm;
+    if (config.transductiveNormalization) {
+        norm = transductiveNormalizer(x, target.scores(), target.mask(),
+                                      config.logSpace);
+        x = norm.transform(x);
+    }
+
+    const std::size_t k = task.lanes.size();
+    std::vector<MlpTransposition> predictors;
+    std::vector<ml::Mlp> nets;
+    std::vector<std::vector<std::size_t>> columns(k);
+    std::vector<std::vector<double>> targets(k);
+    predictors.reserve(k);
+    nets.reserve(k);
+    for (std::size_t l = 0; l < k; ++l) {
+        const std::size_t app = apps[task.lanes[l]];
+        MlpTranspositionConfig cfg = config;
+        cfg.mlp.seed = seeds[task.lanes[l]];
+        MlpTransposition &pr = predictors.emplace_back(cfg);
+        for (std::size_t b = 0; b < n_bench; ++b)
+            if (b != app)
+                columns[l].push_back(b);
+        const double *app_row = pred_scores.rowData(app);
+        for (std::size_t p : kept)
+            targets[l].push_back(maybeLog(config.logSpace, app_row[p]));
+        if (config.transductiveNormalization)
+            pr.feature_norm_ = norm.selectFeatures(columns[l]);
+        nets.emplace_back(pr.networkConfig(targets[l]));
+    }
+    ml::Mlp::fitLanes(nets, x, columns, targets);
+    for (std::size_t l = 0; l < k; ++l) {
+        const std::size_t app = apps[task.lanes[l]];
+        MlpTransposition &pr = predictors[l];
+        pr.network_.emplace(std::move(nets[l]));
+        pr.last_mse_ = pr.network_->trainingMse();
+        out[task.lanes[l]] =
+            pr.predictColumns(target.scores().selectRowsExcept(app),
+                              target.mask().selectRowsExcept(app));
+    }
 }
 
 double

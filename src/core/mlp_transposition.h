@@ -111,19 +111,20 @@ class MlpTransposition : public TranspositionPredictor
      * makeLeaveOneOutProblem(predictive, target, app)).
      *
      * Rather than one leave-one-out problem per app, the step builds
-     * ONE machine x benchmark training matrix for the split (log space
+     * ONE machine x benchmark training matrix per row block (log space
      * and imputation applied, and under transductive normalization
      * range-normalized over predictive plus target machines). A
      * benchmark's range does not depend on which app is held out, so
      * the matrix minus an app's column holds exactly that app's
      * normalized training inputs. Apps that keep the same predictive
-     * machines (those observing the app; all of them when dense)
-     * train together through ml::Mlp::fitLanes, each network reading
-     * its features through a column map that skips its app. Their
-     * lane groups, at most simd::kMlpLanes networks each, run through
-     * util::parallelFor over `threads` workers (see
-     * util::ParallelConfig); an app whose kept machines no other app
-     * shares is a group of one.
+     * machines (those observing the app; all of them when dense) form
+     * one row block and train together through ml::Mlp::fitLanes, each
+     * network reading its features through a column map that skips
+     * its app. The step is planHeldOutApps() followed by
+     * trainHeldOutGroup() for every lane group (at most
+     * simd::kMlpLanes networks each) through util::parallelFor over
+     * `threads` workers (see util::ParallelConfig); a caller with
+     * other work to schedule can run the groups itself.
      */
     static std::vector<std::vector<double>>
     predictHeldOutApps(const MlpTranspositionConfig &config,
@@ -132,6 +133,46 @@ class MlpTransposition : public TranspositionPredictor
                        const std::vector<std::size_t> &apps,
                        const std::vector<std::uint64_t> &seeds,
                        std::size_t threads);
+
+    /** predictHeldOutApps' work: its row blocks and lane groups. */
+    struct HeldOutPlan
+    {
+        /** One lane group: positions in `apps` trained together. */
+        struct Group
+        {
+            std::size_t block = 0;
+            std::vector<std::size_t> lanes;
+        };
+        /** Per row block, the predictive machines it keeps. */
+        std::vector<std::vector<std::size_t>> blocks;
+        /** Every block's balanced lane groups, block by block. */
+        std::vector<Group> groups;
+    };
+
+    /**
+     * Validates predictHeldOutApps' arguments and plans its work: apps
+     * grouped by kept machines into row blocks, each block cut into as
+     * few lane groups as the lane width allows, balanced.
+     */
+    static HeldOutPlan planHeldOutApps(const dataset::PerfDatabase &predictive,
+                                       const dataset::PerfDatabase &target,
+                                       const std::vector<std::size_t> &apps,
+                                       const std::vector<std::uint64_t> &seeds);
+
+    /**
+     * Trains lane group `group` of `plan` (from planHeldOutApps with
+     * the same arguments) and writes each of its apps' predictions to
+     * out[position in apps]. Groups write disjoint slots, so they may
+     * run concurrently; the group builds its block's training matrix
+     * itself, which keeps only running groups' matrices alive.
+     */
+    static void trainHeldOutGroup(const MlpTranspositionConfig &config,
+                                  const dataset::PerfDatabase &predictive,
+                                  const dataset::PerfDatabase &target,
+                                  const std::vector<std::size_t> &apps,
+                                  const std::vector<std::uint64_t> &seeds,
+                                  const HeldOutPlan &plan, std::size_t group,
+                                  std::vector<std::vector<double>> &out);
 
     /** Training MSE of the most recently trained network. */
     double lastTrainingMse() const;

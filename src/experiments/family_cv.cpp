@@ -89,16 +89,13 @@ FamilyCrossValidation::run(const std::vector<Method> &methods) const
     // machine (Section 6.2: "we consider a single processor family
     // as the set of target machines, and we use the machines from
     // the other families as predictive machines").
-    struct FamilySplit
-    {
-        std::string family;
-        std::vector<std::size_t> target;
-        std::vector<std::size_t> predictive;
-    };
-    std::vector<FamilySplit> splits;
+    // Each split's tag (its index in evaluation order) pins its
+    // per-task seeds, so evaluating the splits as one flat task set
+    // reproduces the serial results bit for bit.
+    std::vector<std::string> families;
+    std::vector<SplitSpec> splits;
     for (const std::string &family : db.families()) {
-        FamilySplit split;
-        split.family = family;
+        SplitSpec split;
         split.target = db.machineIndicesByFamily(family);
         if (split.target.size() < min_family_size_) {
             util::warn("family CV: skipping family '" + family +
@@ -109,32 +106,23 @@ FamilyCrossValidation::run(const std::vector<Method> &methods) const
         for (std::size_t m = 0; m < db.machineCount(); ++m)
             if (db.machine(m).family != family)
                 split.predictive.push_back(m);
+        split.tag = splits.size();
+        util::inform("family CV: target family '" + family + "' (" +
+                     std::to_string(split.target.size()) + " machines)");
+        families.push_back(family);
         splits.push_back(std::move(split));
     }
     util::require(!splits.empty(),
                   "FamilyCrossValidation: no usable target families");
 
-    // The splits are independent: each one's tag (its index in
-    // evaluation order) pins the per-task seeds, so running them
-    // concurrently reproduces the serial results bit for bit.
-    const std::vector<SplitResults> split_results = util::parallelMap(
-        evaluator_.config().parallel.threads, splits.size(),
-        [&](std::size_t i) {
-            util::inform("family CV: target family '" +
-                         splits[i].family + "' (" +
-                         std::to_string(splits[i].target.size()) +
-                         " machines)");
-            return evaluator_.evaluateSplit(splits[i].predictive,
-                                            splits[i].target, methods,
-                                            i);
-        });
-
+    const std::vector<SplitResults> split_results =
+        evaluator_.evaluateSplits(splits, methods);
     for (std::size_t i = 0; i < splits.size(); ++i) {
-        results.families.push_back(splits[i].family);
+        results.families.push_back(families[i]);
         for (const auto &[method, tasks] : split_results[i]) {
             for (const TaskResult &task : tasks) {
                 FamilyCvCell cell;
-                cell.family = splits[i].family;
+                cell.family = families[i];
                 cell.task = task;
                 results.cells[method].push_back(std::move(cell));
             }

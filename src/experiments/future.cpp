@@ -78,22 +78,23 @@ FuturePrediction::run(const std::vector<Method> &methods) const
                           era.label + "'");
 
     // Era tags are fixed by position (100, 101, ...), so the eras can
-    // be evaluated concurrently without changing any result.
-    results.eras = util::parallelMap(
-        evaluator_.config().parallel.threads, eras.size(),
-        [&](std::size_t i) {
-            const EraSpec &era = eras[i];
-            util::inform("future prediction: era '" + era.label +
-                         "' (" + std::to_string(era.machines.size()) +
-                         " machines)");
-            EraResults er;
-            er.label = era.label;
-            er.predictiveMachines = era.machines;
-            er.tasks = evaluator_.evaluateSplit(era.machines,
-                                                results.targetMachines,
-                                                methods, 100 + i);
-            return er;
-        });
+    // be evaluated as one flat task set without changing any result.
+    std::vector<SplitSpec> splits;
+    for (std::size_t i = 0; i < eras.size(); ++i) {
+        util::inform("future prediction: era '" + eras[i].label + "' (" +
+                     std::to_string(eras[i].machines.size()) +
+                     " machines)");
+        splits.push_back({eras[i].machines, results.targetMachines, 100 + i});
+    }
+    std::vector<SplitResults> split_results =
+        evaluator_.evaluateSplits(splits, methods);
+    for (std::size_t i = 0; i < eras.size(); ++i) {
+        EraResults er;
+        er.label = eras[i].label;
+        er.predictiveMachines = eras[i].machines;
+        er.tasks = std::move(split_results[i]);
+        results.eras.push_back(std::move(er));
+    }
     return results;
 }
 

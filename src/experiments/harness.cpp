@@ -96,48 +96,35 @@ untrainedPrediction(Method method, const MethodSuiteConfig &config,
     return cache->lookup(key, predicted);
 }
 
-/**
- * Every app's MLP^T prediction of one split, as predictTask computes
- * each (the same fallback and cache policy, untrainedPrediction), with
- * the apps that need training trained together by the split-level
- * lane step.
- */
-std::vector<std::vector<double>>
-predictMlpTSplit(const MethodSuiteConfig &config,
-                 const dataset::PerfDatabase &pred_db,
-                 const dataset::PerfDatabase &target_db,
-                 std::uint64_t split_tag, TrainedModelCache *cache)
-{
-    const std::size_t n_bench = pred_db.benchmarkCount();
-    obs::TraceSpan span("mlpt_split", "experiments");
-    span.arg("apps", static_cast<std::uint64_t>(n_bench));
-    std::vector<std::vector<double>> predicted(n_bench);
-    std::vector<util::HashKey> keys(n_bench);
-    std::vector<std::size_t> misses;
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t app = 0; app < n_bench; ++app) {
-        const std::uint64_t seed = taskMlpSeed(config, split_tag, app);
-        if (untrainedPrediction(Method::MlpT, config, pred_db, target_db,
-                                app, seed, cache, keys[app],
-                                predicted[app]))
-            continue;
-        misses.push_back(app);
-        seeds.push_back(seed);
-    }
-    span.arg("trained", static_cast<std::uint64_t>(misses.size()));
-    std::vector<std::vector<double>> trained =
-        core::MlpTransposition::predictHeldOutApps(
-            config.mlp, pred_db, target_db, misses, seeds,
-            config.parallel.threads);
-    for (std::size_t i = 0; i < misses.size(); ++i) {
-        if (cache != nullptr)
-            cache->store(keys[misses[i]], trained[i]);
-        predicted[misses[i]] = std::move(trained[i]);
-    }
-    return predicted;
-}
-
 } // namespace
+
+baseline::GaKnnModel
+trainGaKnnSplitModel(const MethodSuiteConfig &config,
+                     const linalg::Matrix &characteristics,
+                     const dataset::PerfDatabase &pred_db,
+                     TrainedModelCache *cache)
+{
+    baseline::GaKnnModel model(config.gaKnn);
+    util::HashKey key;
+    if (cache != nullptr) {
+        key = gaKnnModelKey(config.gaKnn, characteristics, pred_db.scores());
+        std::vector<double> blob;
+        if (cache->lookup(key, blob) && blob.size() >= 2) {
+            const double fitness = blob.back();
+            blob.pop_back();
+            model.restore(std::move(blob), fitness);
+            return model;
+        }
+    }
+    model.train(characteristics, pred_db.scores(),
+                pred_db.masked() ? &pred_db.mask() : nullptr);
+    if (cache != nullptr) {
+        std::vector<double> blob = model.weights();
+        blob.push_back(model.trainingFitness());
+        cache->store(key, std::move(blob));
+    }
+    return model;
+}
 
 util::HashKey
 taskPredictionKey(Method method, const MethodSuiteConfig &config,
@@ -334,94 +321,166 @@ SplitEvaluator::evaluateSplit(const std::vector<std::size_t> &predictive,
                               const std::vector<Method> &methods,
                               std::uint64_t split_tag) const
 {
+    return std::move(
+        evaluateSplits({{predictive, target, split_tag}}, methods)[0]);
+}
+
+std::vector<SplitResults>
+SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
+                               const std::vector<Method> &methods) const
+{
     util::require(!methods.empty(),
                   "SplitEvaluator::evaluateSplit: no methods requested");
-    util::require(target.size() >= 2,
-                  "SplitEvaluator::evaluateSplit: needs >= 2 target "
-                  "machines for ranking metrics");
+    for (const SplitSpec &split : splits)
+        util::require(split.target.size() >= 2,
+                      "SplitEvaluator::evaluateSplit: needs >= 2 target "
+                      "machines for ranking metrics");
 
-    obs::TraceSpan span("evaluate_split", "experiments");
-    span.arg("split_tag", split_tag);
+    obs::TraceSpan span("evaluate_splits", "experiments");
+    span.arg("splits", static_cast<std::uint64_t>(splits.size()));
     span.arg("methods", static_cast<std::uint64_t>(methods.size()));
-    harnessMetrics().splits.inc();
+    harnessMetrics().splits.inc(splits.size());
 
-    const dataset::PerfDatabase pred_db = db_.selectMachines(predictive);
-    const dataset::PerfDatabase target_db = db_.selectMachines(target);
+    const auto wants = [&](Method m) {
+        return std::find(methods.begin(), methods.end(), m) !=
+               methods.end();
+    };
+    const bool want_gaknn = wants(Method::GaKnn);
+    const bool want_mlpt = wants(Method::MlpT);
     const std::size_t n_bench = db_.benchmarkCount();
+    const std::size_t threads = config_.parallel.threads;
+    TrainedModelCache *cache = config_.modelCache.get();
 
-    const bool want_gaknn =
-        std::find(methods.begin(), methods.end(), Method::GaKnn) !=
-        methods.end();
+    // A split's machine views are rebuilt by each task that reads
+    // them (a copy of a few dozen KB, microseconds) rather than kept for
+    // every split at once: the phases then hold the views of the
+    // running tasks only, not of all splits.
+    const auto pred_view = [&](std::size_t s) {
+        return db_.selectMachines(splits[s].predictive);
+    };
+    const auto target_view = [&](std::size_t s) {
+        return db_.selectMachines(splits[s].target);
+    };
 
-    // GA-kNN learns its characteristic weights once per split from the
-    // machines available to the user (matching Hoste et al., who train
-    // the GA across the benchmark suite on a set of training machines).
-    // With a model cache the whole split model is served on a repeat
-    // key; on a miss, the GA routes genome fitness lookups through the
-    // cache too (elites are re-evaluated every generation, so even one
-    // GA run registers hits).
-    baseline::GaKnnModel gaknn_model(config_.gaKnn);
-    if (want_gaknn) {
-        obs::TraceSpan ga_span("gaknn_split_model", "experiments");
-        ga_span.arg("split_tag", split_tag);
-        TrainedModelCache *cache = config_.modelCache.get();
-        if (cache != nullptr) {
-            const util::HashKey model_key = gaKnnModelKey(
-                config_.gaKnn, characteristics_, pred_db.scores());
-            std::vector<double> blob;
-            if (cache->lookup(model_key, blob) && blob.size() >= 2) {
-                const double fitness = blob.back();
-                blob.pop_back();
-                gaknn_model.restore(std::move(blob), fitness);
-            } else {
-                CachedFitnessMemo memo(*cache, model_key);
-                gaknn_model.train(characteristics_, pred_db.scores(),
-                                  &memo,
-                                  pred_db.masked() ? &pred_db.mask()
-                                                   : nullptr);
-                blob = gaknn_model.weights();
-                blob.push_back(gaknn_model.trainingFitness());
-                cache->store(model_key, std::move(blob));
+    /** One split's GA-kNN model and MLP^T work. */
+    struct SplitState
+    {
+        baseline::GaKnnModel gaknn;
+        /** MLP^T prediction per app (fallbacks and cache hits first). */
+        std::vector<std::vector<double>> mlpt{};
+        std::vector<util::HashKey> mlpt_keys{};
+        /** The apps MLP^T must train, their seeds, plan and outputs. */
+        std::vector<std::size_t> apps{};
+        std::vector<std::uint64_t> seeds{};
+        core::MlpTransposition::HeldOutPlan plan{};
+        std::vector<std::vector<double>> trained{};
+    };
+    std::vector<SplitState> states(splits.size(),
+                                   SplitState{baseline::GaKnnModel(
+                                       config_.gaKnn)});
+    for (std::size_t s = 0; s < splits.size() && want_mlpt; ++s) {
+        // MLP^T trains split-wide: every app's network in lane groups
+        // over one shared matrix per row block, with the fallback,
+        // cache keys, seeds and bits of a per-app predictTask.
+        SplitState &st = states[s];
+        const dataset::PerfDatabase pred_db = pred_view(s);
+        const dataset::PerfDatabase target_db = target_view(s);
+        st.mlpt.resize(n_bench);
+        st.mlpt_keys.resize(n_bench);
+        for (std::size_t app = 0; app < n_bench; ++app) {
+            const std::uint64_t seed =
+                taskMlpSeed(config_, splits[s].tag, app);
+            if (untrainedPrediction(Method::MlpT, config_, pred_db,
+                                    target_db, app, seed, cache,
+                                    st.mlpt_keys[app], st.mlpt[app]))
+                continue;
+            st.apps.push_back(app);
+            st.seeds.push_back(seed);
+        }
+        st.plan = core::MlpTransposition::planHeldOutApps(
+            pred_db, target_db, st.apps, st.seeds);
+        st.trained.resize(st.apps.size());
+    }
+
+    // Phase A: all training as one task set. GA-kNN models come first
+    // in index order; the pool's workers take their own newest tasks
+    // first, so the long lane groups start first and the shorter GA
+    // runs fill the end of the phase.
+    constexpr std::size_t kGaKnnTask = static_cast<std::size_t>(-1);
+    std::vector<std::pair<std::size_t, std::size_t>> train_tasks;
+    if (want_gaknn)
+        for (std::size_t s = 0; s < splits.size(); ++s)
+            train_tasks.emplace_back(s, kGaKnnTask);
+    for (std::size_t s = 0; s < splits.size(); ++s)
+        for (std::size_t g = 0; g < states[s].plan.groups.size(); ++g)
+            train_tasks.emplace_back(s, g);
+    {
+        obs::TraceSpan phase("split_phase_train", "experiments");
+        phase.arg("tasks", static_cast<std::uint64_t>(train_tasks.size()));
+        util::parallelFor(threads, train_tasks.size(), [&](std::size_t t) {
+            const auto [s, group] = train_tasks[t];
+            SplitState &st = states[s];
+            if (group == kGaKnnTask) {
+                // GA-kNN learns its characteristic weights once per
+                // split from the machines available to the user
+                // (matching Hoste et al., who train the GA across the
+                // benchmark suite on a set of training machines).
+                obs::TraceSpan ga_span("gaknn_split_model", "experiments");
+                ga_span.arg("split_tag", splits[s].tag);
+                st.gaknn = trainGaKnnSplitModel(config_, characteristics_,
+                                                pred_view(s), cache);
+                return;
             }
-        } else {
-            gaknn_model.train(characteristics_, pred_db.scores(), nullptr,
-                              pred_db.masked() ? &pred_db.mask()
-                                               : nullptr);
+            obs::TraceSpan lane_span("mlpt_lane_group", "experiments");
+            lane_span.arg("split_tag", splits[s].tag);
+            lane_span.arg("lanes", static_cast<std::uint64_t>(
+                                       st.plan.groups[group].lanes.size()));
+            core::MlpTransposition::trainHeldOutGroup(
+                config_.mlp, pred_view(s), target_view(s), st.apps,
+                st.seeds, st.plan, group, st.trained);
+        });
+    }
+    for (SplitState &st : states) {
+        for (std::size_t i = 0; i < st.apps.size(); ++i) {
+            if (cache != nullptr)
+                cache->store(st.mlpt_keys[st.apps[i]], st.trained[i]);
+            st.mlpt[st.apps[i]] = std::move(st.trained[i]);
         }
     }
 
-    // MLP^T trains split-wide first: every app's network in lane
-    // groups over one shared matrix, with the same per-app seeds,
-    // cache keys and bits as a per-app predictTask.
-    std::vector<std::vector<double>> mlpt_predicted;
-    if (std::find(methods.begin(), methods.end(), Method::MlpT) !=
-        methods.end())
-        mlpt_predicted =
-            predictMlpTSplit(config_, pred_db, target_db, split_tag,
-                             config_.modelCache.get());
-
-    // One independent task per (method, held-out benchmark). Every
-    // task writes into its pre-sized slot and derives any randomness
-    // from (split_tag, app), so the parallel schedule cannot influence
-    // the results: threads = N is bit-identical to threads = 1.
+    // Phase B: one independent task per (split, method, held-out
+    // benchmark). Every task writes into its pre-sized slot and
+    // derives any randomness from (split tag, app), so the parallel
+    // schedule cannot influence the results: threads = N is
+    // bit-identical to threads = 1.
+    const std::size_t per_split = methods.size() * n_bench;
     std::vector<std::vector<TaskResult>> slots(
-        methods.size(), std::vector<TaskResult>(n_bench));
-    util::parallelFor(
-        config_.parallel.threads, methods.size() * n_bench,
-        [&](std::size_t t) {
-            const std::size_t mi = t / n_bench;
-            const std::size_t app = t % n_bench;
-            slots[mi][app] =
-                methods[mi] == Method::MlpT
-                    ? taskResult(app, target_db,
-                                 std::move(mlpt_predicted[app]))
-                    : runTask(methods[mi], app, pred_db, target_db,
-                              gaknn_model, split_tag);
-        });
+        splits.size() * methods.size(), std::vector<TaskResult>(n_bench));
+    {
+        obs::TraceSpan phase("split_phase_predict", "experiments");
+        phase.arg("tasks",
+                  static_cast<std::uint64_t>(splits.size() * per_split));
+        util::parallelFor(
+            threads, splits.size() * per_split, [&](std::size_t t) {
+                const std::size_t s = t / per_split;
+                const std::size_t mi = t % per_split / n_bench;
+                const std::size_t app = t % n_bench;
+                SplitState &st = states[s];
+                const dataset::PerfDatabase target_db = target_view(s);
+                slots[s * methods.size() + mi][app] =
+                    methods[mi] == Method::MlpT
+                        ? taskResult(app, target_db,
+                                     std::move(st.mlpt[app]))
+                        : runTask(methods[mi], app, pred_view(s),
+                                  target_db, st.gaknn, splits[s].tag);
+            });
+    }
 
-    SplitResults results;
-    for (std::size_t mi = 0; mi < methods.size(); ++mi)
-        results[methods[mi]] = std::move(slots[mi]);
+    std::vector<SplitResults> results(splits.size());
+    for (std::size_t s = 0; s < splits.size(); ++s)
+        for (std::size_t mi = 0; mi < methods.size(); ++mi)
+            results[s][methods[mi]] =
+                std::move(slots[s * methods.size() + mi]);
     return results;
 }
 

@@ -139,6 +139,28 @@ predictTask(Method method, const MethodSuiteConfig &config,
             const linalg::Matrix *characteristics,
             TrainedModelCache *cache);
 
+/**
+ * The split-level GA-kNN model: trained on `pred_db` (its mask
+ * included) or, with a cache, restored from the entry under
+ * gaKnnModelKey and stored there after training. Shared by
+ * SplitEvaluator and the dtrank_serve rank engine.
+ */
+baseline::GaKnnModel trainGaKnnSplitModel(const MethodSuiteConfig &config,
+                                          const linalg::Matrix &characteristics,
+                                          const dataset::PerfDatabase &pred_db,
+                                          TrainedModelCache *cache);
+
+/** One predictive/target machine split of an experiment protocol. */
+struct SplitSpec
+{
+    /** Machine indices available to the user. */
+    std::vector<std::size_t> predictive;
+    /** Machine indices to rank (disjoint from predictive). */
+    std::vector<std::size_t> target;
+    /** Disambiguates MLP seeds across splits. */
+    std::uint64_t tag = 0;
+};
+
 /** Outcome of one (method, application-of-interest) task on a split. */
 struct TaskResult
 {
@@ -187,22 +209,28 @@ class SplitEvaluator
                    MethodSuiteConfig config = MethodSuiteConfig{});
 
     /**
-     * Runs the requested methods on one predictive/target split with
-     * leave-one-out over all benchmarks.
+     * Runs the requested methods on every split, with leave-one-out
+     * over all benchmarks, as one flat task set.
      *
-     * Independent (method, held-out benchmark) tasks are distributed
-     * over config().parallel workers; each task derives its own seed
-     * and writes into a pre-sized result slot, so the outcome is
-     * bit-identical to a serial run regardless of the thread count.
-     * MLP^T runs first as one split-level step
-     * (core::MlpTransposition::predictHeldOutApps: every app's
-     * network trained in lane groups over one shared matrix), with
-     * the seeds, cache keys and bits of a per-app predictTask.
+     * Phase A is one util::parallelFor over every split's GA-kNN
+     * training (trainGaKnnSplitModel) and every (split, MLP^T lane
+     * group) of core::MlpTransposition::planHeldOutApps; phase B is
+     * one over every (split, method, held-out benchmark) task. No
+     * split waits for another, so config().parallel workers stay busy
+     * to the end of each phase. Every task derives its seeds from
+     * (split tag, app) and writes a pre-sized slot, so the outcome is
+     * bit-identical to a serial run at any thread count, and split by
+     * split to evaluateSplit.
      *
-     * @param predictive Machine indices available to the user.
-     * @param target Machine indices to rank (disjoint from predictive).
-     * @param methods Which methods to run.
-     * @param split_tag Disambiguates MLP seeds across splits.
+     * @return One result per split, in order.
+     */
+    std::vector<SplitResults>
+    evaluateSplits(const std::vector<SplitSpec> &splits,
+                   const std::vector<Method> &methods) const;
+
+    /**
+     * evaluateSplits() of the one split (predictive, target,
+     * split_tag).
      */
     SplitResults evaluateSplit(const std::vector<std::size_t> &predictive,
                                const std::vector<std::size_t> &target,

@@ -102,33 +102,6 @@ TrainedModelCache::clear()
     }
 }
 
-util::HashKey
-CachedFitnessMemo::genomeKey(const std::vector<double> &genome) const
-{
-    util::ContentHasher hasher;
-    hasher.add(model_key_.hi).add(model_key_.lo);
-    hasher.add(std::string_view("ga-fitness"));
-    hasher.add(genome);
-    return hasher.key();
-}
-
-bool
-CachedFitnessMemo::lookup(const std::vector<double> &genome,
-                          double &fitness)
-{
-    std::vector<double> value;
-    if (!cache_.lookup(genomeKey(genome), value) || value.size() != 1)
-        return false;
-    fitness = value[0];
-    return true;
-}
-
-void
-CachedFitnessMemo::store(const std::vector<double> &genome, double fitness)
-{
-    cache_.store(genomeKey(genome), {fitness});
-}
-
 void
 hashMatrix(util::ContentHasher &hasher, const linalg::Matrix &m)
 {
@@ -155,8 +128,6 @@ gaKnnModelKey(const baseline::GaKnnConfig &config,
     hasher.add(static_cast<std::uint64_t>(config.ga.tournamentSize));
     hasher.add(static_cast<std::uint64_t>(config.ga.eliteCount));
     hasher.add(config.ga.blendAlpha);
-    // memoizeFitness is deliberately excluded: it changes how often the
-    // fitness function runs, never what the GA returns.
     hashMatrix(hasher, characteristics);
     hashMatrix(hasher, train_scores);
     return hasher.key();

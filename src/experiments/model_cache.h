@@ -27,7 +27,6 @@
 
 #include "baseline/ga_knn.h"
 #include "linalg/matrix.h"
-#include "ml/genetic.h"
 #include "obs/metrics.h"
 #include "util/hash.h"
 #include "util/mutex.h"
@@ -38,7 +37,7 @@ namespace dtrank::experiments
 
 /**
  * Sharded, thread-safe map from content-hash keys to flat double
- * vectors (model weights, predictions, memoized fitness values).
+ * vectors (model weights, predictions).
  * Entries are evicted FIFO per shard once the capacity bound is hit.
  */
 class TrainedModelCache
@@ -118,32 +117,6 @@ class TrainedModelCache
 
     std::size_t shard_capacity_;
     std::array<Shard, kShards> shards_;
-};
-
-/**
- * Genome -> fitness memo backed by a TrainedModelCache, given to
- * GaKnnModel::train. Elites are re-evaluated every generation, so even
- * a single GA run registers cache hits; across protocols, identical
- * (model, genome) pairs are shared. Entries derive from the model key,
- * so two different GA problems can never collide.
- */
-class CachedFitnessMemo : public ml::FitnessMemo
-{
-  public:
-    CachedFitnessMemo(TrainedModelCache &cache, util::HashKey model_key)
-        : cache_(cache), model_key_(model_key)
-    {
-    }
-
-    bool lookup(const std::vector<double> &genome,
-                double &fitness) override;
-    void store(const std::vector<double> &genome, double fitness) override;
-
-  private:
-    util::HashKey genomeKey(const std::vector<double> &genome) const;
-
-    TrainedModelCache &cache_;
-    util::HashKey model_key_;
 };
 
 /** Adds a matrix's shape and raw bytes to a content hash. */

@@ -36,34 +36,27 @@ SubsetExperiment::run(const std::vector<Method> &methods) const
 
     // Draw every predictive subset up front on the single seeded RNG
     // (preserving the serial draw order exactly), then evaluate the
-    // resulting splits — which are independent — in parallel.
-    struct DrawTask
-    {
-        std::size_t sizeIndex = 0;
-        std::vector<std::size_t> predictive;
-        std::uint64_t tag = 0;
-    };
+    // resulting splits — which are independent — as one flat task set.
     util::Rng rng(config_.seed);
     std::uint64_t split_tag = 200;
-    std::vector<DrawTask> draws;
+    std::vector<std::size_t> size_index;
+    std::vector<SplitSpec> draws;
     draws.reserve(config_.subsetSizes.size() * config_.draws);
     for (std::size_t si = 0; si < config_.subsetSizes.size(); ++si) {
         const std::size_t size = config_.subsetSizes[si];
         util::require(size >= 1 && size <= candidates.size(),
                       "SubsetExperiment: subset size out of range");
         util::inform("subset experiment: size " + std::to_string(size));
-        for (std::size_t draw = 0; draw < config_.draws; ++draw)
+        for (std::size_t draw = 0; draw < config_.draws; ++draw) {
+            size_index.push_back(si);
             draws.push_back(
-                {si, core::selectRandomMachines(candidates, size, rng),
-                 split_tag++});
+                {core::selectRandomMachines(candidates, size, rng),
+                 targets, split_tag++});
+        }
     }
 
-    const std::vector<SplitResults> split_results = util::parallelMap(
-        evaluator_.config().parallel.threads, draws.size(),
-        [&](std::size_t i) {
-            return evaluator_.evaluateSplit(draws[i].predictive, targets,
-                                            methods, draws[i].tag);
-        });
+    const std::vector<SplitResults> split_results =
+        evaluator_.evaluateSplits(draws, methods);
 
     // Accumulate in the original (size, draw) order so the averaging
     // arithmetic matches the serial run term for term.
@@ -71,7 +64,7 @@ SubsetExperiment::run(const std::vector<Method> &methods) const
         const std::size_t size = config_.subsetSizes[si];
         std::map<Method, SubsetCell> accum;
         for (std::size_t di = 0; di < draws.size(); ++di) {
-            if (draws[di].sizeIndex != si)
+            if (size_index[di] != si)
                 continue;
             for (const auto &[method, tasks] : split_results[di]) {
                 double rank = 0.0;

@@ -1,6 +1,7 @@
 #include "ml/genetic.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -19,7 +20,7 @@ struct GaMetrics
 {
     obs::Counter &generations;
     obs::Counter &evaluations;
-    obs::Counter &memo_hits;
+    obs::Counter &carried;
 };
 
 const GaMetrics &
@@ -32,9 +33,9 @@ gaMetrics()
             "dtrank_ga_evaluations_total",
             "Fitness evaluations actually executed"),
         obs::MetricsRegistry::global().counter(
-            "dtrank_ga_memo_hits_total",
-            "Fitness evaluations served by the memo instead of "
-            "executing")};
+            "dtrank_ga_carried_total",
+            "Scores carried forward to elites and unchanged children "
+            "instead of evaluated")};
     return metrics;
 }
 
@@ -89,34 +90,63 @@ GeneticAlgorithm::clip(std::vector<double> &genome) const
 }
 
 GaResult
-GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng,
-                           FitnessMemo *memo) const
+GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng) const
 {
     util::require(static_cast<bool>(fitness),
                   "GeneticAlgorithm::optimize: fitness must be callable");
-    if (!config_.memoizeFitness)
-        memo = nullptr;
+    return optimize(
+        [&](const std::vector<const std::vector<double> *> &genomes,
+            double *scores, obs::TraceSpan &) {
+            for (std::size_t i = 0; i < genomes.size(); ++i)
+                scores[i] = fitness(*genomes[i]);
+        },
+        rng);
+}
 
-    std::vector<std::vector<double>> population(config_.populationSize);
+GaResult
+GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
+                           util::Rng &rng) const
+{
+    util::require(static_cast<bool>(fitness),
+                  "GeneticAlgorithm::optimize: fitness must be callable");
+
+    const std::size_t n = config_.populationSize;
+    std::vector<std::vector<double>> population(n);
     for (auto &g : population)
         g = randomGenome(rng);
 
     GaResult result;
     result.bestFitness = -std::numeric_limits<double>::infinity();
-    std::vector<double> scores(population.size());
+    std::vector<double> scores(n);
+    // known[i]: scores[i] was carried forward from the previous
+    // generation. The fitness is pure, so a carried score has the bits
+    // an evaluation would give.
+    std::vector<char> known(n, 0);
 
-    auto evaluate_all = [&]() {
-        for (std::size_t i = 0; i < population.size(); ++i) {
-            double score = 0.0;
-            if (memo != nullptr && memo->lookup(population[i], score)) {
-                ++result.memoHits;
-            } else {
-                score = fitness(population[i]);
-                ++result.evaluations;
-                if (memo != nullptr)
-                    memo->store(population[i], score);
-            }
-            scores[i] = score;
+    // Scores the unknown genomes as one batch, then updates the best
+    // genome in population order.
+    std::vector<const std::vector<double> *> batch;
+    std::vector<std::size_t> batch_index;
+    std::vector<double> batch_scores;
+    auto score_population = [&](obs::TraceSpan &span) {
+        batch.clear();
+        batch_index.clear();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (known[i] != 0)
+                continue;
+            batch.push_back(&population[i]);
+            batch_index.push_back(i);
+        }
+        batch_scores.resize(batch.size());
+        span.arg("evaluated", static_cast<std::uint64_t>(batch.size()));
+        span.arg("carried", static_cast<std::uint64_t>(n - batch.size()));
+        if (!batch.empty())
+            fitness(batch, batch_scores.data(), span);
+        for (std::size_t b = 0; b < batch.size(); ++b)
+            scores[batch_index[b]] = batch_scores[b];
+        result.evaluations += batch.size();
+        result.carried += n - batch.size();
+        for (std::size_t i = 0; i < n; ++i) {
             if (scores[i] > result.bestFitness) {
                 result.bestFitness = scores[i];
                 result.bestGenome = population[i];
@@ -124,28 +154,36 @@ GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng,
         }
     };
 
-    auto tournament = [&]() -> const std::vector<double> & {
-        std::size_t winner = rng.index(population.size());
+    auto tournament = [&]() -> std::size_t {
+        std::size_t winner = rng.index(n);
         for (std::size_t t = 1; t < config_.tournamentSize; ++t) {
-            const std::size_t challenger = rng.index(population.size());
+            const std::size_t challenger = rng.index(n);
             if (scores[challenger] > scores[winner])
                 winner = challenger;
         }
-        return population[winner];
+        return winner;
     };
 
-    evaluate_all();
+    {
+        obs::TraceSpan span("ga_initial_population", "ml");
+        score_population(span);
+    }
     result.history.reserve(config_.generations);
 
+    std::vector<std::vector<double>> next;
+    std::vector<double> next_scores;
+    std::vector<char> next_known;
     for (std::size_t gen = 0; gen < config_.generations; ++gen) {
         obs::TraceSpan gen_span("ga_generation", "ml");
         gen_span.arg("generation", static_cast<std::uint64_t>(gen));
-        std::vector<std::vector<double>> next;
-        next.reserve(population.size());
+        next.clear();
+        next_scores.clear();
+        next_known.clear();
 
-        // Elitism: carry over the best individuals unchanged.
+        // Elitism: carry over the best individuals, and their scores,
+        // unchanged.
         if (config_.eliteCount > 0) {
-            std::vector<std::size_t> order(population.size());
+            std::vector<std::size_t> order(n);
             std::iota(order.begin(), order.end(), std::size_t{0});
             std::partial_sort(
                 order.begin(),
@@ -154,13 +192,18 @@ GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng,
                 order.end(), [&](std::size_t a, std::size_t b) {
                     return scores[a] > scores[b];
                 });
-            for (std::size_t e = 0; e < config_.eliteCount; ++e)
+            for (std::size_t e = 0; e < config_.eliteCount; ++e) {
                 next.push_back(population[order[e]]);
+                next_scores.push_back(scores[order[e]]);
+                next_known.push_back(1);
+            }
         }
 
-        while (next.size() < population.size()) {
-            std::vector<double> child_a = tournament();
-            std::vector<double> child_b = tournament();
+        while (next.size() < n) {
+            const std::size_t parent_a = tournament();
+            const std::size_t parent_b = tournament();
+            std::vector<double> child_a = population[parent_a];
+            std::vector<double> child_b = population[parent_b];
 
             if (rng.bernoulli(config_.crossoverRate)) {
                 // BLX-alpha: sample each gene uniformly from the
@@ -178,7 +221,9 @@ GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng,
                 }
             }
 
-            for (auto *child : {&child_a, &child_b}) {
+            for (auto [child, parent] :
+                 {std::pair{&child_a, parent_a},
+                  std::pair{&child_b, parent_b}}) {
                 for (std::size_t i = 0; i < child->size(); ++i) {
                     if (rng.bernoulli(config_.mutationRate)) {
                         const double range = upper_[i] - lower_[i];
@@ -187,21 +232,36 @@ GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng,
                     }
                 }
                 clip(*child);
-                if (next.size() < population.size())
+                if (next.size() < n) {
+                    // A child bitwise equal to the parent it was
+                    // copied from keeps that parent's score.
+                    const bool unchanged =
+                        std::memcmp(child->data(),
+                                    population[parent].data(),
+                                    child->size() * sizeof(double)) == 0;
                     next.push_back(std::move(*child));
+                    next_scores.push_back(unchanged ? scores[parent]
+                                                    : 0.0);
+                    next_known.push_back(unchanged ? 1 : 0);
+                }
             }
         }
 
-        population = std::move(next);
-        evaluate_all();
+        population.swap(next);
+        scores.swap(next_scores);
+        known.swap(next_known);
+        score_population(gen_span);
         result.history.push_back(result.bestFitness);
     }
 
+    util::require(!result.bestGenome.empty(),
+                  "GeneticAlgorithm::optimize: no fitness compared "
+                  "greater than -infinity (all NaN or -inf)");
     const GaMetrics &metrics = gaMetrics();
     metrics.generations.inc(config_.generations);
     metrics.evaluations.inc(
         static_cast<std::uint64_t>(result.evaluations));
-    metrics.memo_hits.inc(static_cast<std::uint64_t>(result.memoHits));
+    metrics.carried.inc(static_cast<std::uint64_t>(result.carried));
     return result;
 }
 

@@ -13,6 +13,7 @@
 #include <functional>
 #include <vector>
 
+#include "obs/trace.h"
 #include "util/rng.h"
 
 namespace dtrank::ml
@@ -35,36 +36,6 @@ struct GaConfig
     std::size_t eliteCount = 2;
     /** BLX-alpha blend crossover exploration parameter. */
     double blendAlpha = 0.3;
-    /**
-     * Serve repeated genomes from a FitnessMemo instead of re-calling
-     * the fitness function. Off by default: it is only sound when the
-     * fitness function is a pure function of the genome, which the
-     * generic optimizer cannot know. Elites are re-evaluated every
-     * generation, so memoization saves at least
-     * eliteCount x generations evaluations when enabled.
-     */
-    bool memoizeFitness = false;
-};
-
-/**
- * Genome -> fitness memo consulted by GeneticAlgorithm::optimize when
- * GaConfig::memoizeFitness is set. Implementations must return exactly
- * the value previously stored for a genome (results stay bit-identical
- * because the fitness function is pure); a lossy or evicting memo is
- * fine — a miss merely costs a re-evaluation.
- */
-class FitnessMemo
-{
-  public:
-    virtual ~FitnessMemo() = default;
-
-    /** Fetches the stored fitness; true on a hit. */
-    virtual bool lookup(const std::vector<double> &genome,
-                        double &fitness) = 0;
-
-    /** Records the fitness of a genome. */
-    virtual void store(const std::vector<double> &genome,
-                       double fitness) = 0;
 };
 
 /** Outcome of a GA run. */
@@ -76,10 +47,15 @@ struct GaResult
     double bestFitness = 0.0;
     /** Best fitness after each generation (monotone non-decreasing). */
     std::vector<double> history;
-    /** Total fitness evaluations performed (memo hits excluded). */
+    /** Fitness evaluations actually executed. */
     std::size_t evaluations = 0;
-    /** Fitness lookups served by the memo instead of evaluation. */
-    std::size_t memoHits = 0;
+    /**
+     * Individuals whose score was carried forward instead of
+     * evaluated: elites, and children bitwise equal to the parent they
+     * were copied from. evaluations + carried is populationSize x
+     * (generations + 1).
+     */
+    std::size_t carried = 0;
 };
 
 /**
@@ -89,11 +65,26 @@ struct GaResult
  * Uses tournament selection, BLX-alpha blend crossover, Gaussian
  * mutation clipped to the bounds, and elitism. Deterministic given the
  * Rng.
+ *
+ * The fitness must be a pure function of the genome: a score the GA
+ * already knows is carried forward rather than re-evaluated (elites,
+ * and children that crossover, mutation and clipping left bitwise
+ * equal to their parent), and each generation hands its remaining
+ * genomes to the fitness as one batch.
  */
 class GeneticAlgorithm
 {
   public:
     using FitnessFn = std::function<double(const std::vector<double> &)>;
+
+    /**
+     * Scores a batch: writes the fitness of *genomes[i] to scores[i].
+     * `span` is the trace span of the scoring pass, for the fitness
+     * to annotate.
+     */
+    using BatchFitnessFn = std::function<void(
+        const std::vector<const std::vector<double> *> &genomes,
+        double *scores, obs::TraceSpan &span)>;
 
     /**
      * @param config Hyperparameters (validated on construction).
@@ -106,15 +97,19 @@ class GeneticAlgorithm
     /**
      * Runs the optimization.
      *
-     * @param fitness Function to maximize; called once per individual
-     *        per generation (minus memo hits when memoization is on).
+     * @param fitness Function to maximize; called once for the initial
+     *        population and once per generation with the genomes whose
+     *        score is not yet known, in population order (skipped when
+     *        every score is known).
      * @param rng Randomness source.
-     * @param memo Optional genome -> fitness memo; consulted only when
-     *        config().memoizeFitness is set. Never affects the result,
-     *        only how often `fitness` runs.
+     * @throws util::InvalidArgument when no score compared greater
+     *         than -infinity (every fitness NaN or -inf), so there is
+     *         no best genome to return.
      */
-    GaResult optimize(const FitnessFn &fitness, util::Rng &rng,
-                      FitnessMemo *memo = nullptr) const;
+    GaResult optimize(const BatchFitnessFn &fitness, util::Rng &rng) const;
+
+    /** optimize() with a per-genome fitness, scored one at a time. */
+    GaResult optimize(const FitnessFn &fitness, util::Rng &rng) const;
 
     std::size_t genomeLength() const { return lower_.size(); }
     const GaConfig &config() const { return config_; }

@@ -219,29 +219,10 @@ RankEngine::fullPrediction(Session &session, experiments::Method method)
         session.gaknn == nullptr) {
         // The split-level GA model, trained (or cache-restored) once
         // per session — the mirror of evaluateSplit()'s split setup.
-        auto model =
-            std::make_shared<baseline::GaKnnModel>(config_.suite.gaKnn);
-        if (cache != nullptr) {
-            const util::HashKey model_key = experiments::gaKnnModelKey(
-                config_.suite.gaKnn, *characteristics_,
-                session.predDb.scores());
-            std::vector<double> blob;
-            if (cache->lookup(model_key, blob) && blob.size() >= 2) {
-                const double fitness = blob.back();
-                blob.pop_back();
-                model->restore(std::move(blob), fitness);
-            } else {
-                experiments::CachedFitnessMemo memo(*cache, model_key);
-                model->train(*characteristics_, session.predDb.scores(),
-                             &memo);
-                blob = model->weights();
-                blob.push_back(model->trainingFitness());
-                cache->store(model_key, std::move(blob));
-            }
-        } else {
-            model->train(*characteristics_, session.predDb.scores());
-        }
-        session.gaknn = std::move(model);
+        session.gaknn = std::make_shared<baseline::GaKnnModel>(
+            experiments::trainGaKnnSplitModel(config_.suite,
+                                              *characteristics_,
+                                              session.predDb, cache));
     }
 
     auto predicted =

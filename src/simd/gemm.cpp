@@ -70,12 +70,25 @@ gemmDotColumns(const KernelTable &kt, std::size_t m, std::size_t n,
         const std::size_t w = std::min(kLaneTile, m - i0);
         for (std::size_t j = 0; j < n; ++j) {
             const double *b_row = b + j * ldb;
+            double *c = ct + j * ldc + i0;
+            if (full == 0) {
+                // k < kBlock: every term lands in the tail and the
+                // partials stay +0.0, so the tree folds to +0.0 and
+                // need not run: c = bias + (+0.0 + tail).
+                double *tail = acc[kBlock];
+                std::fill_n(tail, w, 0.0);
+                for (std::size_t kk = 0; kk < k; ++kk)
+                    kt.axpy(tail, at + kk * lda + i0, b_row[kk], w);
+                for (std::size_t i = 0; i < w; ++i)
+                    c[i] = bias[j] + (0.0 + tail[i]);
+                continue;
+            }
             for (double(&v)[kLaneTile] : acc)
                 std::fill_n(v, w, 0.0);
             for (std::size_t kk = 0; kk < k; ++kk)
                 kt.axpy(acc[kk < full ? kk % kBlock : kBlock],
                         at + kk * lda + i0, b_row[kk], w);
-            combineLanes(acc, w, bias[j], ct + j * ldc + i0);
+            combineLanes(acc, w, bias[j], c);
         }
     }
 }

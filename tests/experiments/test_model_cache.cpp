@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the cross-protocol trained-model cache: hit/miss/eviction
- * accounting, FIFO eviction under a small capacity, the GA fitness memo
- * adapter, and the central guarantee that enabling the cache changes no
- * result bit at any thread count.
+ * accounting, FIFO eviction under a small capacity, and the central
+ * guarantee that enabling the cache changes no result bit at any
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -100,23 +100,6 @@ TEST(TrainedModelCache, StoreIsFirstWriterWins)
     EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(CachedFitnessMemo, RoundTripsAndIsolatesModels)
-{
-    TrainedModelCache cache;
-    experiments::CachedFitnessMemo memo_a(cache, keyOf(100));
-    experiments::CachedFitnessMemo memo_b(cache, keyOf(200));
-
-    const std::vector<double> genome = {0.25, 0.5, 0.75};
-    double fitness = 0.0;
-    EXPECT_FALSE(memo_a.lookup(genome, fitness));
-    memo_a.store(genome, -3.5);
-    ASSERT_TRUE(memo_a.lookup(genome, fitness));
-    EXPECT_EQ(fitness, -3.5);
-
-    // Same genome under a different model key must not collide.
-    EXPECT_FALSE(memo_b.lookup(genome, fitness));
-}
-
 // ---------------------------------------------------------------------
 // Cache on/off bit-identity across the full method suite.
 // ---------------------------------------------------------------------
@@ -191,9 +174,7 @@ TEST(ModelCacheDeterminism, CacheOnOffIdenticalForAllMethods)
                         cached.evaluateSplit(
                             predictive, target,
                             experiments::extendedMethods(), 3));
-        // The GA re-scores its elites every generation, so even one
-        // split registers hits; repeating the split hits end to end.
-        EXPECT_GT(cache->stats().hits, 0u);
+        // Repeating the split is served from the cache end to end.
         const auto first_pass = cache->stats();
         expectIdentical(reference,
                         cached.evaluateSplit(

@@ -4,7 +4,7 @@
  */
 
 #include <algorithm>
-#include <map>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -107,11 +107,62 @@ TEST(Ga, EvaluationCountMatchesSchedule)
     ml::GaConfig config = smallConfig();
     const ml::GeneticAlgorithm ga(config, {0.0}, {1.0});
     util::Rng rng(6);
+    std::size_t calls = 0;
     const auto result = ga.optimize(
-        [](const std::vector<double> &g) { return g[0]; }, rng);
-    // Initial population + one evaluation sweep per generation.
-    EXPECT_EQ(result.evaluations,
+        [&](const std::vector<double> &g) {
+            ++calls;
+            return g[0];
+        },
+        rng);
+    // Every individual of the initial population and of each
+    // generation is either evaluated or carries a known score, and
+    // elites always carry theirs.
+    EXPECT_EQ(result.evaluations + result.carried,
               config.populationSize * (config.generations + 1));
+    EXPECT_GE(result.carried, config.eliteCount * config.generations);
+    EXPECT_EQ(calls, result.evaluations);
+}
+
+TEST(Ga, CarriedScoresMatchReevaluation)
+{
+    // The batch fitness sees only unscored genomes; scoring every
+    // genome afresh must agree with the carried scores, so the best
+    // genome and history equal a run that re-scores everything.
+    ml::GaConfig config = smallConfig();
+    config.mutationRate = 0.02; // many children stay equal to a parent
+    const ml::GeneticAlgorithm ga(config, {0.0, 0.0}, {1.0, 1.0});
+    const auto fitness = [](const std::vector<double> &g) {
+        return -(g[0] - 0.3) * (g[0] - 0.3) - (g[1] - 0.8) * (g[1] - 0.8);
+    };
+    std::size_t batches = 0;
+    std::size_t scored = 0;
+    util::Rng rng(7);
+    const auto result = ga.optimize(
+        [&](const std::vector<const std::vector<double> *> &genomes,
+            double *scores, obs::TraceSpan &) {
+            ++batches;
+            scored += genomes.size();
+            for (std::size_t i = 0; i < genomes.size(); ++i)
+                scores[i] = fitness(*genomes[i]);
+        },
+        rng);
+    EXPECT_EQ(batches, config.generations + 1);
+    EXPECT_EQ(scored, result.evaluations);
+    EXPECT_GT(result.carried, config.eliteCount * config.generations);
+    EXPECT_EQ(fitness(result.bestGenome), result.bestFitness);
+    EXPECT_EQ(result.history.back(), result.bestFitness);
+}
+
+TEST(Ga, ThrowsWhenNoFitnessIsComparable)
+{
+    // An all-NaN fitness leaves no genome better than -inf: the GA
+    // must not return an empty best genome as if it had succeeded.
+    const ml::GeneticAlgorithm ga(smallConfig(), {0.0}, {1.0});
+    util::Rng rng(10);
+    EXPECT_THROW(ga.optimize([](const std::vector<double> &) {
+        return std::numeric_limits<double>::quiet_NaN();
+    }, rng),
+                 util::InvalidArgument);
 }
 
 TEST(Ga, ValidatesConfiguration)
@@ -171,6 +222,8 @@ TEST(Ga, RejectsNullFitness)
     util::Rng rng(1);
     EXPECT_THROW(ga.optimize(ml::GeneticAlgorithm::FitnessFn{}, rng),
                  util::InvalidArgument);
+    EXPECT_THROW(ga.optimize(ml::GeneticAlgorithm::BatchFitnessFn{}, rng),
+                 util::InvalidArgument);
 }
 
 TEST(Ga, GenomeLengthAccessor)
@@ -179,90 +232,6 @@ TEST(Ga, GenomeLengthAccessor)
                                   std::vector<double>(7, 0.0),
                                   std::vector<double>(7, 1.0));
     EXPECT_EQ(ga.genomeLength(), 7u);
-}
-
-/** Exact map-backed memo with lookup/store accounting. */
-class MapMemo : public ml::FitnessMemo
-{
-  public:
-    bool
-    lookup(const std::vector<double> &genome, double &fitness) override
-    {
-        ++lookups;
-        const auto it = values.find(genome);
-        if (it == values.end())
-            return false;
-        fitness = it->second;
-        return true;
-    }
-
-    void
-    store(const std::vector<double> &genome, double fitness) override
-    {
-        values[genome] = fitness;
-    }
-
-    std::map<std::vector<double>, double> values;
-    std::size_t lookups = 0;
-};
-
-TEST(Ga, MemoizationIsInvisibleInResults)
-{
-    ml::GaConfig config = smallConfig();
-    const auto fitness = [](const std::vector<double> &g) {
-        return -(g[0] - 0.3) * (g[0] - 0.3) - (g[1] - 0.8) * (g[1] - 0.8);
-    };
-    const ml::GeneticAlgorithm plain(config, {0.0, 0.0}, {1.0, 1.0});
-    config.memoizeFitness = true;
-    const ml::GeneticAlgorithm memoized(config, {0.0, 0.0}, {1.0, 1.0});
-
-    util::Rng rng1(7);
-    util::Rng rng2(7);
-    MapMemo memo;
-    const auto a = plain.optimize(fitness, rng1);
-    const auto b = memoized.optimize(fitness, rng2, &memo);
-
-    // The memo returns exactly the stored values, so every number the
-    // GA produces is bit-identical with and without it.
-    EXPECT_EQ(a.bestGenome, b.bestGenome);
-    EXPECT_EQ(a.bestFitness, b.bestFitness);
-    EXPECT_EQ(a.history, b.history);
-}
-
-TEST(Ga, MemoizationSkipsRepeatedGenomes)
-{
-    ml::GaConfig config = smallConfig();
-    config.memoizeFitness = true;
-    const ml::GeneticAlgorithm ga(config, {0.0}, {1.0});
-    util::Rng rng(8);
-    MapMemo memo;
-    const auto result = ga.optimize(
-        [](const std::vector<double> &g) { return g[0]; }, rng, &memo);
-
-    // Every individual is either evaluated or served from the memo...
-    EXPECT_EQ(result.evaluations + result.memoHits,
-              config.populationSize * (config.generations + 1));
-    // ...and elites are exact copies re-scored each generation, so the
-    // memo saves at least eliteCount evaluations per generation.
-    EXPECT_GE(result.memoHits, config.eliteCount * config.generations);
-    EXPECT_LT(result.evaluations,
-              config.populationSize * (config.generations + 1));
-}
-
-TEST(Ga, MemoIgnoredUnlessEnabled)
-{
-    // memoizeFitness defaults to off; a supplied memo must not be
-    // consulted (the generic optimizer cannot know the fitness is pure).
-    const ml::GeneticAlgorithm ga(smallConfig(), {0.0}, {1.0});
-    util::Rng rng(9);
-    MapMemo memo;
-    const auto result = ga.optimize(
-        [](const std::vector<double> &g) { return g[0]; }, rng, &memo);
-    EXPECT_EQ(result.memoHits, 0u);
-    EXPECT_EQ(memo.lookups, 0u);
-    EXPECT_EQ(result.evaluations,
-              smallConfig().populationSize *
-                  (smallConfig().generations + 1));
 }
 
 } // namespace
