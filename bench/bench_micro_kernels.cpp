@@ -33,7 +33,6 @@
 #include "dataset/mica.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/harness.h"
-#include "legacy_mlp.h"
 #include "ml/kmedoids.h"
 #include "ml/pca.h"
 #include "ml/mlp.h"
@@ -148,39 +147,6 @@ BM_MlpTrainEpochs(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MlpTrainEpochs)->Arg(10)->Arg(50);
-
-/**
- * The PR 1 baseline the workspace engine is measured against:
- * bench/legacy_mlp.{h,cpp} carry the pre-workspace Mlp implementation
- * verbatim, compiled as its own translation unit exactly as it used to
- * be. Every sample of every epoch heap-allocates its input row, the
- * per-layer forward outputs and the per-layer delta vectors, and every
- * unit activation is an out-of-line call. Numerically identical to
- * Mlp::fit for the same seed at this benchmark's layer widths (the
- * canonical lane-blocked reduction degenerates to the legacy
- * sequential sum below 16 terms); only the memory and call behaviour
- * differ.
- */
-void
-BM_MlpTrainEpochsLegacy(benchmark::State &state)
-{
-    util::Rng rng(4);
-    const std::size_t rows = 100;
-    const std::size_t cols = 28;
-    linalg::Matrix x(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t c = 0; c < cols; ++c)
-            x(r, c) = rng.uniform(1.0, 50.0);
-    const auto y = randomVector(rows, rng);
-    bench_legacy::MlpConfig config;
-    config.epochs = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        bench_legacy::Mlp net(config);
-        net.fit(x, y);
-        benchmark::DoNotOptimize(net.trainingMse());
-    }
-}
-BENCHMARK(BM_MlpTrainEpochsLegacy)->Arg(10)->Arg(50);
 
 /**
  * The GEMM-backed minibatch engine at the exact shape of

@@ -27,32 +27,6 @@ enum class FitCriterion
                         ///< the target machine has zero variance).
 };
 
-/**
- * How the per-target best-fit scan is executed. Both modes produce
- * bit-identical predictions and diagnostics; Naive is kept as the
- * reference implementation (and the baseline bench_scale measures the
- * tiled path against).
- */
-enum class ScanMode
-{
-    /**
-     * The original formulation: one SimpleLinearRegression object per
-     * (target, predictive) pair, each recomputing the predictor's mean
-     * and variance and re-extracting the target column. O(T*P*B) with
-     * a large constant — fine at 29 machines, hopeless at 100k.
-     */
-    Naive,
-    /**
-     * Per-predictor statistics (mean, centered sum of squares) hoisted
-     * out of the target loop, targets processed in cache-resident
-     * tiles gathered once from the row-major score matrix, and tiles
-     * sharded over the work-stealing thread pool. The remaining inner
-     * loops replicate SimpleLinearRegression's sequential arithmetic
-     * exactly, so the results match Naive bit for bit.
-     */
-    Tiled
-};
-
 /** Configuration of the NN^T predictor. */
 struct LinearTranspositionConfig
 {
@@ -63,16 +37,8 @@ struct LinearTranspositionConfig
      * multiplicative in nature).
      */
     bool logSpace = false;
-    /** Scan implementation; see ScanMode. */
-    ScanMode scan = ScanMode::Tiled;
     /**
-     * Target machines gathered per tile in the tiled scan. 256 targets
-     * x 28 benchmarks of doubles is ~56 KB — two tiles (gather buffer
-     * + written predictions) stay L2-resident per worker.
-     */
-    std::size_t targetTile = 256;
-    /**
-     * Worker threads for the tiled scan (1 = serial, 0 = hardware
+     * Worker threads for the scan (1 = serial, 0 = hardware
      * concurrency). Tiles write disjoint prediction/diagnostic slots,
      * so the thread count cannot change a bit of the output.
      */
@@ -100,7 +66,10 @@ class LinearTransposition : public TranspositionPredictor
 {
   public:
     explicit LinearTransposition(
-        LinearTranspositionConfig config = LinearTranspositionConfig{});
+        LinearTranspositionConfig config = LinearTranspositionConfig{})
+        : config_(config)
+    {
+    }
 
     std::vector<double>
     predict(const TranspositionProblem &problem) override;

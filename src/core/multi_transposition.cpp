@@ -4,10 +4,9 @@
 #include <cmath>
 #include <numeric>
 
-#include "stats/descriptive.h"
+#include "core/line_scan.h"
 #include "stats/regression.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace dtrank::core
 {
@@ -49,13 +48,16 @@ MultiTransposition::predict(const TranspositionProblem &problem)
         return config_.logSpace ? std::exp2(v) : v;
     };
 
-    std::vector<std::vector<double>> pred_cols(n_pred);
-    for (std::size_t p = 0; p < n_pred; ++p) {
-        pred_cols[p] = problem.predictiveBenchScores.column(p);
-        if (config_.logSpace)
-            for (double &v : pred_cols[p])
-                v = std::log2(v);
-    }
+    const std::vector<std::vector<double>> pred_cols =
+        machineColumns(problem.predictiveBenchScores, config_.logSpace);
+
+    // Rank predictive machines by their single-proxy fit, as NN^T
+    // does: every predictor's RSS against every target.
+    std::vector<double> fit_rss(n_target * n_pred);
+    scanLineFits(pred_cols, problem.targetBenchScores, config_.logSpace,
+                 1, [&](std::size_t t, std::size_t p, const LineFit &fit) {
+                     fit_rss[t * n_pred + p] = fit.rss;
+                 });
 
     const std::size_t k = std::min(config_.proxies, n_pred);
     diagnostics_ = MultiTranspositionDiagnostics{};
@@ -63,12 +65,15 @@ MultiTransposition::predict(const TranspositionProblem &problem)
     diagnostics_.fitRSquared.assign(n_target, 0.0);
 
     std::vector<double> predictions(n_target, 0.0);
+    for (std::size_t t = 0; t < n_target; ++t) {
+        std::vector<double> y = problem.targetBenchScores.column(t);
+        if (config_.logSpace)
+            for (double &v : y)
+                v = std::log2(v);
 
-    // Shared tail of both scan modes: given each predictor's
-    // single-proxy RSS against target t, keep the k best (ties broken
-    // by index) as joint regressors and fit the ridge regression.
-    auto fitTarget = [&](std::size_t t, const std::vector<double> &y,
-                         const std::vector<double> &rss) {
+        // Keep the k best (ties broken by index) as joint regressors
+        // and fit the ridge regression.
+        const double *rss = fit_rss.data() + t * n_pred;
         std::vector<std::size_t> order(n_pred);
         std::iota(order.begin(), order.end(), std::size_t{0});
         std::partial_sort(order.begin(),
@@ -97,91 +102,7 @@ MultiTransposition::predict(const TranspositionProblem &problem)
 
         diagnostics_.chosenProxies[t] = order;
         diagnostics_.fitRSquared[t] = fit.rSquared();
-    };
-
-    if (config_.scan == ScanMode::Naive) {
-        for (std::size_t t = 0; t < n_target; ++t) {
-            std::vector<double> y = problem.targetBenchScores.column(t);
-            if (config_.logSpace)
-                for (double &v : y)
-                    v = std::log2(v);
-
-            // Rank predictive machines by their single-proxy fit, as
-            // NN^T does, then keep the k best as joint regressors.
-            std::vector<double> rss(n_pred);
-            for (std::size_t p = 0; p < n_pred; ++p)
-                rss[p] = stats::SimpleLinearRegression(pred_cols[p], y)
-                             .residualSumSquares();
-            fitTarget(t, y, rss);
-        }
-        return predictions;
     }
-
-    // Hoisted scan. As in the tiled NN^T scan, every accumulator below
-    // reproduces SimpleLinearRegression's sequential arithmetic:
-    // hoisting a per-predictor statistic out of the pair loop only
-    // splits an interleaved loop into independent per-accumulator
-    // loops, which leaves each accumulator's operation sequence — and
-    // therefore its rounding — unchanged, so the RSS ranking (and with
-    // it every downstream ridge fit) matches Naive bit for bit.
-    std::vector<double> pred_mean(n_pred, 0.0);
-    std::vector<double> pred_sxx(n_pred, 0.0);
-    for (std::size_t p = 0; p < n_pred; ++p) {
-        const double *x = pred_cols[p].data();
-        const double mx = stats::mean(pred_cols[p]);
-        double sxx = 0.0;
-        for (std::size_t i = 0; i < n_bench; ++i) {
-            const double dx = x[i] - mx;
-            // Scalar order replicates SimpleLinearRegression:
-            // dtrank-analyze-ignore(no-fp-accumulate)
-            sxx += dx * dx;
-        }
-        pred_mean[p] = mx;
-        pred_sxx[p] = sxx;
-    }
-
-    util::parallelFor(config_.threads, n_target, [&](std::size_t t) {
-        std::vector<double> y = problem.targetBenchScores.column(t);
-        if (config_.logSpace)
-            for (double &v : y)
-                v = std::log2(v);
-        const double my = stats::mean(y);
-
-        std::vector<double> rss(n_pred);
-        for (std::size_t p = 0; p < n_pred; ++p) {
-            const double *x = pred_cols[p].data();
-            const double mx = pred_mean[p];
-            const double sxx = pred_sxx[p];
-
-            double sxy = 0.0;
-            for (std::size_t i = 0; i < n_bench; ++i) {
-                const double dx = x[i] - mx;
-                // Scalar order replicates SimpleLinearRegression:
-                // dtrank-analyze-ignore(no-fp-accumulate)
-                sxy += dx * (y[i] - my);
-            }
-
-            double slope;
-            double intercept;
-            if (sxx == 0.0) {
-                slope = 0.0;
-                intercept = my;
-            } else {
-                slope = sxy / sxx;
-                intercept = my - slope * mx;
-            }
-
-            double acc = 0.0;
-            for (std::size_t i = 0; i < n_bench; ++i) {
-                const double r = y[i] - (intercept + slope * x[i]);
-                // Scalar order replicates SimpleLinearRegression:
-                // dtrank-analyze-ignore(no-fp-accumulate)
-                acc += r * r;
-            }
-            rss[p] = acc;
-        }
-        fitTarget(t, y, rss);
-    });
     return predictions;
 }
 

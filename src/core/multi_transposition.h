@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "core/linear_transposition.h"
 #include "core/transposition.h"
 
 namespace dtrank::core
@@ -30,20 +29,6 @@ struct MultiTranspositionConfig
     double ridge = 1e-6;
     /** Fit and predict in log2 performance space (ablation). */
     bool logSpace = false;
-    /**
-     * Proxy-scan implementation, sharing NN^T's ScanMode: Naive keeps
-     * one SimpleLinearRegression per (target, predictive) pair as the
-     * reference; Tiled hoists each predictor's mean and centered sum
-     * of squares out of the target loop and shards targets over the
-     * thread pool. Both modes are bit-identical (see the .cpp).
-     */
-    ScanMode scan = ScanMode::Tiled;
-    /**
-     * Worker threads for the hoisted scan (1 = serial, 0 = hardware
-     * concurrency). Targets write disjoint prediction and diagnostic
-     * slots, so the thread count cannot change a bit of the output.
-     */
-    std::size_t threads = 1;
 };
 
 /** Diagnostics from the last predict() call. */

@@ -1,6 +1,7 @@
 #include "core/transposition.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "simd/simd.h"
 #include "util/error.h"
@@ -59,9 +60,10 @@ TranspositionProblem::validate() const
     }
     for (std::size_t p = 0; p < predictiveAppScores.size(); ++p)
         if (appScoreValid(p))
-            util::require(predictiveAppScores[p] > 0.0,
+            util::require(std::isfinite(predictiveAppScores[p]) &&
+                              predictiveAppScores[p] > 0.0,
                           "TranspositionProblem: scores must be "
-                          "positive");
+                          "positive and finite");
 }
 
 namespace

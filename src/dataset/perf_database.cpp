@@ -1,6 +1,7 @@
 #include "dataset/perf_database.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <set>
 
@@ -56,8 +57,10 @@ PerfDatabase::PerfDatabase(SelectionView,
     for (std::size_t b = 0; b < scores_.rows(); ++b)
         for (std::size_t m = 0; m < scores_.cols(); ++m) {
             if (mask_.valid(b, m))
-                util::require(scores_(b, m) > 0.0,
-                              "PerfDatabase: scores must be positive");
+                util::require(std::isfinite(scores_(b, m)) &&
+                                  scores_(b, m) > 0.0,
+                              "PerfDatabase: scores must be positive "
+                              "and finite");
             else
                 scores_(b, m) =
                     std::numeric_limits<double>::quiet_NaN();

@@ -143,12 +143,13 @@ class MlpWorkspace
     std::vector<double> loss_;       ///< per-epoch MSE of the current run
     std::vector<std::size_t> visit_; ///< row visit order of one epoch
 
-    // Minibatch-engine buffers (batchSize != 1). The batched engine
-    // stores weights_ UNIT-major ([unit][input], input index fastest)
-    // so each unit's weight vector is a contiguous GEMM operand; the
-    // per-sample engine keeps the transposed [input][unit] layout
-    // above. A workspace is only ever warm for one engine at a time —
-    // trainOnce reinitializes all weights per fit either way.
+    // Minibatch-engine buffers (batchSize != 1). Both engines store
+    // weights_ in the transposed [input][unit] layout above: each
+    // layer is the panel whose rows the mlpBatchNets forward kernel
+    // streams. The batched engine keeps its gradient sums gradW_ and
+    // its momentum state prevDw_ unit-major, and its momentum step
+    // writes each weight step back onto the transposed layout. Either
+    // engine reinitializes all weights and momentum per fit.
     std::size_t batchRows_ = 0;      ///< rows the batch buffers hold
     std::vector<double> gradW_;      ///< batch weight-gradient sums
     std::vector<double> gradB_;      ///< batch bias-gradient sums

@@ -5,6 +5,7 @@
  */
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include "core/spline_transposition.h"
 #include "core/transposition.h"
 #include "dataset/synthetic_spec.h"
+#include "line_fit_oracle.h"
+#include "simd/simd.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -115,39 +118,33 @@ TEST(MultiTransposition, SingleProxyMatchesNnTClosely)
         EXPECT_NEAR(pm[t], pn[t], 1e-3 * pn[t]);
 }
 
+/**
+ * kNN^T against its per-pair oracle over NN^T's shape grid (constant
+ * predictive and target columns, so RSS ties are broken by index), log
+ * space on and off, at every SIMD tier: the predictions, the chosen
+ * proxies and the ridge fits' R² are all bit-identical.
+ */
 TEST(MultiTransposition, TiledScanMatchesNaiveBitForBit)
 {
-    // The hoisted/parallel proxy scan reorders nothing arithmetically:
-    // its predictions must equal the naive per-pair scan exactly, at
-    // any thread count, in both linear and log space.
-    const dataset::PerfDatabase db =
-        dataset::SyntheticSpecGenerator().generate();
-    std::vector<std::size_t> predictive;
-    std::vector<std::size_t> targets;
-    for (std::size_t m = 0; m < db.machineCount(); ++m)
-        (m % 5 == 0 ? predictive : targets).push_back(m);
-    const auto problem = core::makeProblemFromSplit(
-        db, predictive, targets, db.benchmark(2).name);
-
-    for (const bool log_space : {false, true}) {
-        core::MultiTranspositionConfig naive_config;
-        naive_config.logSpace = log_space;
-        naive_config.scan = core::ScanMode::Naive;
-        const auto reference =
-            core::MultiTransposition(naive_config).predict(problem);
-
-        for (const std::size_t threads : {1u, 4u}) {
-            core::MultiTranspositionConfig tiled_config;
-            tiled_config.logSpace = log_space;
-            tiled_config.scan = core::ScanMode::Tiled;
-            tiled_config.threads = threads;
-            const auto tiled =
-                core::MultiTransposition(tiled_config).predict(problem);
-            ASSERT_EQ(tiled.size(), reference.size());
-            for (std::size_t t = 0; t < tiled.size(); ++t)
-                EXPECT_EQ(tiled[t], reference[t])
-                    << "log=" << log_space << " threads=" << threads
-                    << " target " << t;
+    const oracle::TierGuard guard;
+    const auto problems = oracle::shapeGrid();
+    for (const simd::Tier tier : oracle::availableTiers()) {
+        simd::setTier(tier);
+        for (const auto &problem : problems) {
+            for (const bool log_space : {false, true}) {
+                SCOPED_TRACE(std::string(simd::tierName(tier)) + " " +
+                             oracle::shapeName(problem) +
+                             " log=" + std::to_string(log_space));
+                core::MultiTranspositionConfig config;
+                config.logSpace = log_space;
+                const auto expected = oracle::knnOracle(problem, config);
+                core::MultiTransposition multi(config);
+                EXPECT_EQ(multi.predict(problem), expected.predictions);
+                EXPECT_EQ(multi.diagnostics().chosenProxies,
+                          expected.diagnostics.chosenProxies);
+                EXPECT_EQ(multi.diagnostics().fitRSquared,
+                          expected.diagnostics.fitRSquared);
+            }
         }
     }
 }

@@ -5,14 +5,16 @@
  */
 
 #include <cmath>
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/line_scan.h"
 #include "core/linear_transposition.h"
+#include "line_fit_oracle.h"
+#include "simd/simd.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -128,37 +130,15 @@ TEST(LinearTransposition, DeterministicAcrossCalls)
     EXPECT_EQ(a, b);
 }
 
-/** Random positive problem of the given size. */
-core::TranspositionProblem
-randomProblem(std::size_t benchmarks, std::size_t predictive,
-              std::size_t targets, std::uint64_t seed)
-{
-    util::Rng rng(seed);
-    core::TranspositionProblem p;
-    p.predictiveBenchScores = linalg::Matrix(benchmarks, predictive);
-    p.targetBenchScores = linalg::Matrix(benchmarks, targets);
-    for (std::size_t b = 0; b < benchmarks; ++b) {
-        for (std::size_t m = 0; m < predictive; ++m)
-            p.predictiveBenchScores(b, m) = rng.uniform(1.0, 60.0);
-        for (std::size_t t = 0; t < targets; ++t)
-            p.targetBenchScores(b, t) = rng.uniform(1.0, 60.0);
-    }
-    for (std::size_t m = 0; m < predictive; ++m)
-        p.predictiveAppScores.push_back(rng.uniform(1.0, 60.0));
-    return p;
-}
-
-/** Predicts with the given scan mode and returns all outputs. */
-std::pair<std::vector<double>, core::LinearTranspositionDiagnostics>
-runScan(const core::TranspositionProblem &problem, core::ScanMode scan,
-        std::size_t tile, std::size_t threads, bool log_space = false,
+/** Predicts with the given configuration and returns all outputs. */
+oracle::NnResult
+runScan(const core::TranspositionProblem &problem, std::size_t threads,
+        bool log_space = false,
         core::FitCriterion criterion =
             core::FitCriterion::ResidualSumSquares)
 {
     core::LinearTranspositionConfig config;
     config.criterion = criterion;
-    config.scan = scan;
-    config.targetTile = tile;
     config.threads = threads;
     config.logSpace = log_space;
     core::LinearTransposition predictor(config);
@@ -166,83 +146,117 @@ runScan(const core::TranspositionProblem &problem, core::ScanMode scan,
     return {std::move(pred), predictor.diagnostics()};
 }
 
+/** The per-pair oracle for the configuration runScan would build. */
+oracle::NnResult
+runOracle(const core::TranspositionProblem &problem, bool log_space = false,
+          core::FitCriterion criterion =
+              core::FitCriterion::ResidualSumSquares)
+{
+    core::LinearTranspositionConfig config;
+    config.criterion = criterion;
+    config.logSpace = log_space;
+    return oracle::nnOracle(problem, config);
+}
+
+/** Predictions and all four diagnostics vectors, bit for bit. */
+void
+expectSameOutputs(const oracle::NnResult &expected,
+                  const oracle::NnResult &actual)
+{
+    EXPECT_EQ(expected.predictions, actual.predictions);
+    EXPECT_EQ(expected.diagnostics.chosenPredictive,
+              actual.diagnostics.chosenPredictive);
+    EXPECT_EQ(expected.diagnostics.fitRSquared,
+              actual.diagnostics.fitRSquared);
+    EXPECT_EQ(expected.diagnostics.slope, actual.diagnostics.slope);
+    EXPECT_EQ(expected.diagnostics.intercept,
+              actual.diagnostics.intercept);
+}
+
 TEST(LinearTransposition, TiledScanMatchesNaiveBitForBit)
 {
-    const auto problem = randomProblem(28, 7, 301, 17);
-    const auto [naive_pred, naive_diag] =
-        runScan(problem, core::ScanMode::Naive, 256, 1);
-    for (const std::size_t tile : {1u, 3u, 64u, 256u, 1024u}) {
-        const auto [tiled_pred, tiled_diag] =
-            runScan(problem, core::ScanMode::Tiled, tile, 1);
-        EXPECT_EQ(naive_pred, tiled_pred) << "tile " << tile;
-        EXPECT_EQ(naive_diag.chosenPredictive,
-                  tiled_diag.chosenPredictive);
-        EXPECT_EQ(naive_diag.fitRSquared, tiled_diag.fitRSquared);
-        EXPECT_EQ(naive_diag.slope, tiled_diag.slope);
-        EXPECT_EQ(naive_diag.intercept, tiled_diag.intercept);
-    }
+    const auto problem = oracle::randomProblem(28, 7, 301, 17);
+    expectSameOutputs(runOracle(problem), runScan(problem, 1));
 }
 
 TEST(LinearTransposition, TiledScanMatchesNaiveInLogSpace)
 {
-    const auto problem = randomProblem(20, 5, 97, 23);
-    const auto [naive_pred, naive_diag] =
-        runScan(problem, core::ScanMode::Naive, 256, 1, true);
-    const auto [tiled_pred, tiled_diag] =
-        runScan(problem, core::ScanMode::Tiled, 32, 1, true);
-    EXPECT_EQ(naive_pred, tiled_pred);
-    EXPECT_EQ(naive_diag.chosenPredictive, tiled_diag.chosenPredictive);
+    const auto problem = oracle::randomProblem(20, 5, 97, 23);
+    expectSameOutputs(runOracle(problem, true), runScan(problem, 1, true));
 }
 
 /**
- * The naive per-pair oracle against the target-major tiled scan over
- * the shapes that stress its lane blocks (1 and 3 targets fill part of
- * one block, 255/257 straddle the 256-target tile, 5000 spans many
- * tiles), a lone predictor up to Table 2's ~100, both criteria, log
- * space on and off, serial and pooled. Every problem with more than
- * one machine on a side carries a constant predictive column
- * (sxx == 0: slope 0, intercept mean(y)) and a constant target column
- * (ss_tot == 0: R² from the rss == 0 rule). The constant predictor is
- * machine 0, so the constant target — which every predictor fits
- * exactly — picks it and reports its sxx == 0 intercept.
+ * The per-pair oracle against the scan over the shape grid, both
+ * criteria, log space on and off, serial and pooled, at every SIMD
+ * tier (the scan dispatches no kernel, so no tier may move a bit).
  */
 TEST(LinearTransposition, TiledScanMatchesNaiveAcrossShapesAndModes)
 {
-    for (const std::size_t targets : {1u, 3u, 21u, 255u, 257u, 5000u}) {
-        for (const std::size_t preds : {1u, 10u, 100u}) {
-            auto problem = randomProblem(28, preds, targets,
-                                         41 + targets * 7 + preds);
-            for (std::size_t b = 0; b < 28; ++b) {
-                if (preds > 1)
-                    problem.predictiveBenchScores(b, 0) = 7.0;
-                if (targets > 1)
-                    problem.targetBenchScores(b, targets / 2) = 13.0;
-            }
+    const oracle::TierGuard guard;
+    const auto problems = oracle::shapeGrid();
+    for (const simd::Tier tier : oracle::availableTiers()) {
+        simd::setTier(tier);
+        for (const auto &problem : problems) {
             for (const auto criterion :
                  {core::FitCriterion::ResidualSumSquares,
                   core::FitCriterion::RSquared}) {
                 for (const bool log_space : {false, true}) {
                     SCOPED_TRACE(
-                        "targets=" + std::to_string(targets) +
-                        " preds=" + std::to_string(preds) + " r2=" +
+                        std::string(simd::tierName(tier)) + " " +
+                        oracle::shapeName(problem) + " r2=" +
                         std::to_string(criterion ==
                                        core::FitCriterion::RSquared) +
                         " log=" + std::to_string(log_space));
-                    const auto [naive_pred, naive_diag] =
-                        runScan(problem, core::ScanMode::Naive, 256, 1,
-                                log_space, criterion);
-                    for (const std::size_t threads : {1u, 4u}) {
-                        const auto [tiled_pred, tiled_diag] =
-                            runScan(problem, core::ScanMode::Tiled, 256,
-                                    threads, log_space, criterion);
-                        EXPECT_EQ(naive_pred, tiled_pred);
-                        EXPECT_EQ(naive_diag.chosenPredictive,
-                                  tiled_diag.chosenPredictive);
-                        EXPECT_EQ(naive_diag.fitRSquared,
-                                  tiled_diag.fitRSquared);
-                        EXPECT_EQ(naive_diag.slope, tiled_diag.slope);
-                        EXPECT_EQ(naive_diag.intercept,
-                                  tiled_diag.intercept);
+                    const auto expected =
+                        runOracle(problem, log_space, criterion);
+                    for (const std::size_t threads : {1u, 4u})
+                        expectSameOutputs(expected,
+                                          runScan(problem, threads,
+                                                  log_space, criterion));
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The shared scan itself hands its visitor every (target, predictor)
+ * fit, each equal to the per-pair SimpleLinearRegression in all four
+ * fields, exactly once and predictors ascending, at any thread count.
+ * kNN^T consumes every one of these RSS values.
+ */
+TEST(LinearTransposition, SharedScanVisitsEveryPerPairFit)
+{
+    for (const auto &problem : oracle::shapeGrid()) {
+        for (const bool log_space : {false, true}) {
+            SCOPED_TRACE(oracle::shapeName(problem) +
+                         " log=" + std::to_string(log_space));
+            const auto fits = oracle::pairFits(problem, log_space);
+            const std::size_t n_pred = problem.predictiveMachineCount();
+            for (const std::size_t threads : {1u, 4u}) {
+                std::vector<core::LineFit> seen(
+                    problem.targetMachineCount() * n_pred);
+                std::vector<std::size_t> next(problem.targetMachineCount(),
+                                              0);
+                core::scanLineFits(
+                    core::machineColumns(problem.predictiveBenchScores,
+                                         log_space),
+                    problem.targetBenchScores, log_space, threads,
+                    [&](std::size_t t, std::size_t p,
+                        const core::LineFit &fit) {
+                        EXPECT_EQ(p, next[t]++);
+                        seen[t * n_pred + p] = fit;
+                    });
+                for (std::size_t t = 0; t < fits.size(); ++t) {
+                    EXPECT_EQ(next[t], n_pred);
+                    for (std::size_t p = 0; p < n_pred; ++p) {
+                        const core::LineFit &fit = seen[t * n_pred + p];
+                        const auto &ref = fits[t][p];
+                        ASSERT_EQ(fit.rss, ref.residualSumSquares())
+                            << "t=" << t << " p=" << p;
+                        ASSERT_EQ(fit.rSquared, ref.rSquared());
+                        ASSERT_EQ(fit.intercept, ref.intercept());
+                        ASSERT_EQ(fit.slope, ref.slope());
                     }
                 }
             }
@@ -252,16 +266,11 @@ TEST(LinearTransposition, TiledScanMatchesNaiveAcrossShapesAndModes)
 
 TEST(LinearTransposition, ScaledScanThreadCountCannotChangeOutput)
 {
-    const auto problem = randomProblem(28, 9, 513, 29);
-    const auto [serial_pred, serial_diag] =
-        runScan(problem, core::ScanMode::Tiled, 64, 1);
+    const auto problem = oracle::randomProblem(28, 9, 513, 29);
+    const auto serial = runScan(problem, 1);
     for (const std::size_t threads : {2u, 4u, 0u}) {
-        const auto [par_pred, par_diag] =
-            runScan(problem, core::ScanMode::Tiled, 64, threads);
-        EXPECT_EQ(serial_pred, par_pred) << "threads " << threads;
-        EXPECT_EQ(serial_diag.chosenPredictive,
-                  par_diag.chosenPredictive);
-        EXPECT_EQ(serial_diag.fitRSquared, par_diag.fitRSquared);
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        expectSameOutputs(serial, runScan(problem, threads));
     }
 }
 

@@ -3,8 +3,12 @@
  * Unit tests for the transposition problem construction.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "core/linear_transposition.h"
+#include "core/multi_transposition.h"
 #include "core/transposition.h"
 #include "dataset/synthetic_spec.h"
 #include "util/error.h"
@@ -41,6 +45,25 @@ TEST(TranspositionProblem, ValidateRejectsInconsistencies)
     p.targetBenchScores = linalg::Matrix{{1}, {2}};
     p.predictiveAppScores = {5, -6};
     EXPECT_THROW(p.validate(), util::InvalidArgument);
+}
+
+TEST(TranspositionProblem, ValidateRejectsNonFiniteAppScores)
+{
+    // A constant proxy with an infinite app score used to give NN^T a
+    // NaN (0 * Inf) and kNN^T an Inf; both now refuse the problem.
+    core::TranspositionProblem p;
+    p.predictiveBenchScores = linalg::Matrix{{3, 2}, {3, 4}, {3, 7}};
+    p.targetBenchScores = linalg::Matrix{{1}, {5}, {2}};
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad :
+         {inf, std::numeric_limits<double>::quiet_NaN(), 0.0}) {
+        p.predictiveAppScores = {bad, 6};
+        EXPECT_THROW(p.validate(), util::InvalidArgument) << bad;
+        EXPECT_THROW(core::LinearTransposition{}.predict(p),
+                     util::InvalidArgument);
+        EXPECT_THROW(core::MultiTransposition{}.predict(p),
+                     util::InvalidArgument);
+    }
 }
 
 TEST(MakeProblem, SplitsAppRowFromSuite)

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +86,22 @@ TEST(PerfDatabase, RejectsNonPositiveScores)
                  util::InvalidArgument);
     EXPECT_THROW(PerfDatabase(b, m, linalg::Matrix{{-1.0}}),
                  util::InvalidArgument);
+}
+
+TEST(PerfDatabase, RejectsNonFiniteScores)
+{
+    // +Inf passes a bare `> 0` check; NN^T would then silently predict
+    // 0 for a target holding it.
+    std::vector<BenchmarkInfo> b = {
+        {"x", BenchmarkDomain::Integer, "C", ""}};
+    std::vector<MachineInfo> m = {{"v", "f", "n", "i", 2000, 0},
+                                  {"v", "f", "n", "i", 2000, 1}};
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double bad :
+         {inf, -inf, std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_THROW(PerfDatabase(b, m, linalg::Matrix{{2.0, bad}}),
+                     util::InvalidArgument)
+            << bad;
 }
 
 TEST(PerfDatabase, RejectsShapeMismatch)
