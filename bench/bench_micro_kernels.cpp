@@ -812,11 +812,7 @@ registerKernelBenchmark(const char *name,
     static const char *const tier_names[] = {"scalar", "avx2",
                                              "avx512"};
     for (int tier = 0; tier < 3; ++tier) {
-        if (tier == 1 && (simd::avx2Kernels() == nullptr ||
-                          !simd::cpuSupportsAvx2()))
-            continue;
-        if (tier == 2 && (simd::avx512Kernels() == nullptr ||
-                          !simd::cpuSupportsAvx512()))
+        if (!simd::tierAvailable(static_cast<simd::Tier>(tier)))
             continue;
         auto *bench = benchmark::RegisterBenchmark(
             (std::string(name) + "/" + tier_names[tier]).c_str(), fn,

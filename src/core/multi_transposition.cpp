@@ -97,7 +97,7 @@ MultiTransposition::predict(const TranspositionProblem &problem)
             app_features[j] =
                 maybe_log(problem.predictiveAppScores[order[j]]);
         predictions[t] = maybe_exp(fit.predict(app_features));
-        if (!config_.logSpace && predictions[t] <= 0.0)
+        if (!config_.logSpace && !(predictions[t] > 0.0))
             predictions[t] = 1e-6;
 
         diagnostics_.chosenProxies[t] = order;

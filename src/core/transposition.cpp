@@ -2,12 +2,38 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "simd/simd.h"
 #include "util/error.h"
 
 namespace dtrank::core
 {
+
+namespace
+{
+
+/**
+ * True when every valid cell of `scores` is finite and positive (a
+ * NaN fails both comparisons).
+ */
+bool
+validCellsPositiveFinite(const linalg::Matrix &scores,
+                         const dataset::ScoreMask &mask)
+{
+    constexpr double kMax = std::numeric_limits<double>::max();
+    for (std::size_t r = 0; r < scores.rows(); ++r) {
+        const double *row = scores.rowData(r);
+        bool bad = false;
+        for (std::size_t c = 0; c < scores.cols(); ++c)
+            bad |= !(row[c] > 0.0 && row[c] <= kMax) && mask.valid(r, c);
+        if (bad)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
 
 std::size_t
 TranspositionProblem::observedAppScores() const
@@ -64,6 +90,11 @@ TranspositionProblem::validate() const
                               predictiveAppScores[p] > 0.0,
                           "TranspositionProblem: scores must be "
                           "positive and finite");
+    util::require(
+        validCellsPositiveFinite(predictiveBenchScores, predictiveMask) &&
+            validCellsPositiveFinite(targetBenchScores, targetMask),
+        "TranspositionProblem: benchmark scores must be positive and "
+        "finite");
 }
 
 namespace

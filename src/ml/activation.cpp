@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "simd/simd.h"
 #include "util/error.h"
 #include "util/string_utils.h"
 
@@ -13,7 +14,8 @@ activate(Activation a, double x)
 {
     switch (a) {
       case Activation::Sigmoid:
-        return 1.0 / (1.0 + std::exp(-x));
+        simd::sigmoid(1, &x);
+        return x;
       case Activation::Tanh:
         return std::tanh(x);
       case Activation::Relu:

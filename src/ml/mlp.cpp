@@ -107,21 +107,21 @@ threadLaneWorkspace()
 }
 
 // The hot per-sample linear algebra (layer nets, delta recurrence,
-// momentum updates) lives in the runtime-dispatched kernel layer
-// (simd/simd.h); only the activation sweeps stay here because the
-// activation dispatch is an ml-level concern.
+// momentum updates) and the sigmoid live in the runtime-dispatched
+// kernel layer (simd/simd.h); only the activation dispatch stays here
+// because it is an ml-level concern.
 
 /**
  * Activation sweep with the dispatch hoisted out of the unit loop; the
- * inlined expressions are exactly those of ml::activate.
+ * values are exactly those of ml::activate.
  */
 inline void
-applyActivation(Activation act, std::size_t out, double *__restrict a)
+applyActivation(const simd::KernelTable &kt, Activation act,
+                std::size_t out, double *__restrict a)
 {
     switch (act) {
       case Activation::Sigmoid:
-        for (std::size_t r = 0; r < out; ++r)
-            a[r] = 1.0 / (1.0 + std::exp(-a[r]));
+        kt.sigmoid(out, a);
         break;
       case Activation::Linear:
         break;
@@ -664,7 +664,7 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
                                 li == 0 ? input
                                         : ws.acts_.data() + ws.uOff_[li],
                                 a_out);
-                applyActivation(layerActivation(li, n_layers), out,
+                applyActivation(kt, layerActivation(li, n_layers), out,
                                 a_out);
             }
             const double pred = ws.acts_[ws.uOff_[n_layers]];
@@ -791,8 +791,8 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
                 const double *bias = ws.bias_.data() + ws.uOff_[li + 1];
                 kt.mlpBatchNets(bn, in, out, a_in, in, wt, bias, a_out,
                                 out);
-                applyActivation(layerActivation(li, n_layers), bn * out,
-                                a_out);
+                applyActivation(kt, layerActivation(li, n_layers),
+                                bn * out, a_out);
             }
 
             // Output deltas and the epoch loss (batch order is visit
@@ -975,7 +975,7 @@ Mlp::predictColumns(const linalg::Matrix &xt) const
                                  ld, layer.weights.rowData(0),
                                  layer.weights.cols(), layer.bias.data(),
                                  next, w);
-            applyActivation(layer.activation, units * w, next);
+            applyActivation(kt, layer.activation, units * w, next);
             in = next;
             ld = w;
             next = next == acts.data() ? acts.data() + widest * tile

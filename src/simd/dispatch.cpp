@@ -54,11 +54,11 @@ const KernelTable *
 resolveFromEnvironment()
 {
     const char *env = std::getenv("DTRANK_SIMD");
-    const Tier tier = resolveTier(env, cpuSupportsAvx2(),
-                                  avx2Kernels() != nullptr,
-                                  cpuSupportsAvx512(),
-                                  avx512Kernels() != nullptr);
-    return tableFor(tier);
+    return tableFor(resolveTier(env, cpuSupportsAvx2(),
+                                avx2Kernels() != nullptr,
+                                cpuSupportsAvx512(),
+                                avx512Kernels() != nullptr,
+                                cpuSupportsFma()));
 }
 
 } // namespace
@@ -68,6 +68,16 @@ cpuSupportsAvx2()
 {
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     return __builtin_cpu_supports("avx2") != 0;
+#else
+    return false;
+#endif
+}
+
+bool
+cpuSupportsFma()
+{
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+    return __builtin_cpu_supports("fma") != 0;
 #else
     return false;
 #endif
@@ -129,11 +139,23 @@ parseTier(const std::string &name)
                                 "' (expected scalar, avx2 or avx512)");
 }
 
+bool
+tierAvailable(Tier tier)
+{
+    if (tier == Tier::Avx512)
+        return avx512Kernels() != nullptr && cpuSupportsAvx512();
+    if (tier == Tier::Avx2)
+        return avx2Kernels() != nullptr && cpuSupportsAvx2() &&
+               cpuSupportsFma();
+    return true;
+}
+
 Tier
 resolveTier(const char *override_name, bool cpu_avx2,
-            bool avx2_compiled, bool cpu_avx512, bool avx512_compiled)
+            bool avx2_compiled, bool cpu_avx512, bool avx512_compiled,
+            bool cpu_fma)
 {
-    const bool avx2_available = cpu_avx2 && avx2_compiled;
+    const bool avx2_available = cpu_avx2 && cpu_fma && avx2_compiled;
     const bool avx512_available = cpu_avx512 && avx512_compiled;
     const Tier widest = avx512_available
                             ? Tier::Avx512
@@ -163,9 +185,10 @@ resolveTier(const char *override_name, bool cpu_avx2,
     }
     if (requested == Tier::Avx2 && !avx2_available) {
         util::warn(std::string("avx2 tier requested but ") +
-                   (avx2_compiled ? "the CPU does not report AVX2"
-                                  : "the binary was built without "
-                                    "AVX2 support") +
+                   (!avx2_compiled ? "the binary was built without "
+                                     "AVX2 support"
+                    : cpu_avx2     ? "the CPU does not report FMA"
+                                   : "the CPU does not report AVX2") +
                    "; using scalar");
         return Tier::Scalar;
     }
@@ -197,18 +220,11 @@ activeTier()
 void
 setTier(Tier tier)
 {
-    const KernelTable *table = tableFor(tier);
-    util::require(table != nullptr,
-                  tier == Tier::Avx512
-                      ? "simd::setTier: avx512 tier not compiled into "
-                        "this binary"
-                      : "simd::setTier: avx2 tier not compiled into "
-                        "this binary");
-    util::require(tier != Tier::Avx2 || cpuSupportsAvx2(),
-                  "simd::setTier: CPU does not report AVX2");
-    util::require(tier != Tier::Avx512 || cpuSupportsAvx512(),
-                  "simd::setTier: CPU does not report AVX-512F");
-    activeSlot().store(table, std::memory_order_relaxed);
+    util::require(tierAvailable(tier),
+                  std::string("simd::setTier: the ") + tierName(tier) +
+                      " tier is not available (not compiled into this "
+                      "binary, or the CPU lacks its instructions)");
+    activeSlot().store(tableFor(tier), std::memory_order_relaxed);
 }
 
 Tier
@@ -217,7 +233,7 @@ requestTier(Tier tier)
     const Tier resolved =
         resolveTier(tierName(tier), cpuSupportsAvx2(),
                     avx2Kernels() != nullptr, cpuSupportsAvx512(),
-                    avx512Kernels() != nullptr);
+                    avx512Kernels() != nullptr, cpuSupportsFma());
     activeSlot().store(tableFor(resolved), std::memory_order_relaxed);
     return resolved;
 }

@@ -4,15 +4,16 @@
  * lanes. This file holds only what differs per width: the 16 canonical
  * partials live in four ymm accumulators and fold with the fixed
  * vector/128-bit tree, remainders use vmaskmovpd, and a nibble of the
- * validity mask becomes a lane mask. Compiled with -mavx2
- * (src/simd/CMakeLists.txt); on targets where the build system cannot
- * enable AVX2 this file compiles to a stub avx2Kernels() returning
- * null and the dispatcher never offers the tier.
+ * validity mask becomes a lane mask. Compiled with -mavx2 -mfma
+ * (src/simd/CMakeLists.txt; the tier's exp runs FMA instructions); on
+ * targets where the build system cannot enable both this file compiles
+ * to a stub avx2Kernels() returning null and the dispatcher never
+ * offers the tier.
  */
 
 #include "simd/simd.h"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 // dtrank-lint-ignore(no-raw-intrinsics): this is the one directory
 // where raw intrinsics are allowed; the include still trips the
@@ -97,7 +98,7 @@ avx2Kernels()
 
 } // namespace dtrank::simd
 
-#else // !defined(__AVX2__)
+#else // !(defined(__AVX2__) && defined(__FMA__))
 
 namespace dtrank::simd
 {

@@ -16,6 +16,7 @@
 
 #include <cmath>
 
+#include "simd/exp.h"
 #include "simd/mlp_lane_step.h"
 
 namespace dtrank::simd
@@ -376,7 +377,27 @@ mlpGradAccumScalar(std::size_t bn, std::size_t out, std::size_t in,
     }
 }
 
+void
+expScalar(std::size_t n, double *a)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        a[i] = expLanes<1>(a[i]);
+}
+
+void
+sigmoidScalar(std::size_t n, double *a)
+{
+    for (std::size_t i = 0; i < n; ++i)
+        a[i] = sigmoidLanes<1>(a[i]);
+}
+
 } // namespace
+
+double
+exp(double x)
+{
+    return expLanes<1>(x);
+}
 
 const KernelTable &
 scalarKernels()
@@ -398,6 +419,8 @@ scalarKernels()
         mlpBatchNetsScalar,
         mlpGradAccumScalar,
         mlpLaneStepBody<1>,
+        expScalar,
+        sigmoidScalar,
         maskedDotScalar,
         maskedSumScalar,
         maskedSquaredDistanceScalar,

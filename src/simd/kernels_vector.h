@@ -25,9 +25,9 @@
  *   keep(bits, v)       v with lane l zeroed unless bit l is set;
  *   abs(v)              |v| per lane.
  *
- * No FMA, as everywhere in this layer: every TU builds with
- * -ffp-contract=off (top-level CMakeLists.txt), so each mul+add keeps
- * its two roundings. Internal linkage throughout, like
+ * No FMA outside exp (exp.h), as everywhere in this layer: every TU
+ * builds with -ffp-contract=off (top-level CMakeLists.txt), so each
+ * mul+add keeps its two roundings. Internal linkage throughout, like
  * mlp_lane_step.h.
  */
 
@@ -36,6 +36,7 @@
 #include <cmath>
 #include <cstdint>
 
+#include "simd/exp.h"
 #include "simd/lane_vector.h"
 #include "simd/mlp_lane_step.h"
 #include "simd/simd.h"
@@ -472,6 +473,22 @@ struct VectorKernels
             gradPanel(io, bn, out, in, d, ldd, a + c, lda, gw + c);
         });
     }
+
+    static void
+    exp(std::size_t n, double *a)
+    {
+        forBlocks(n, [&](auto io, std::size_t j) {
+            io.store(a + j, expLanes<W>(io.load(a + j), n - j));
+        });
+    }
+
+    static void
+    sigmoid(std::size_t n, double *a)
+    {
+        forBlocks(n, [&](auto io, std::size_t j) {
+            io.store(a + j, sigmoidLanes<W>(io.load(a + j), n - j));
+        });
+    }
 };
 
 /** The kernel table of the vector tier with traits T. */
@@ -497,6 +514,8 @@ vectorKernelTable(const char *name)
         K::mlpBatchNets,
         K::mlpGradAccum,
         mlpLaneStepBody<K::W>,
+        K::exp,
+        K::sigmoid,
         K::maskedDot,
         K::maskedSum,
         K::maskedSquaredDistance,

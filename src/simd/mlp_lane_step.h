@@ -6,8 +6,9 @@
  * avx2 W = 4, avx512 W = 8 (lane_vector.h). Every operation below is
  * elementwise across lanes, so the width cannot change a lane's bits;
  * each lane runs the per-sample engine's expressions in its order (the
- * contract in simd.h). Like every TU, the includers build with
- * -ffp-contract=off, so no mul+add pair is fused.
+ * contract in simd.h), the sigmoid with exp.h's exp at width W. Like
+ * every TU, the includers build with -ffp-contract=off, so no mul+add
+ * pair outside exp is fused.
  *
  * Internal linkage throughout: each tier's TU gets its own copy,
  * compiled for its own ISA, and no instantiation can leak across TUs.
@@ -15,8 +16,7 @@
 
 #pragma once
 
-#include <cmath>
-
+#include "simd/exp.h"
 #include "simd/lane_vector.h"
 #include "simd/simd.h"
 
@@ -69,33 +69,28 @@ mlpLaneStepBody(const MlpLaneStep &s)
         double *act = s.act + l0;
         double *delta = s.delta + l0;
 
-        // Hidden nets as mlpLayerNets computes them: one unit is bias
-        // + canonical dot (its weights are contiguous per lane in the
-        // transposed layout), wider layers bias first, then
-        // input-ascending adds.
+        // Hidden nets as mlpLayerNets computes them, then the sigmoid:
+        // one unit is bias + canonical dot (its weights are contiguous
+        // per lane in the transposed layout), wider layers bias first,
+        // then input-ascending adds, one register accumulator per unit.
+        // The lanes past s.lanes may hold anything (a dropped lane's
+        // zero nets), so they must not send exp to its scalar path.
+        const std::size_t live = s.lanes - l0;
         if (hidden == 1) {
-            storeLanes(act, loadLanes<W>(s.b1 + l0) +
-                                laneDot<W>(s.w1 + l0, s.x + l0, in));
+            storeLanes(act, sigmoidLanes<W>(
+                                loadLanes<W>(s.b1 + l0) +
+                                    laneDot<W>(s.w1 + l0, s.x + l0, in),
+                                live));
         } else {
-            for (std::size_t r = 0; r < hidden; ++r)
-                storeLanes(act + r * kS, loadLanes<W>(s.b1 + r * kS + l0));
-            for (std::size_t c = 0; c < in; ++c) {
-                const V xc = loadLanes<W>(s.x + c * kS + l0);
-                const double *wc = s.w1 + c * hidden * kS + l0;
-                for (std::size_t r = 0; r < hidden; ++r)
-                    storeLanes(act + r * kS,
-                               loadLanes<W>(act + r * kS) +
-                                   loadLanes<W>(wc + r * kS) * xc);
+            for (std::size_t r = 0; r < hidden; ++r) {
+                const double *wr = s.w1 + r * kS + l0;
+                V net = loadLanes<W>(s.b1 + r * kS + l0);
+                for (std::size_t c = 0; c < in; ++c)
+                    net += loadLanes<W>(wr + c * hidden * kS) *
+                           loadLanes<W>(s.x + c * kS + l0);
+                storeLanes(act + r * kS, sigmoidLanes<W>(net, live));
             }
         }
-
-        // Sigmoid through one scalar libm exp per live lane and unit.
-        const std::size_t live = s.lanes - l0 < W ? s.lanes - l0 : W;
-        for (std::size_t r = 0; r < hidden; ++r)
-            for (std::size_t l = 0; l < live; ++l) {
-                double &a = act[r * kS + l];
-                a = 1.0 / (1.0 + std::exp(-a));
-            }
 
         // Output: bias + canonical dot, lane-parallel.
         const V pred =

@@ -7,9 +7,9 @@
  * Three tiers implement the same kernel table:
  *   - scalar  portable C++, compiles and runs everywhere; the
  *             hand-written reference (kernels_scalar.cpp);
- *   - avx2    4 lanes of 256-bit AVX2, selected at startup when the
- *             CPU reports AVX2 support (overridable with --simd or the
- *             DTRANK_SIMD environment variable);
+ *   - avx2    4 lanes of 256-bit AVX2 with FMA, selected at startup
+ *             when the CPU reports both AVX2 and FMA (overridable with
+ *             --simd or the DTRANK_SIMD environment variable);
  *   - avx512  8 lanes of 512-bit AVX-512F, selected when the CPU
  *             reports avx512f (same overrides; an unavailable request
  *             falls back to the best remaining tier).
@@ -41,12 +41,15 @@
  * spelling of the tree above: at 4 lanes the vector adds and the
  * 128-bit fold, at 8 lanes a 256-bit half-add first, so each lane-add
  * lands on the identical (s[l] + s[l+4]) + (s[l+8] + s[l+12])
- * association. Fused
- * multiply-add is deliberately NOT used in any tier: FMA rounds once
- * where mul+add rounds twice, so an FMA tier could never be
- * bit-identical to a portable one. Every target builds with
- * -ffp-contract=off (top-level CMakeLists.txt) so the compiler cannot
- * fuse a mul+add pair behind the source's back either.
+ * association. No reduction or sweep uses fused multiply-add: FMA
+ * rounds once where mul+add rounds twice, so the kernels write mul and
+ * add, and every target builds with -ffp-contract=off (top-level
+ * CMakeLists.txt) so the compiler cannot fuse a pair behind the
+ * source's back either. The one exception is exp (exp.h), whose fused
+ * operations are written out as fused in every tier — an FMA
+ * instruction in the vector tiers, exp.h's fmaSoft (one rounding,
+ * from plain IEEE operations) in the scalar tier — so they round once
+ * everywhere and the tiers still agree bit for bit.
  *
  * Elementwise kernels (axpy, scale, mul_add, the GEMM microkernel
  * inner sweep, the MLP update) never sum across elements, so they are
@@ -262,9 +265,9 @@ struct KernelTable
      *   - hidden nets as mlpLayerNets: for one hidden unit, b1 +
      *     the canonical-reduction dot of w1 and x; for wider layers,
      *     bias first, then input-ascending adds of w1 * x;
-     *   - sigmoid 1.0 / (1.0 + std::exp(-net)), one scalar libm exp
-     *     per lane and unit — never a vector exp, whose rounding
-     *     differs from libm's;
+     *   - sigmoid 1.0 / (1.0 + exp(-net)) with the project's exp
+     *     (exp.h) at the tier's width: every lane has the W = 1 bits,
+     *     which are those of the sigmoid kernel;
      *   - output: b2 + the canonical-reduction dot of w2 and the
      *     activations in its lane-parallel form (for fewer than 16
      *     hidden units, 0.0 + the sequential tail); linear output;
@@ -280,6 +283,21 @@ struct KernelTable
      * at or past s.lanes may hold anything and are left unspecified.
      */
     void (*mlpLaneStep)(const MlpLaneStep &s);
+
+    /**
+     * a[i] = e^a[i], the project's exp (exp.h): glibc's FMA-built exp
+     * reproduced bit for bit, with the same bits in every tier, on
+     * every host and under any libm. Elementwise. Production code
+     * calls simd::exp (one value) and the sigmoid kernel; this entry
+     * is where the tests reach each tier's vector exp directly.
+     */
+    void (*exp)(std::size_t n, double *a);
+
+    /**
+     * a[i] = 1.0 / (1.0 + e^-a[i]) with exp's bits: the logistic
+     * sigmoid of the MLP hidden units. Elementwise.
+     */
+    void (*sigmoid)(std::size_t n, double *a);
 
     // -----------------------------------------------------------------
     // Masked reductions (ragged score matrices). `valid` is a packed
@@ -334,8 +352,18 @@ const KernelTable *avx512Kernels();
 /** True when the running CPU reports AVX2 (cpuid). */
 bool cpuSupportsAvx2();
 
+/** True when the running CPU reports FMA3 (cpuid). */
+bool cpuSupportsFma();
+
 /** True when the running CPU reports AVX-512 Foundation (cpuid). */
 bool cpuSupportsAvx512();
+
+/**
+ * True when both the binary and the running CPU provide `tier`: the
+ * avx2 tier needs AVX2 and FMA, the avx512 tier AVX-512F (whose own
+ * FMA instructions its exp uses). Scalar is always available.
+ */
+bool tierAvailable(Tier tier);
 
 /**
  * Comma-separated feature flags of the running CPU relevant to the
@@ -356,12 +384,14 @@ Tier parseTier(const std::string &name);
  * what the CPU and the binary provide. "auto" picks the widest
  * available tier (avx512 > avx2 > scalar). An unavailable avx512
  * request falls back to the widest remaining tier; an unavailable
- * avx2 request falls back to Scalar. The avx512 arguments default to
- * "absent" so the PR 4 three-argument truth table keeps its meaning.
+ * avx2 request falls back to Scalar. The avx2 tier executes FMA
+ * instructions, so it is available only when cpu_fma is set too. The
+ * avx512 arguments default to "absent" and cpu_fma to "present" so the
+ * three-argument truth table keeps its meaning.
  */
 Tier resolveTier(const char *override_name, bool cpu_avx2,
                  bool avx2_compiled, bool cpu_avx512 = false,
-                 bool avx512_compiled = false);
+                 bool avx512_compiled = false, bool cpu_fma = true);
 
 /**
  * The active table. Resolved once on first use from DTRANK_SIMD and
@@ -459,6 +489,18 @@ mlpGradAccum(std::size_t bn, std::size_t out, std::size_t in,
              std::size_t lda, double *gw)
 {
     kernels().mlpGradAccum(bn, out, in, d, ldd, a, lda, gw);
+}
+
+/**
+ * e^x with the exp kernel's bits, which are the same in every tier:
+ * the W = 1 body, without dispatch (kernels_scalar.cpp).
+ */
+double exp(double x);
+
+inline void
+sigmoid(std::size_t n, double *a)
+{
+    kernels().sigmoid(n, a);
 }
 
 inline double

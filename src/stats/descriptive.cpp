@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "simd/simd.h"
 #include "util/error.h"
 
 namespace dtrank::stats
@@ -99,7 +100,7 @@ geometricMean(const std::vector<double> &v)
         util::require(x > 0.0, "geometricMean: non-positive element");
         acc += std::log(x);
     }
-    return std::exp(acc / static_cast<double>(v.size()));
+    return simd::exp(acc / static_cast<double>(v.size()));
 }
 
 std::size_t

@@ -198,6 +198,44 @@ TEST(AnalyzeRules, OrderedMapIterationIsSilent)
 
 // ------------------------------------------------- unguarded-static
 
+// ------------------------------------------------------------ libm-exp
+
+TEST(AnalyzeRules, LibmExpFiresOnEveryLibmSpelling)
+{
+    const auto findings = analyzeContent(
+        "src/ml/x.cpp",
+        "#include <cmath>\n"
+        "double f(double x) { return std::exp(x); }\n"
+        "double g(double x) { return ::exp(x); }\n"
+        "double h(double x) { return exp(x); }\n"
+        "auto p = &std::exp;\n");
+    const auto hits = ofRule(findings, "no-libm-exp");
+    ASSERT_EQ(hits.size(), 4u);
+    EXPECT_EQ(hits[0].line, 2u);
+    EXPECT_EQ(hits[1].line, 3u);
+    EXPECT_EQ(hits[2].line, 4u);
+    EXPECT_EQ(hits[3].line, 5u);
+}
+
+TEST(AnalyzeRules, LibmExpSparesTheProjectExpAndSrcSimd)
+{
+    const std::string project =
+        "double f(double x) { return simd::exp(x); }\n"
+        "void g(const K &kt, double *a) { kt.exp(1, a); }\n"
+        "void h(const K *kt, double *a) { kt->exp(1, a); }\n"
+        "double q(double x) { return std::exp2(x) + expm1(x); }\n";
+    EXPECT_TRUE(
+        ofRule(analyzeContent("src/ml/x.cpp", project), "no-libm-exp")
+            .empty());
+    // The project's exp itself, and tests comparing against libm.
+    const std::string libm = "double f(double x) { return std::exp(x); }\n";
+    EXPECT_TRUE(
+        ofRule(analyzeContent("src/simd/x.h", libm), "no-libm-exp").empty());
+    EXPECT_TRUE(ofRule(analyzeContent("tests/simd/x.cpp", libm),
+                       "no-libm-exp")
+                    .empty());
+}
+
 TEST(AnalyzeRules, UnguardedStaticFires)
 {
     const auto findings = analyzeContent(
@@ -683,7 +721,7 @@ TEST(AnalyzeRules, FullCatalogAddsTheCrossFileAndContractRules)
     for (const std::string rule :
          {"layering", "include-cycle", "unused-include",
           "no-fp-accumulate", "no-unordered-iteration",
-          "no-unguarded-static"})
+          "no-unguarded-static", "no-libm-exp"})
         EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end())
             << rule;
 }

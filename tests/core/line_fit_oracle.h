@@ -220,10 +220,9 @@ inline std::vector<simd::Tier>
 availableTiers()
 {
     std::vector<simd::Tier> tiers = {simd::Tier::Scalar};
-    if (simd::avx2Kernels() != nullptr && simd::cpuSupportsAvx2())
-        tiers.push_back(simd::Tier::Avx2);
-    if (simd::avx512Kernels() != nullptr && simd::cpuSupportsAvx512())
-        tiers.push_back(simd::Tier::Avx512);
+    for (const simd::Tier tier : {simd::Tier::Avx2, simd::Tier::Avx512})
+        if (simd::tierAvailable(tier))
+            tiers.push_back(tier);
     return tiers;
 }
 

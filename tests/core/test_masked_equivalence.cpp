@@ -105,22 +105,6 @@ class MaskedEmptyMaskIdentity : public ::testing::Test
                                        5);
     }
 
-    static bool
-    tierAvailable(Tier tier)
-    {
-        switch (tier) {
-          case Tier::Scalar:
-            return true;
-          case Tier::Avx2:
-            return simd::avx2Kernels() != nullptr &&
-                   simd::cpuSupportsAvx2();
-          case Tier::Avx512:
-            return simd::avx512Kernels() != nullptr &&
-                   simd::cpuSupportsAvx512();
-        }
-        return false;
-    }
-
     dataset::PerfDatabase db_ = dataset::makePaperDataset();
     linalg::Matrix chars_ = dataset::MicaGenerator().generateForCatalog();
 
@@ -133,7 +117,7 @@ TEST_F(MaskedEmptyMaskIdentity, AllValidMaskMatchesDenseEveryTier)
     const dataset::PerfDatabase twin = allValidTwin();
     ASSERT_TRUE(twin.masked());
     for (Tier tier : {Tier::Scalar, Tier::Avx2, Tier::Avx512}) {
-        if (!tierAvailable(tier))
+        if (!simd::tierAvailable(tier))
             continue;
         SCOPED_TRACE(simd::tierName(tier));
         expectIdentical(runSplit(db_, tier, 1), runSplit(twin, tier, 1));
@@ -145,9 +129,9 @@ TEST_F(MaskedEmptyMaskIdentity, AllValidMaskMatchesDenseAcrossThreads)
     const dataset::PerfDatabase twin = allValidTwin();
     const auto reference = runSplit(db_, Tier::Scalar, 1);
     expectIdentical(reference, runSplit(twin, Tier::Scalar, 4));
-    if (tierAvailable(Tier::Avx2))
+    if (simd::tierAvailable(Tier::Avx2))
         expectIdentical(reference, runSplit(twin, Tier::Avx2, 4));
-    if (tierAvailable(Tier::Avx512))
+    if (simd::tierAvailable(Tier::Avx512))
         expectIdentical(reference, runSplit(twin, Tier::Avx512, 4));
 }
 

@@ -66,6 +66,45 @@ TEST(TranspositionProblem, ValidateRejectsNonFiniteAppScores)
     }
 }
 
+TEST(TranspositionProblem, ValidateRejectsNonFiniteBenchmarkScores)
+{
+    // Built directly, without PerfDatabase: a +Inf target benchmark
+    // score used to pass validation, and NN^T then predicted 0 for that
+    // target and kNN^T NaN. Every bad valid cell of either matrix is
+    // refused now; a masked-out cell may hold anything.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    core::TranspositionProblem p;
+    p.predictiveBenchScores = linalg::Matrix{{3, 2}, {4, 4}, {5, 7}};
+    p.predictiveAppScores = {5, 6};
+    p.targetBenchScores = linalg::Matrix{{1, 2}, {inf, 3}, {2, 4}};
+    EXPECT_THROW(p.validate(), util::InvalidArgument);
+    EXPECT_THROW(core::LinearTransposition{}.predict(p),
+                 util::InvalidArgument);
+    core::MultiTranspositionConfig two;
+    two.proxies = 2;
+    EXPECT_THROW(core::MultiTransposition{two}.predict(p),
+                 util::InvalidArgument);
+
+    for (const double bad : {inf, -inf, nan, 0.0, -1.0}) {
+        p.targetBenchScores = linalg::Matrix{{1, 2}, {6, 3}, {2, 4}};
+        p.targetBenchScores(1, 0) = bad;
+        EXPECT_THROW(p.validate(), util::InvalidArgument) << bad;
+        p.targetBenchScores(1, 0) = 6;
+        p.predictiveBenchScores(2, 1) = bad;
+        EXPECT_THROW(p.validate(), util::InvalidArgument) << bad;
+        p.predictiveBenchScores(2, 1) = 7;
+    }
+    EXPECT_NO_THROW(p.validate());
+
+    p.targetMask = dataset::ScoreMask(3, 2);
+    for (std::size_t r = 0; r < 3; ++r)
+        for (std::size_t c = 0; c < 2; ++c)
+            p.targetMask.set(r, c, !(r == 1 && c == 0));
+    p.targetBenchScores(1, 0) = nan;
+    EXPECT_NO_THROW(p.validate());
+}
+
 TEST(MakeProblem, SplitsAppRowFromSuite)
 {
     const dataset::PerfDatabase db = dataset::makePaperDataset();

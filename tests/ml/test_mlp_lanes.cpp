@@ -158,21 +158,6 @@ expectSameCounts(const Counts &each, const Counts &together)
     EXPECT_EQ(each.retries, together.retries);
 }
 
-bool
-tierAvailable(Tier tier)
-{
-    switch (tier) {
-      case Tier::Scalar:
-        return true;
-      case Tier::Avx2:
-        return simd::avx2Kernels() != nullptr && simd::cpuSupportsAvx2();
-      case Tier::Avx512:
-        return simd::avx512Kernels() != nullptr &&
-               simd::cpuSupportsAvx512();
-    }
-    return false;
-}
-
 /** The MLP^T network: WEKA defaults, 28 features -> 14 sigmoid units. */
 ml::MlpConfig
 mlptConfig(std::size_t epochs)
@@ -190,7 +175,7 @@ class MlpLanes : public ::testing::TestWithParam<Tier>
     SetUp() override
     {
         saved_ = simd::activeTier();
-        if (!tierAvailable(GetParam()))
+        if (!simd::tierAvailable(GetParam()))
             GTEST_SKIP() << simd::tierName(GetParam())
                          << " not available here";
         simd::setTier(GetParam());

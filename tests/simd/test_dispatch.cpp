@@ -31,19 +31,6 @@ class SimdDispatch : public ::testing::Test
     Tier saved_ = Tier::Scalar;
 };
 
-bool
-avx2Available()
-{
-    return simd::cpuSupportsAvx2() && simd::avx2Kernels() != nullptr;
-}
-
-bool
-avx512Available()
-{
-    return simd::cpuSupportsAvx512() &&
-           simd::avx512Kernels() != nullptr;
-}
-
 TEST(SimdCpuid, FeatureStringIsConsistentWithAvx2Probe)
 {
     const std::string features = simd::cpuFeatureString();
@@ -54,6 +41,8 @@ TEST(SimdCpuid, FeatureStringIsConsistentWithAvx2Probe)
               features.find("avx2") != std::string::npos);
     EXPECT_EQ(simd::cpuSupportsAvx512(),
               features.find("avx512f") != std::string::npos);
+    EXPECT_EQ(simd::cpuSupportsFma(),
+              features.find("fma") != std::string::npos);
 #if defined(__x86_64__)
     // Baseline x86-64 guarantees SSE2; "none" would mean detection is
     // broken, not that the CPU is ancient.
@@ -149,17 +138,44 @@ TEST(SimdResolveTier, ExplicitRequestsAndFallbacks)
     EXPECT_EQ(simd::resolveTier("neon", true, true), Tier::Scalar);
 }
 
+TEST(SimdResolveTier, Avx2WithoutFmaResolvesToScalar)
+{
+    // The avx2 tier's exp executes FMA instructions: an AVX2 CPU that
+    // does not report FMA gets scalar, whether auto-resolved or asked
+    // for, and an avx512 request falls back past avx2 to scalar too.
+    EXPECT_EQ(simd::resolveTier(nullptr, true, true, false, false, false),
+              Tier::Scalar);
+    EXPECT_EQ(simd::resolveTier("avx2", true, true, false, false, false),
+              Tier::Scalar);
+    EXPECT_EQ(simd::resolveTier("avx512", true, true, false, true, false),
+              Tier::Scalar);
+    // AVX-512F carries its own FMA instructions.
+    EXPECT_EQ(simd::resolveTier(nullptr, true, true, true, true, false),
+              Tier::Avx512);
+}
+
+TEST(SimdResolveTier, TierAvailableMatchesTheCpuAndBinary)
+{
+    EXPECT_TRUE(simd::tierAvailable(Tier::Scalar));
+    EXPECT_EQ(simd::tierAvailable(Tier::Avx2),
+              simd::avx2Kernels() != nullptr && simd::cpuSupportsAvx2() &&
+                  simd::cpuSupportsFma());
+    EXPECT_EQ(simd::tierAvailable(Tier::Avx512),
+              simd::avx512Kernels() != nullptr &&
+                  simd::cpuSupportsAvx512());
+}
+
 TEST_F(SimdDispatch, SetTierSwitchesTheActiveTable)
 {
     simd::setTier(Tier::Scalar);
     EXPECT_EQ(simd::activeTier(), Tier::Scalar);
     EXPECT_STREQ(simd::kernels().name, "scalar");
-    if (avx2Available()) {
+    if (simd::tierAvailable(Tier::Avx2)) {
         simd::setTier(Tier::Avx2);
         EXPECT_EQ(simd::activeTier(), Tier::Avx2);
         EXPECT_STREQ(simd::kernels().name, "avx2");
     }
-    if (avx512Available()) {
+    if (simd::tierAvailable(Tier::Avx512)) {
         simd::setTier(Tier::Avx512);
         EXPECT_EQ(simd::activeTier(), Tier::Avx512);
         EXPECT_STREQ(simd::kernels().name, "avx512");
@@ -168,14 +184,14 @@ TEST_F(SimdDispatch, SetTierSwitchesTheActiveTable)
 
 TEST_F(SimdDispatch, SetTierThrowsWhenAvx2Unavailable)
 {
-    if (avx2Available())
+    if (simd::tierAvailable(Tier::Avx2))
         GTEST_SKIP() << "AVX2 available; the strict path cannot fail";
     EXPECT_THROW(simd::setTier(Tier::Avx2), util::InvalidArgument);
 }
 
 TEST_F(SimdDispatch, SetTierThrowsWhenAvx512Unavailable)
 {
-    if (avx512Available())
+    if (simd::tierAvailable(Tier::Avx512))
         GTEST_SKIP()
             << "AVX-512 available; the strict path cannot fail";
     EXPECT_THROW(simd::setTier(Tier::Avx512), util::InvalidArgument);
@@ -187,18 +203,18 @@ TEST_F(SimdDispatch, RequestTierReturnsWhatItSelected)
     EXPECT_EQ(simd::activeTier(), Tier::Scalar);
     const Tier granted = simd::requestTier(Tier::Avx2);
     EXPECT_EQ(granted,
-              avx2Available() ? Tier::Avx2 : Tier::Scalar);
+              simd::tierAvailable(Tier::Avx2) ? Tier::Avx2 : Tier::Scalar);
     EXPECT_EQ(simd::activeTier(), granted);
 }
 
 TEST_F(SimdDispatch, RequestAvx512FallsBackToWidestRemainingTier)
 {
     const Tier granted = simd::requestTier(Tier::Avx512);
-    if (avx512Available())
+    if (simd::tierAvailable(Tier::Avx512))
         EXPECT_EQ(granted, Tier::Avx512);
     else
-        EXPECT_EQ(granted,
-                  avx2Available() ? Tier::Avx2 : Tier::Scalar);
+        EXPECT_EQ(granted, simd::tierAvailable(Tier::Avx2) ? Tier::Avx2
+                                                           : Tier::Scalar);
     EXPECT_EQ(simd::activeTier(), granted);
 }
 

@@ -81,15 +81,13 @@ class MaskedKernels : public ::testing::TestWithParam<simd::Tier>
             tier_ = &simd::scalarKernels();
             break;
           case simd::Tier::Avx2:
-            if (simd::avx2Kernels() == nullptr ||
-                !simd::cpuSupportsAvx2())
+            if (!simd::tierAvailable(simd::Tier::Avx2))
                 GTEST_SKIP()
                     << "AVX2 tier unavailable on this build/CPU";
             tier_ = simd::avx2Kernels();
             break;
           case simd::Tier::Avx512:
-            if (simd::avx512Kernels() == nullptr ||
-                !simd::cpuSupportsAvx512())
+            if (!simd::tierAvailable(simd::Tier::Avx512))
                 GTEST_SKIP()
                     << "AVX-512 tier unavailable on this build/CPU";
             tier_ = simd::avx512Kernels();

@@ -71,7 +71,7 @@ class SimdProtocolDeterminism : public ::testing::Test
   protected:
     void SetUp() override
     {
-        if (simd::avx2Kernels() == nullptr || !simd::cpuSupportsAvx2())
+        if (!simd::tierAvailable(simd::Tier::Avx2))
             GTEST_SKIP() << "AVX2 tier unavailable on this build/CPU";
         saved_ = simd::activeTier();
     }
@@ -102,8 +102,7 @@ class SimdProtocolDeterminism : public ::testing::Test
     static bool
     avx512Available()
     {
-        return simd::avx512Kernels() != nullptr &&
-               simd::cpuSupportsAvx512();
+        return simd::tierAvailable(simd::Tier::Avx512);
     }
 
     dataset::PerfDatabase db_ = dataset::makePaperDataset();

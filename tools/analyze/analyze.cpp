@@ -871,6 +871,47 @@ checkUnguardedStatic(const std::string &path,
     }
 }
 
+/**
+ * no-libm-exp: a call of libm's exp (`std::exp`, `::exp` or a bare
+ * `exp(`) outside src/simd. libm's bits depend on the host — glibc
+ * alone picks an FMA or a non-FMA exp by CPU — so library code calls
+ * the project's exp (simd::exp, or the exp/sigmoid kernels), which
+ * has one set of bits everywhere. Member calls (`kt.exp(`) and other
+ * qualifiers (`simd::exp(`) do not match.
+ */
+void
+checkLibmExp(const std::string &path,
+             const std::vector<const Token *> &code,
+             std::vector<Finding> &findings)
+{
+    for (std::size_t i = 0; i < code.size(); ++i) {
+        if (!isIdent(*code[i], "exp"))
+            continue;
+        const bool qualified = i > 0 && isPunct(*code[i - 1], "::");
+        const bool member =
+            i > 0 && (isPunct(*code[i - 1], ".") ||
+                      isPunct(*code[i - 1], "->"));
+        // `return ::exp(x)`: a keyword before `::` is no scope.
+        const Token *scope =
+            qualified && i > 1 &&
+                    code[i - 2]->kind == TokenKind::Identifier &&
+                    !isIdent(*code[i - 2], "return") &&
+                    !isIdent(*code[i - 2], "case")
+                ? code[i - 2]
+                : nullptr;
+        const bool called =
+            i + 1 < code.size() && isPunct(*code[i + 1], "(");
+        const bool libm =
+            scope != nullptr ? scope->text == "std" : (called && !member);
+        if (libm)
+            findings.push_back(
+                {"no-libm-exp", path, code[i]->line,
+                 "libm exp outside src/simd: its bits depend on the "
+                 "host's libm (glibc picks an FMA or a non-FMA exp by "
+                 "CPU); call simd::exp or the exp/sigmoid kernels"});
+    }
+}
+
 // --------------------------------------------------------------------
 
 struct LexedFile
@@ -935,8 +976,10 @@ runDeterminismRules(const std::string &path, const LexedFile &file,
         return;
     const std::vector<const Token *> code = codeTokens(file.tokens);
     std::vector<Finding> raw;
-    if (!underDir(path, "src/simd"))
+    if (!underDir(path, "src/simd")) {
         checkFpAccumulate(path, code, raw);
+        checkLibmExp(path, code, raw);
+    }
     checkUnorderedIteration(path, code, raw);
     checkUnguardedStatic(path, code, raw);
     for (Finding &finding : raw)
@@ -1014,7 +1057,7 @@ ruleIds()
     for (const char *id :
          {"pragma-once", "layering", "include-cycle", "unused-include",
           "no-fp-accumulate", "no-unordered-iteration",
-          "no-unguarded-static"})
+          "no-unguarded-static", "no-libm-exp"})
         ids.push_back(id);
     return ids;
 }

@@ -41,6 +41,10 @@
  *                     mutable file-scope/static state in src/ with no
  *                     const/constexpr, no std::atomic, no
  *                     DTRANK_GUARDED_BY annotation and no util::Mutex
+ *   no-libm-exp       a call of libm's exp (std::exp, ::exp or a
+ *                     bare exp() in src/ outside src/simd: its bits
+ *                     depend on the host's libm, while simd::exp and
+ *                     the exp/sigmoid kernels have one set everywhere
  *
  * Suppression: append `// dtrank-analyze-ignore` (all rules) or
  * `// dtrank-analyze-ignore(rule-id)` to the offending line, or put
