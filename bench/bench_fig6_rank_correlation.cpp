@@ -46,7 +46,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getLong("epochs"));
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    const auto cache = experiments::applyModelCacheOption(args, config);
     const experiments::SplitEvaluator evaluator(db, chars, config);
     const experiments::FamilyCrossValidation cv(evaluator);
 
@@ -59,8 +58,7 @@ main(int argc, char **argv)
     const auto results = cv.run(experiments::allMethods());
     json.addTimed("family_cv", t0,
                   {{"threads", args.get("threads")},
-                   {"epochs", args.get("epochs")},
-                   {"model_cache", cache ? "on" : "off"}});
+                   {"epochs", args.get("epochs")}});
 
     util::TablePrinter table(
         {"benchmark", "NN^T", "MLP^T", "GA-10NN"});
@@ -100,7 +98,6 @@ main(int argc, char **argv)
               << "; data transposition improves it to "
               << util::formatFixed(ref.transpositionOnWorst, 2) << ".\n";
 
-    experiments::reportModelCacheStats(cache.get(), std::cout, &json);
     json.writeTo(args.get("json"));
     experiments::writeObservabilityOutputs(args);
     return 0;

@@ -45,7 +45,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getLong("epochs"));
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    const auto cache = experiments::applyModelCacheOption(args, config);
     const experiments::SplitEvaluator evaluator(db, chars, config);
     const experiments::FamilyCrossValidation cv(evaluator);
 
@@ -57,8 +56,7 @@ main(int argc, char **argv)
     const auto results = cv.run(experiments::allMethods());
     json.addTimed("family_cv", t0,
                   {{"threads", args.get("threads")},
-                   {"epochs", args.get("epochs")},
-                   {"model_cache", cache ? "on" : "off"}});
+                   {"epochs", args.get("epochs")}});
 
     util::TablePrinter table(
         {"benchmark", "NN^T", "MLP^T", "GA-10NN"});
@@ -96,7 +94,6 @@ main(int argc, char **argv)
                  "libquantum), while MLP^T stays below ~25% (cactusADM "
                  "24.8%).\n";
 
-    experiments::reportModelCacheStats(cache.get(), std::cout, &json);
     json.writeTo(args.get("json"));
     experiments::writeObservabilityOutputs(args);
     return 0;

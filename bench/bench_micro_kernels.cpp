@@ -22,7 +22,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -492,46 +491,6 @@ BM_EvaluateSplit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EvaluateSplit)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
-
-/**
- * The same split with the trained-model cache installed. The cache
- * persists across iterations, so after the first (miss-dominated)
- * iteration the loop measures the hit path; hit/miss totals are
- * reported as counters.
- */
-void
-BM_EvaluateSplitCached(benchmark::State &state)
-{
-    const dataset::PerfDatabase &db = paperDb();
-    const linalg::Matrix chars =
-        dataset::MicaGenerator().generateForCatalog();
-    experiments::MethodSuiteConfig config;
-    config.mlp.mlp.epochs = 30;
-    config.gaKnn.ga.populationSize = 10;
-    config.gaKnn.ga.generations = 3;
-    config.parallel.threads = static_cast<std::size_t>(state.range(0));
-    config.modelCache =
-        std::make_shared<experiments::TrainedModelCache>();
-    const experiments::SplitEvaluator evaluator(db, chars, config);
-
-    const auto target = db.machineIndicesByFamily("Intel Xeon");
-    std::vector<std::size_t> predictive;
-    for (std::size_t m = 0; m < db.machineCount(); ++m)
-        if (db.machine(m).family != "Intel Xeon")
-            predictive.push_back(m);
-
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(evaluator.evaluateSplit(
-            predictive, target, experiments::extendedMethods()));
-    }
-    const auto stats = config.modelCache->stats();
-    state.counters["cache_hits"] =
-        static_cast<double>(stats.hits);
-    state.counters["cache_misses"] =
-        static_cast<double>(stats.misses);
-}
-BENCHMARK(BM_EvaluateSplitCached)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------

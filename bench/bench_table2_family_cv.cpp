@@ -47,7 +47,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getLong("epochs"));
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    const auto cache = experiments::applyModelCacheOption(args, config);
     const experiments::SplitEvaluator evaluator(db, chars, config);
     const experiments::FamilyCrossValidation cv(evaluator);
 
@@ -62,8 +61,7 @@ main(int argc, char **argv)
     const auto results = cv.run(experiments::allMethods());
     json.addTimed("family_cv", t0,
                   {{"threads", args.get("threads")},
-                   {"epochs", args.get("epochs")},
-                   {"model_cache", cache ? "on" : "off"}});
+                   {"epochs", args.get("epochs")}});
 
     util::TablePrinter table({"metric", "NN^T", "MLP^T", "GA-10NN"});
     const auto &ref = experiments::paper::table2();
@@ -107,7 +105,6 @@ main(int argc, char **argv)
     std::cout << "\nTarget families evaluated: "
               << results.families.size() << "\n";
 
-    experiments::reportModelCacheStats(cache.get(), std::cout, &json);
     json.writeTo(args.get("json"));
     experiments::writeObservabilityOutputs(args);
     return 0;

@@ -103,7 +103,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getLong("epochs"));
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    const auto cache = experiments::applyModelCacheOption(args, config);
     const experiments::SplitEvaluator evaluator(db, chars, config);
     const experiments::FuturePrediction protocol(
         evaluator, static_cast<int>(args.getLong("target-year")));
@@ -117,8 +116,7 @@ main(int argc, char **argv)
     const auto results = protocol.run(experiments::allMethods());
     json.addTimed("future_prediction", t0,
                   {{"threads", args.get("threads")},
-                   {"epochs", args.get("epochs")},
-                   {"model_cache", cache ? "on" : "off"}});
+                   {"epochs", args.get("epochs")}});
 
     std::cout << "Target machines: " << results.targetMachines.size()
               << "\n";
@@ -135,7 +133,6 @@ main(int argc, char **argv)
                  "the text)\n";
     printMethodTable(results, experiments::Method::GaKnn);
 
-    experiments::reportModelCacheStats(cache.get(), std::cout, &json);
     json.writeTo(args.get("json"));
     experiments::writeObservabilityOutputs(args);
     return 0;

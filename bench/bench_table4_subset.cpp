@@ -103,7 +103,6 @@ main(int argc, char **argv)
         static_cast<std::size_t>(args.getLong("epochs"));
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    const auto cache = experiments::applyModelCacheOption(args, config);
     const experiments::SplitEvaluator evaluator(db, chars, config);
 
     experiments::SubsetExperimentConfig subset_config;
@@ -122,8 +121,7 @@ main(int argc, char **argv)
     json.addTimed("subset_experiment", t0,
                   {{"threads", args.get("threads")},
                    {"epochs", args.get("epochs")},
-                   {"draws", args.get("draws")},
-                   {"model_cache", cache ? "on" : "off"}});
+                   {"draws", args.get("draws")}});
 
     std::cout << "(a) MLP^T\n";
     printMethodTable(results, experiments::Method::MlpT);
@@ -132,7 +130,6 @@ main(int argc, char **argv)
     std::cout << "\n(c) GA-10NN (reference)\n";
     printMethodTable(results, experiments::Method::GaKnn);
 
-    experiments::reportModelCacheStats(cache.get(), std::cout, &json);
     json.writeTo(args.get("json"));
     experiments::writeObservabilityOutputs(args);
     return 0;

@@ -180,9 +180,10 @@ class GaKnnModel
                const dataset::ScoreMask *scores_mask = nullptr);
 
     /**
-     * Installs previously learned weights without re-running the GA —
-     * the trained-model-cache hit path. The pair must come from a
-     * train() call with identical configuration and training data.
+     * Installs previously learned weights without re-running the GA,
+     * e.g. to predict with one trained model under another
+     * configuration's prediction settings. The pair must come from a
+     * train() call with identical training configuration and data.
      */
     void restore(std::vector<double> weights, double training_fitness);
 

@@ -14,9 +14,7 @@
  *
  * Missing cells in the value matrix are NaN-poisoned by the masked
  * PerfDatabase constructor: any non-mask-aware consumer that touches a
- * masked cell produces NaN instead of a silently wrong number, and
- * because the model caches hash raw matrix bytes, the poison makes the
- * mask an implicit part of every cache key.
+ * masked cell produces NaN instead of a silently wrong number.
  */
 
 #pragma once

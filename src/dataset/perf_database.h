@@ -76,14 +76,12 @@ class PerfDatabase
      * (benchmarks x machines, like `scores`). Only observed cells must
      * be positive; unobserved cells are overwritten with quiet NaN so
      * any non-mask-aware consumer visibly corrupts instead of silently
-     * using a stale value — and since model caches hash raw matrix
-     * bytes, the poison makes the mask part of every cache key. A
-     * dense-sentinel mask makes this identical to the dense
-     * constructor. All-missing rows/columns are rejected — but only
-     * here, at top-level construction: selectMachines /
-     * selectBenchmarks views may legitimately carry empty sub-lines
-     * (a benchmark unobserved on every owned machine) and the model
-     * stack treats those as contributing no training data.
+     * using a stale value. A dense-sentinel mask makes this identical
+     * to the dense constructor. All-missing rows/columns are rejected —
+     * but only here, at top-level construction: selectMachines /
+     * selectBenchmarks views may legitimately carry empty sub-lines (a
+     * benchmark unobserved on every owned machine) and the model stack
+     * treats those as contributing no training data.
      */
     PerfDatabase(std::vector<BenchmarkInfo> benchmarks,
                  std::vector<MachineInfo> machines, linalg::Matrix scores,

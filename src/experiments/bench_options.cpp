@@ -1,6 +1,5 @@
 #include "experiments/bench_options.h"
 
-#include <ostream>
 #include <string>
 
 #include "dataset/mica.h"
@@ -16,11 +15,6 @@ namespace dtrank::experiments
 void
 addBenchOptions(util::ArgParser &args)
 {
-    args.addFlag("model-cache",
-                 "cache trained models across splits and protocols "
-                 "(bit-identical results, fewer trainings)");
-    args.addOption("model-cache-capacity",
-                   "max cached artifacts (0 = default)", "0");
     args.addOption("json",
                    "write machine-readable BENCH_*.json timing records "
                    "to this path", "");
@@ -155,46 +149,6 @@ applySimdOption(const util::ArgParser &args, util::BenchJsonWriter *json)
         json->addContext("cpu_features", simd::cpuFeatureString());
     }
     return tier;
-}
-
-std::shared_ptr<TrainedModelCache>
-applyModelCacheOption(const util::ArgParser &args,
-                      MethodSuiteConfig &config)
-{
-    if (!args.getFlag("model-cache"))
-        return nullptr;
-    const auto capacity = static_cast<std::size_t>(
-        args.getLong("model-cache-capacity"));
-    // The process-wide cache registers its per-shard counters in the
-    // global registry so --metrics-out shows shard heat.
-    config.modelCache = std::make_shared<TrainedModelCache>(
-        capacity > 0 ? capacity : TrainedModelCache::kDefaultCapacity,
-        &obs::MetricsRegistry::global());
-    return config.modelCache;
-}
-
-void
-reportModelCacheStats(const TrainedModelCache *cache, std::ostream &out,
-                      util::BenchJsonWriter *json)
-{
-    if (cache == nullptr)
-        return;
-    const TrainedModelCache::Stats stats = cache->stats();
-    out << "\nModel cache: " << stats.hits << " hits, " << stats.misses
-        << " misses, " << stats.evictions << " evictions, "
-        << stats.entries << " resident entries\n";
-    if (json != nullptr) {
-        util::BenchRecord record;
-        record.name = "model_cache_stats";
-        record.realTimeMs = 0.0;
-        record.context = {
-            {"hits", std::to_string(stats.hits)},
-            {"misses", std::to_string(stats.misses)},
-            {"evictions", std::to_string(stats.evictions)},
-            {"entries", std::to_string(stats.entries)},
-        };
-        json->add(std::move(record));
-    }
 }
 
 void

@@ -1,9 +1,8 @@
 /**
  * @file
  * Shared command-line plumbing for the protocol bench binaries: the
- * --model-cache / --model-cache-capacity flags that enable the
- * cross-protocol trained-model cache, the --json flag selecting a
- * machine-readable BENCH_*.json output path, and the observability
+ * --json flag selecting a machine-readable BENCH_*.json output path,
+ * the --simd, --dataset and --missing inputs, and the observability
  * flags --metrics-out (Prometheus text or metrics JSON) and
  * --trace-out (Chrome trace_event JSON).
  */
@@ -11,8 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "dataset/latent_model.h"
@@ -27,8 +24,8 @@ namespace dtrank::experiments
 {
 
 /**
- * Registers --model-cache, --model-cache-capacity, --json, --simd,
- * --metrics-out, --trace-out, --dataset and --missing.
+ * Registers --json, --simd, --metrics-out, --trace-out, --dataset and
+ * --missing.
  */
 void addBenchOptions(util::ArgParser &args);
 
@@ -107,25 +104,6 @@ BenchDataset loadDatasetOption(const util::ArgParser &args,
  */
 simd::Tier applySimdOption(const util::ArgParser &args,
                            util::BenchJsonWriter *json = nullptr);
-
-/**
- * Installs a TrainedModelCache into `config` when --model-cache was
- * supplied (capacity from --model-cache-capacity; 0 keeps the
- * default).
- * @return The cache, or null when caching stays off.
- */
-std::shared_ptr<TrainedModelCache>
-applyModelCacheOption(const util::ArgParser &args,
-                      MethodSuiteConfig &config);
-
-/**
- * Prints the cache's hit/miss/eviction counters to `out` and, when
- * `json` is non-null, appends them to the JSON record context being
- * built. No-op when `cache` is null.
- */
-void reportModelCacheStats(const TrainedModelCache *cache,
-                           std::ostream &out,
-                           util::BenchJsonWriter *json);
 
 /**
  * Applies the observability flags' side effects that must happen

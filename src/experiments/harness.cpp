@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string_view>
 
 #include "core/transposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
-#include "util/hash.h"
 
 namespace dtrank::experiments
 {
@@ -36,28 +34,6 @@ harnessMetrics()
     return metrics;
 }
 
-/** Adds every MlpConfig field that shapes training to the hash. */
-void
-hashMlpConfig(util::ContentHasher &hasher, const ml::MlpConfig &cfg)
-{
-    hasher.add(static_cast<std::uint64_t>(cfg.hiddenLayers.size()));
-    for (std::size_t h : cfg.hiddenLayers)
-        hasher.add(static_cast<std::uint64_t>(h));
-    hasher.add(cfg.learningRate);
-    hasher.add(cfg.momentum);
-    hasher.add(static_cast<std::uint64_t>(cfg.epochs));
-    hasher.add(static_cast<std::uint64_t>(cfg.hiddenActivation));
-    hasher.add(static_cast<std::uint64_t>(cfg.outputActivation));
-    hasher.add(cfg.seed);
-    hasher.add(cfg.normalize);
-    hasher.add(cfg.initWeightRange);
-    hasher.add(cfg.learningRateDecay);
-    hasher.add(cfg.shuffleEachEpoch);
-    hasher.add(static_cast<std::uint64_t>(cfg.maxRestarts));
-    hasher.add(cfg.divergenceFactor);
-    hasher.add(static_cast<std::uint64_t>(cfg.batchSize));
-}
-
 /** Validity words of target row `app`, or null for a dense database. */
 const std::uint64_t *
 targetRowMask(const dataset::PerfDatabase &target_db, std::size_t app)
@@ -70,30 +46,20 @@ targetRowMask(const dataset::PerfDatabase &target_db, std::size_t app)
  * unobserved on every owned machine there is nothing for any model to
  * transpose: the targets are ranked by their overall observed speed
  * instead (only reachable under missingness with a small owned set; a
- * full database never has an empty row). Otherwise, with a cache, the
- * task's key goes to `key` and the cache is looked up.
+ * full database never has an empty row).
  *
- * @return true when `predicted` holds the fallback or a cache hit;
- *         false when the caller must train, and then (with a cache)
- *         store its prediction under `key`.
+ * @return true when `predicted` holds the fallback; false when the
+ *         caller must train.
  */
 bool
-untrainedPrediction(Method method, const MethodSuiteConfig &config,
-                    const dataset::PerfDatabase &pred_db,
+untrainedPrediction(const dataset::PerfDatabase &pred_db,
                     const dataset::PerfDatabase &target_db,
-                    std::size_t app, std::uint64_t mlp_seed,
-                    TrainedModelCache *cache, util::HashKey &key,
-                    std::vector<double> &predicted)
+                    std::size_t app, std::vector<double> &predicted)
 {
-    if (pred_db.masked() && pred_db.mask().observedInRow(app) == 0) {
-        predicted = target_db.machineGeometricMeans();
-        return true;
-    }
-    if (cache == nullptr)
+    if (!pred_db.masked() || pred_db.mask().observedInRow(app) != 0)
         return false;
-    key = taskPredictionKey(method, config, pred_db, target_db, app,
-                            mlp_seed);
-    return cache->lookup(key, predicted);
+    predicted = target_db.machineGeometricMeans();
+    return true;
 }
 
 } // namespace
@@ -101,78 +67,12 @@ untrainedPrediction(Method method, const MethodSuiteConfig &config,
 baseline::GaKnnModel
 trainGaKnnSplitModel(const MethodSuiteConfig &config,
                      const linalg::Matrix &characteristics,
-                     const dataset::PerfDatabase &pred_db,
-                     TrainedModelCache *cache)
+                     const dataset::PerfDatabase &pred_db)
 {
     baseline::GaKnnModel model(config.gaKnn);
-    util::HashKey key;
-    if (cache != nullptr) {
-        key = gaKnnModelKey(config.gaKnn, characteristics, pred_db.scores());
-        std::vector<double> blob;
-        if (cache->lookup(key, blob) && blob.size() >= 2) {
-            const double fitness = blob.back();
-            blob.pop_back();
-            model.restore(std::move(blob), fitness);
-            return model;
-        }
-    }
     model.train(characteristics, pred_db.scores(),
                 pred_db.masked() ? &pred_db.mask() : nullptr);
-    if (cache != nullptr) {
-        std::vector<double> blob = model.weights();
-        blob.push_back(model.trainingFitness());
-        cache->store(key, std::move(blob));
-    }
     return model;
-}
-
-util::HashKey
-taskPredictionKey(Method method, const MethodSuiteConfig &config,
-                  const dataset::PerfDatabase &pred_db,
-                  const dataset::PerfDatabase &target_db, std::size_t app,
-                  std::uint64_t mlp_seed)
-{
-    util::ContentHasher hasher;
-    hasher.add(std::string_view("task-prediction"));
-    hasher.add(static_cast<std::uint64_t>(method));
-    switch (method) {
-      case Method::NnT:
-        hasher.add(static_cast<std::uint64_t>(config.linear.criterion));
-        hasher.add(config.linear.logSpace);
-        break;
-      case Method::MlpT: {
-        ml::MlpConfig mlp = config.mlp.mlp;
-        mlp.seed = mlp_seed;
-        hashMlpConfig(hasher, mlp);
-        hasher.add(config.mlp.logSpace);
-        hasher.add(config.mlp.transductiveNormalization);
-        break;
-      }
-      case Method::DeepT: {
-        ml::MlpConfig mlp = config.deep.mlp;
-        mlp.seed = mlp_seed;
-        hashMlpConfig(hasher, mlp);
-        hasher.add(config.deep.logSpace);
-        hasher.add(config.deep.transductiveNormalization);
-        break;
-      }
-      case Method::SplT:
-        hasher.add(static_cast<std::uint64_t>(config.spline.knots));
-        hasher.add(config.spline.logSpace);
-        break;
-      case Method::MultiNnT:
-        hasher.add(static_cast<std::uint64_t>(config.multi.proxies));
-        hasher.add(config.multi.ridge);
-        hasher.add(config.multi.logSpace);
-        break;
-      case Method::GaKnn:
-        DTRANK_ASSERT_MSG(false, "GA-kNN predictions are not cached");
-        break;
-    }
-    hashMatrix(hasher, pred_db.scores());
-    hashMatrix(hasher, target_db.scores());
-    hasher.add(static_cast<std::uint64_t>(app));
-    return hasher.key();
 }
 
 std::vector<double>
@@ -181,18 +81,10 @@ predictTask(Method method, const MethodSuiteConfig &config,
             const dataset::PerfDatabase &target_db, std::size_t app,
             std::uint64_t mlp_seed,
             const baseline::GaKnnModel *gaknn_model,
-            const linalg::Matrix *characteristics,
-            TrainedModelCache *cache)
+            const linalg::Matrix *characteristics, std::nullptr_t)
 {
-    // Transposition predictions are cached per task; GA-kNN is not
-    // (its per-task prediction is a cheap kNN combine — the expensive
-    // GA training is cached at the split level by the caller).
-    if (method == Method::GaKnn)
-        cache = nullptr;
-    util::HashKey key;
     std::vector<double> predicted;
-    if (untrainedPrediction(method, config, pred_db, target_db, app,
-                            mlp_seed, cache, key, predicted))
+    if (untrainedPrediction(pred_db, target_db, app, predicted))
         return predicted;
 
     switch (method) {
@@ -246,8 +138,6 @@ predictTask(Method method, const MethodSuiteConfig &config,
         break;
       }
     }
-    if (cache != nullptr)
-        cache->store(key, predicted);
     return predicted;
 }
 
@@ -349,7 +239,6 @@ SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
     const bool want_mlpt = wants(Method::MlpT);
     const std::size_t n_bench = db_.benchmarkCount();
     const std::size_t threads = config_.parallel.threads;
-    TrainedModelCache *cache = config_.modelCache.get();
 
     // A split's machine views are rebuilt by each task that reads
     // them (a copy of a few dozen KB, microseconds) rather than kept for
@@ -366,9 +255,8 @@ SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
     struct SplitState
     {
         baseline::GaKnnModel gaknn;
-        /** MLP^T prediction per app (fallbacks and cache hits first). */
+        /** MLP^T prediction per app (fallbacks first). */
         std::vector<std::vector<double>> mlpt{};
-        std::vector<util::HashKey> mlpt_keys{};
         /** The apps MLP^T must train, their seeds, plan and outputs. */
         std::vector<std::size_t> apps{};
         std::vector<std::uint64_t> seeds{};
@@ -381,21 +269,16 @@ SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
     for (std::size_t s = 0; s < splits.size() && want_mlpt; ++s) {
         // MLP^T trains split-wide: every app's network in lane groups
         // over one shared matrix per row block, with the fallback,
-        // cache keys, seeds and bits of a per-app predictTask.
+        // seeds and bits of a per-app predictTask.
         SplitState &st = states[s];
         const dataset::PerfDatabase pred_db = pred_view(s);
         const dataset::PerfDatabase target_db = target_view(s);
         st.mlpt.resize(n_bench);
-        st.mlpt_keys.resize(n_bench);
         for (std::size_t app = 0; app < n_bench; ++app) {
-            const std::uint64_t seed =
-                taskMlpSeed(config_, splits[s].tag, app);
-            if (untrainedPrediction(Method::MlpT, config_, pred_db,
-                                    target_db, app, seed, cache,
-                                    st.mlpt_keys[app], st.mlpt[app]))
+            if (untrainedPrediction(pred_db, target_db, app, st.mlpt[app]))
                 continue;
             st.apps.push_back(app);
-            st.seeds.push_back(seed);
+            st.seeds.push_back(taskMlpSeed(config_, splits[s].tag, app));
         }
         st.plan = core::MlpTransposition::planHeldOutApps(
             pred_db, target_db, st.apps, st.seeds);
@@ -428,7 +311,7 @@ SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
                 obs::TraceSpan ga_span("gaknn_split_model", "experiments");
                 ga_span.arg("split_tag", splits[s].tag);
                 st.gaknn = trainGaKnnSplitModel(config_, characteristics_,
-                                                pred_view(s), cache);
+                                                pred_view(s));
                 return;
             }
             obs::TraceSpan lane_span("mlpt_lane_group", "experiments");
@@ -440,13 +323,9 @@ SplitEvaluator::evaluateSplits(const std::vector<SplitSpec> &splits,
                 st.seeds, st.plan, group, st.trained);
         });
     }
-    for (SplitState &st : states) {
-        for (std::size_t i = 0; i < st.apps.size(); ++i) {
-            if (cache != nullptr)
-                cache->store(st.mlpt_keys[st.apps[i]], st.trained[i]);
+    for (SplitState &st : states)
+        for (std::size_t i = 0; i < st.apps.size(); ++i)
             st.mlpt[st.apps[i]] = std::move(st.trained[i]);
-        }
-    }
 
     // Phase B: one independent task per (split, method, held-out
     // benchmark). Every task writes into its pre-sized slot and
@@ -499,8 +378,7 @@ SplitEvaluator::runTask(Method method, std::size_t app,
     return taskResult(app, target_db,
                       predictTask(method, config_, pred_db, target_db, app,
                                   taskMlpSeed(config_, split_tag, app),
-                                  &gaknn_model, &characteristics_,
-                                  config_.modelCache.get()));
+                                  &gaknn_model, &characteristics_));
 }
 
 TaskResult

@@ -8,8 +8,9 @@
 
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -20,7 +21,6 @@
 #include "core/multi_transposition.h"
 #include "core/spline_transposition.h"
 #include "dataset/perf_database.h"
-#include "experiments/model_cache.h"
 #include "linalg/matrix.h"
 #include "util/thread_pool.h"
 
@@ -83,15 +83,6 @@ struct MethodSuiteConfig
      * thread count.
      */
     util::ParallelConfig parallel;
-    /**
-     * Optional trained-model cache shared across splits and protocols
-     * (null disables caching). Every cached artifact is keyed by a
-     * content hash of its full training inputs (method, configuration,
-     * matrix bytes, derived seed), so enabling the cache cannot change
-     * any result at any thread count; it only skips repeated training.
-     * Hit/miss/eviction counters are read via modelCache->stats().
-     */
-    std::shared_ptr<TrainedModelCache> modelCache;
 };
 
 /**
@@ -106,29 +97,21 @@ taskMlpSeed(const MethodSuiteConfig &config, std::uint64_t split_tag,
 }
 
 /**
- * Cache key of one (method, held-out benchmark) prediction. Everything
- * the prediction depends on goes in: the method's hyperparameters (the
- * MLP's includes its task-derived seed; the other methods are
- * seed-free, so identical splits reappearing in another protocol hit),
- * the predictive and target score matrices, and the held-out row.
- * GA-kNN predictions are not cached (asserts).
- */
-util::HashKey taskPredictionKey(Method method,
-                                const MethodSuiteConfig &config,
-                                const dataset::PerfDatabase &pred_db,
-                                const dataset::PerfDatabase &target_db,
-                                std::size_t app, std::uint64_t mlp_seed);
-
-/**
  * Computes one (method, held-out benchmark) prediction over the target
  * machines: the shared core of SplitEvaluator's tasks and of the
  * dtrank_serve rank engine, so an online answer is bit-identical to
  * the offline evaluateSplit() entry by construction.
  *
+ * An app unobserved on every predictive machine leaves nothing to
+ * transpose: its targets are ranked by their overall observed speed
+ * (target_db.machineGeometricMeans()), whatever the method.
+ *
  * @param gaknn_model Split-level GA-kNN model; required (with
  *        `characteristics`) only when `method` is GaKnn.
- * @param cache Optional prediction cache, keyed by taskPredictionKey()
- *        (ignored for GaKnn, whose per-task combine is cheap).
+ *
+ * The trailing unnamed parameter takes only nullptr. It exists so
+ * that the two perfbench harness callers, which still pass a ninth
+ * argument, compile; it is not an option.
  */
 std::vector<double>
 predictTask(Method method, const MethodSuiteConfig &config,
@@ -137,18 +120,15 @@ predictTask(Method method, const MethodSuiteConfig &config,
             std::uint64_t mlp_seed,
             const baseline::GaKnnModel *gaknn_model,
             const linalg::Matrix *characteristics,
-            TrainedModelCache *cache);
+            std::nullptr_t = nullptr);
 
 /**
- * The split-level GA-kNN model: trained on `pred_db` (its mask
- * included) or, with a cache, restored from the entry under
- * gaKnnModelKey and stored there after training. Shared by
- * SplitEvaluator and the dtrank_serve rank engine.
+ * The split-level GA-kNN model, trained on `pred_db` (its mask
+ * included). Shared by SplitEvaluator and the dtrank_serve rank engine.
  */
 baseline::GaKnnModel trainGaKnnSplitModel(const MethodSuiteConfig &config,
                                           const linalg::Matrix &characteristics,
-                                          const dataset::PerfDatabase &pred_db,
-                                          TrainedModelCache *cache);
+                                          const dataset::PerfDatabase &pred_db);
 
 /** One predictive/target machine split of an experiment protocol. */
 struct SplitSpec

@@ -20,7 +20,7 @@
  *     and are exported as Prometheus text or as
  *     util::BenchJsonWriter-compatible records (--metrics-out).
  *     Primitives are also usable standalone (value members) for
- *     per-instance accounting such as the model cache shards.
+ *     per-instance accounting.
  *
  * The registration path (MetricsRegistry::counter and friends) takes a
  * mutex and is intended for cold code: call it once and keep the
@@ -269,7 +269,7 @@ defaultLatencyBounds()
 /**
  * Named metric registry. Names follow Prometheus conventions:
  * counters end in `_total`, and a name may carry a label set
- * (`dtrank_model_cache_hits_total{shard="3"}`) that the text exporter
+ * (`dtrank_serve_responses_total{status="ok"}`) that the text exporter
  * groups under one metric family.
  */
 class MetricsRegistry

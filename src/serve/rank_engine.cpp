@@ -121,7 +121,7 @@ RankEngine::sessionFor(const RankRequest &request)
     // row replaced by the client's partial score vector. When the
     // client reports the database's own scores the matrix is
     // byte-identical to the harness's selection, so every downstream
-    // cache key and prediction matches the offline path.
+    // prediction matches the offline path.
     dataset::PerfDatabase base = db_.selectMachines(predictive);
     linalg::Matrix scores = base.scores();
     std::vector<double> app_row(predictive.size());
@@ -213,16 +213,14 @@ RankEngine::fullPrediction(Session &session, experiments::Method method)
     if (session.fullPredictions[slot] != nullptr)
         return session.fullPredictions[slot];
 
-    experiments::TrainedModelCache *cache =
-        config_.suite.modelCache.get();
     if (method == experiments::Method::GaKnn &&
         session.gaknn == nullptr) {
-        // The split-level GA model, trained (or cache-restored) once
-        // per session — the mirror of evaluateSplit()'s split setup.
+        // The split-level GA model, trained once per session — the
+        // mirror of evaluateSplit()'s split setup.
         session.gaknn = std::make_shared<baseline::GaKnnModel>(
             experiments::trainGaKnnSplitModel(config_.suite,
                                               *characteristics_,
-                                              session.predDb, cache));
+                                              session.predDb));
     }
 
     auto predicted =
@@ -230,8 +228,7 @@ RankEngine::fullPrediction(Session &session, experiments::Method method)
             method, config_.suite, session.predDb, db_, session.app,
             experiments::taskMlpSeed(config_.suite, 0, session.app),
             session.gaknn.get(),
-            characteristics_.has_value() ? &*characteristics_ : nullptr,
-            cache));
+            characteristics_.has_value() ? &*characteristics_ : nullptr));
     session.fullPredictions[slot] = std::move(predicted);
     return session.fullPredictions[slot];
 }

@@ -41,10 +41,9 @@
  * hold the predictive database and memoize the fitted MLP^T network,
  * the GA-kNN split model and each method's all-machine prediction
  * vector, bounded FIFO. A session holds no copy of the database's
- * target scores. Non-MLP predictions additionally go through the
- * shared experiments::TrainedModelCache; their keys hash the engine's
- * database as the target matrix, so they are a deterministic function
- * of (session, database) and survive session eviction.
+ * target scores. Every memoized value is a deterministic function of
+ * (session, database), so a session evicted and requested again is
+ * rebuilt to the same bits.
  */
 
 #pragma once
@@ -74,9 +73,9 @@ namespace dtrank::serve
 struct RankEngineConfig
 {
     /**
-     * Method hyperparameters, thread budget and the shared trained
-     * model cache — the same structure the offline harness takes, so a
-     * daemon and an experiment can be configured identically.
+     * Method hyperparameters and thread budget — the same structure
+     * the offline harness takes, so a daemon and an experiment can be
+     * configured identically.
      */
     experiments::MethodSuiteConfig suite;
     /** Bounded session cache; oldest session evicted beyond this. */

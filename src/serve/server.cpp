@@ -16,6 +16,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -187,6 +188,19 @@ setNonBlocking(int fd)
     const int flags = ::fcntl(fd, F_GETFL, 0);
     if (flags >= 0)
         ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+/**
+ * Responses are small frames written as soon as they are ready. With
+ * Nagle's algorithm on, a response that follows an unacknowledged one
+ * waits for the client's (possibly delayed) ACK, so send every
+ * segment at once — the client side does the same.
+ */
+void
+disableNagle(int fd)
+{
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 }
 
 #endif // DTRANK_HAVE_SOCKETS
@@ -476,6 +490,7 @@ struct Server::Impl
             if (fd < 0)
                 return; // EAGAIN or transient error: poll again
             setNonBlocking(fd);
+            disableNagle(fd);
             disableSigpipe(fd);
             auto conn = std::make_shared<Connection>();
             conn->fd = fd;

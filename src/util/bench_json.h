@@ -26,7 +26,7 @@ struct BenchRecord
     std::string name;
     /** Wall-clock time of the section in milliseconds. */
     double realTimeMs = 0.0;
-    /** Free-form context (thread count, seed, cache stats, ...). */
+    /** Free-form context (thread count, seed, dataset, ...). */
     std::vector<std::pair<std::string, std::string>> context;
 };
 

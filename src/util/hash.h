@@ -1,10 +1,10 @@
 /**
  * @file
- * Content hashing for cache keys. The trained-model cache keys an entry
- * by a content hash of everything that determines the trained model
- * bit-for-bit (method, hyperparameters, training matrix bytes, seed);
- * ContentHasher accumulates those ingredients into a 128-bit digest so
- * collisions are negligible without storing the raw bytes.
+ * Content hashing for cache keys. The rank engine keys a session by a
+ * content hash of the request that determines it (application,
+ * predictive machines, partial score vector); ContentHasher accumulates
+ * those ingredients into a 128-bit digest so collisions are negligible
+ * without storing the raw bytes.
  */
 
 #pragma once
@@ -92,12 +92,6 @@ class ContentHasher
         if (filled > 0)
             add(word);
         return *this;
-    }
-
-    ContentHasher &
-    add(bool flag)
-    {
-        return add(static_cast<std::uint64_t>(flag ? 1 : 0));
     }
 
     /** The digest of everything added so far. */

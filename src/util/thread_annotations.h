@@ -5,7 +5,7 @@
  * The determinism contract of the parallel execution layer (results are
  * bit-identical at any thread count) is only as strong as the lock
  * discipline around the shared state it touches: the ThreadPool task
- * queue, the TrainedModelCache shards, the logging sink. These macros
+ * queue, the rank engine's session cache, the logging sink. These macros
  * let us state that discipline in the type system — which mutex guards
  * which member, which functions require which capability — so a clang
  * build with -Wthread-safety proves it at compile time. Under every

@@ -11,7 +11,6 @@
 #include "dataset/mica.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/harness.h"
-#include "experiments/model_cache.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -185,7 +184,7 @@ perAppMlpT(const dataset::PerfDatabase &db,
         out.push_back(experiments::predictTask(
             Method::MlpT, config, pred_db, target_db, app,
             experiments::taskMlpSeed(config, kLaneTag, app), nullptr,
-            nullptr, nullptr));
+            nullptr));
     return out;
 }
 
@@ -282,49 +281,34 @@ TEST(SplitMlpLanes, ThreeBenchmarkSplitMatchesPerAppPredictTask)
                              fastSuite(), f.chars.selectRows(benchmarks));
 }
 
-TEST(SplitMlpLanes, ModelCacheServesHitsAndTrainsOnlyMisses)
+TEST(SplitMlpLanes, UnobservedAppFallsBackAndTrainsOnlyTheRest)
 {
+    // One app unobserved on every predictive machine but observed on
+    // every other: nothing can transpose it, so both paths rank the
+    // targets by their geometric means, and the split step trains
+    // every other app's network and no network for it.
     Fixture f;
     const std::size_t n_apps = f.db.benchmarkCount();
-    const auto reference = splitMlpT(f.db, f.chars, fastSuite());
+    const std::size_t blind_app = 4;
+    dataset::ScoreMask mask(n_apps, f.db.machineCount(), true);
+    for (std::size_t m : kLanePredictive)
+        mask.set(blind_app, m, false);
+    const dataset::PerfDatabase ragged(f.db.benchmarks(), f.db.machines(),
+                                       f.db.scores(), mask);
+    const experiments::MethodSuiteConfig config = fastSuite();
 
-    // One app's entry planted up front: the split step must look it
-    // up (the planted value comes back) and train only the others.
-    experiments::MethodSuiteConfig config = fastSuite();
-    config.modelCache = std::make_shared<experiments::TrainedModelCache>();
-    const std::size_t planted_app = 4;
-    const std::vector<double> planted(kLaneTarget.size(), 42.0);
-    config.modelCache->store(
-        experiments::taskPredictionKey(
-            Method::MlpT, config, f.db.selectMachines(kLanePredictive),
-            f.db.selectMachines(kLaneTarget), planted_app,
-            experiments::taskMlpSeed(config, kLaneTag, planted_app)),
-        planted);
+    const auto reference = perAppMlpT(ragged, config);
+    EXPECT_EQ(reference[blind_app],
+              ragged.selectMachines(kLaneTarget).machineGeometricMeans());
 
     obs::Counter &fits =
         obs::MetricsRegistry::global().counter("dtrank_mlp_fits_total");
     const std::uint64_t fits0 = fits.value();
-    const auto first = splitMlpT(f.db, f.chars, config);
+    const auto lanes = splitMlpT(ragged, f.chars, config);
     EXPECT_EQ(fits.value() - fits0, n_apps - 1);
-    auto stats = config.modelCache->stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.misses, n_apps - 1);
+    ASSERT_EQ(lanes.size(), n_apps);
     for (std::size_t app = 0; app < n_apps; ++app)
-        EXPECT_EQ(first[app], app == planted_app ? planted : reference[app])
-            << "app " << app;
-
-    // A second call is all hits and trains nothing.
-    const std::uint64_t fits1 = fits.value();
-    const auto second = splitMlpT(f.db, f.chars, config);
-    EXPECT_EQ(fits.value(), fits1);
-    stats = config.modelCache->stats();
-    EXPECT_EQ(stats.hits, 1u + n_apps);
-    EXPECT_EQ(stats.misses, n_apps - 1);
-    EXPECT_EQ(first, second);
-
-    // Cache on, nothing planted: the same bits as cache off.
-    config.modelCache = std::make_shared<experiments::TrainedModelCache>();
-    EXPECT_EQ(splitMlpT(f.db, f.chars, config), reference);
+        EXPECT_EQ(lanes[app], reference[app]) << "app " << app;
 }
 
 } // namespace

@@ -342,8 +342,8 @@ TEST_P(KernelEquality, GemmDotMatchesNaiveDotLoopAcrossBlocks)
 INSTANTIATE_TEST_SUITE_P(
     VectorTiers, KernelEquality,
     ::testing::Values(simd::Tier::Avx2, simd::Tier::Avx512),
-    [](const ::testing::TestParamInfo<simd::Tier> &info) {
-        return std::string(simd::tierName(info.param));
+    [](const ::testing::TestParamInfo<simd::Tier> &param) {
+        return std::string(simd::tierName(param.param));
     });
 
 /**

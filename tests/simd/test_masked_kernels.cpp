@@ -211,8 +211,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllTiers, MaskedKernels,
     ::testing::Values(simd::Tier::Scalar, simd::Tier::Avx2,
                       simd::Tier::Avx512),
-    [](const ::testing::TestParamInfo<simd::Tier> &info) {
-        return std::string(simd::tierName(info.param));
+    [](const ::testing::TestParamInfo<simd::Tier> &param) {
+        return std::string(simd::tierName(param.param));
     });
 
 } // namespace

@@ -52,7 +52,6 @@
 #include "core/ranking_comparison.h"
 #include "experiments/bench_options.h"
 #include "experiments/harness.h"
-#include "obs/metrics.h"
 #include "stats/bootstrap.h"
 #include "stats/kendall.h"
 #include "util/cli.h"
@@ -326,11 +325,6 @@ evaluateAllApps(util::ArgParser &args, const dataset::PerfDatabase &db,
     experiments::MethodSuiteConfig config;
     config.parallel.threads =
         static_cast<std::size_t>(args.getLong("threads"));
-    if (args.getFlag("model-cache"))
-        config.modelCache =
-            std::make_shared<experiments::TrainedModelCache>(
-                experiments::TrainedModelCache::kDefaultCapacity,
-                &obs::MetricsRegistry::global());
     // The GA-kNN baseline (the only characteristics consumer) is not
     // reachable from --method, so a placeholder matrix suffices.
     const experiments::SplitEvaluator evaluator(
@@ -359,11 +353,6 @@ evaluateAllApps(util::ArgParser &args, const dataset::PerfDatabase &db,
                   util::formatFixed(top1 / n, 2),
                   util::formatFixed(err / n, 2)});
     table.print(std::cout);
-    if (config.modelCache != nullptr) {
-        const auto stats = config.modelCache->stats();
-        std::cout << "\nModel cache: " << stats.hits << " hits, "
-                  << stats.misses << " misses\n";
-    }
     return 0;
 }
 
@@ -483,9 +472,6 @@ main(int argc, char **argv)
                    "worker threads for --app all (0 = all hardware "
                    "threads)",
                    "0");
-    args.addFlag("model-cache",
-                 "cache trained models during --app all (bit-identical "
-                 "results, fewer trainings)");
     args.addOption("metrics-out",
                    "write the metrics registry to this path after the "
                    "run (Prometheus text; JSON when the path ends in "

@@ -12,7 +12,7 @@
  *
  * Latency is measured from each request's *scheduled* send time to its
  * response, so sender stalls count against the server (no coordinated
- * omission). Reports throughput and p50/p99/p999 per run, appends
+ * omission). Reports throughput and p50/p90/p99/p999 per run, appends
  * BenchJsonWriter records for bench_compare, and can scrape the
  * daemon's Prometheus text (--scrape-out) for obs_check.
  *
@@ -340,20 +340,22 @@ main(int argc, char **argv)
         }
         std::sort(ok_lat.begin(), ok_lat.end());
         const double p50 = quantileOf(ok_lat, 0.50) * 1e3;
+        const double p90 = quantileOf(ok_lat, 0.90) * 1e3;
         const double p99 = quantileOf(ok_lat, 0.99) * 1e3;
         const double p999 = quantileOf(ok_lat, 0.999) * 1e3;
         const double throughput =
             elapsed > 0.0 ? static_cast<double>(n_ok) / elapsed : 0.0;
 
         util::TablePrinter table({"sent", "ok", "error", "overloaded",
-                                  "lost", "rps", "p50 ms", "p99 ms",
-                                  "p999 ms"});
+                                  "lost", "rps", "p50 ms", "p90 ms",
+                                  "p99 ms", "p999 ms"});
         table.addRow({std::to_string(total), std::to_string(n_ok),
                       std::to_string(n_error),
                       std::to_string(n_overloaded),
                       std::to_string(n_lost),
                       util::formatFixed(throughput, 0),
                       util::formatFixed(p50, 3),
+                      util::formatFixed(p90, 3),
                       util::formatFixed(p99, 3),
                       util::formatFixed(p999, 3)});
         table.print(std::cout);
@@ -373,6 +375,7 @@ main(int argc, char **argv)
             json.add(std::move(rec));
         };
         record("p50", p50, {});
+        record("p90", p90, {});
         record("p99", p99, {});
         record("p999", p999, {});
         record("window", elapsed * 1e3,

@@ -2,8 +2,8 @@
  * @file
  * dtrank_serve: the batched ranking-as-a-service daemon.
  *
- * Loads the score database once, keeps the trained-model cache warm
- * across requests, and answers rank queries over the length-prefixed
+ * Loads the score database once, keeps fitted sessions warm across
+ * requests, and answers rank queries over the length-prefixed
  * binary protocol (src/serve/protocol.h) with the exact arithmetic of
  * the offline experiment harness. Concurrent MLP^T requests sharing a
  * session are coalesced into one GEMM; a bounded admission queue sheds
@@ -84,7 +84,6 @@ main(int argc, char **argv)
         serve::RankEngineConfig engine_config;
         engine_config.sessionCapacity = static_cast<std::size_t>(
             args.getLong("session-capacity"));
-        experiments::applyModelCacheOption(args, engine_config.suite);
 
         std::optional<linalg::Matrix> characteristics;
         std::optional<dataset::PerfDatabase> db;
