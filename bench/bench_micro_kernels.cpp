@@ -685,8 +685,11 @@ BM_KernelMlpUpdate(benchmark::State &state, int tier)
     auto bias = randomVector(width, rng);
     std::vector<double> pb(width, 0.0);
     const simd::KernelTable &kt = kernelTable(tier);
+    // lr = 1.0 leaves d as it is, so every iteration times the same
+    // normal-range arithmetic: a tiny lr applied in place would drive
+    // d to zero and the momentum terms through the subnormal range.
     for (auto _ : state) {
-        kt.mlpUpdateLayer(width, width, 1e-9, 0.2, in_act.data(),
+        kt.mlpUpdateLayer(width, width, 1.0, 0.2, in_act.data(),
                           d.data(), wt.data(), pwt.data(), bias.data(),
                           pb.data());
         benchmark::DoNotOptimize(wt.data());

@@ -36,7 +36,7 @@ struct Avx2
     /**
      * The canonical fold: lane-wise (p0 + p1) + (p2 + p3), then the
      * low/high 128-bit split-and-add, then element0 + element1 —
-     * exactly combinePartials() of the scalar tier.
+     * exactly the combine tree the scalar tier writes out.
      */
     static double
     fold(const V *part)

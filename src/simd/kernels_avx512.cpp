@@ -38,8 +38,8 @@ struct Avx512
      * halves are s[0..3] and s[4..7], part[1]'s are s[8..11] and
      * s[12..15], so t0 + t1 is (s[l] + s[l+4]) + (s[l+8] + s[l+12])
      * per lane l; the 128-bit split-and-add then produces
-     * (L0 + L2) + (L1 + L3) — exactly combinePartials() of the
-     * scalar tier.
+     * (L0 + L2) + (L1 + L3) — exactly the combine tree the scalar
+     * tier writes out.
      */
     static double
     fold(const V *part)

@@ -1,23 +1,23 @@
 /**
  * @file
- * The vector tiers' kernels, written once as a body templated on a
- * per-width traits struct T and included by kernels_avx2.cpp (W = 4)
- * and kernels_avx512.cpp (W = 8), which each compile it for their own
- * ISA. The kernels land on exactly the scalar tier's bits
- * (kernels_scalar.cpp is the specification):
+ * Every tier's kernels, written once as a body templated on a
+ * per-width traits struct T and included by kernels_scalar.cpp
+ * (W = 1), kernels_avx2.cpp (W = 4) and kernels_avx512.cpp (W = 8),
+ * which each compile it for their own ISA. One body gives one set of
+ * bits at every width (tests/simd/reference_kernels.h writes them out
+ * as the tests' oracle):
  *   - every reduction goes through reduce(): the 16 canonical partials
  *     held in 16 / W vectors (partial s[j] in lane j % W of vector
  *     j / W), a sequential scalar tail, then T::fold, the tier's
- *     register spelling of combinePartials();
+ *     spelling of the canonical combine tree (simd.h);
  *   - the masked reductions crush each invalid term to +0.0 after its
- *     arithmetic (T::keep), the same +0.0 the scalar tier adds, so an
- *     all-set mask reproduces the dense kernel bit for bit and
- *     NaN-poisoned cells never reach the sum;
+ *     arithmetic (T::keep), so an all-set mask reproduces the dense
+ *     kernel bit for bit and NaN-poisoned cells never reach the sum;
  *   - the elementwise sweeps and MLP layer kernels never sum across
  *     elements, so any width gives the same bits.
  *
  * The traits struct provides:
- *   V                   LaneVector<W>::Type;
+ *   V                   LaneVector<W>::Type (a double at W = 1);
  *   fold(part)          the canonical combine of part[0 .. 16 / W);
  *   Mask, mask(live)    a mask of the first `live` lanes, live <= W;
  *   maskLoad(p, m)      the masked lanes at p, others 0.0;
@@ -134,7 +134,7 @@ struct VectorKernels
     weightedSquaredDistance(const double *a, const double *b,
                             const double *w, std::size_t n)
     {
-        // (w * d) * d — the scalar tier's association.
+        // (w * d) * d, the association of the pre-SIMD loops.
         return reduce(
             n,
             [=](std::size_t i) {
@@ -317,11 +317,16 @@ struct VectorKernels
 
     /**
      * The momentum update of n weights: dw = x[i] * y + momentum *
-     * p[i], added to w[i] and stored as the new p[i].
+     * p[i], added to w[i] and stored as the new p[i]. The operands are
+     * disjoint (deltas or activations, weights and previous updates
+     * live in separate allocations); without __restrict, which GCC
+     * exploits only on parameters, the loop is versioned with runtime
+     * alias checks that cost more than its body.
      */
     static void
-    momentumSweep(std::size_t n, const double *x, double y, double momentum,
-                  double *w, double *p)
+    momentumSweep(std::size_t n, const double *__restrict x, double y,
+                  double momentum, double *__restrict w,
+                  double *__restrict p)
     {
         std::size_t i = 0;
         for (; i + W <= n; i += W) {

@@ -5,16 +5,16 @@
  * the kNN distance evaluations and the MLP layer micro-ops.
  *
  * Three tiers implement the same kernel table:
- *   - scalar  portable C++, compiles and runs everywhere; the
- *             hand-written reference (kernels_scalar.cpp);
+ *   - scalar  portable C++, one lane, compiles and runs everywhere;
  *   - avx2    4 lanes of 256-bit AVX2 with FMA, selected at startup
  *             when the CPU reports both AVX2 and FMA (overridable with
  *             --simd or the DTRANK_SIMD environment variable);
  *   - avx512  8 lanes of 512-bit AVX-512F, selected when the CPU
  *             reports avx512f (same overrides; an unavailable request
  *             falls back to the best remaining tier).
- * The two vector tiers are one body (kernels_vector.h) templated on a
- * per-width traits struct, which each tier's TU instantiates.
+ * The three tiers are one body (kernels_vector.h) templated on a
+ * per-width traits struct, which each tier's TU instantiates at its
+ * width (1, 4 or 8 lanes).
  *
  * # The canonical reduction contract
  *
@@ -35,15 +35,18 @@
  *   - the trailing n mod 16 terms accumulate sequentially into a
  *     separate scalar, added last:  result = R + tail.
  *
- * The scalar tier spells this order out with 16 named partials; the
- * vector tiers hold them in 16 / W vectors of W lanes (partial j in
- * lane j % W of vector j / W) and fold them with their width's
- * spelling of the tree above: at 4 lanes the vector adds and the
- * 128-bit fold, at 8 lanes a 256-bit half-add first, so each lane-add
- * lands on the identical (s[l] + s[l+4]) + (s[l+8] + s[l+12])
- * association. No reduction or sweep uses fused multiply-add: FMA
- * rounds once where mul+add rounds twice, so the kernels write mul and
- * add, and every target builds with -ffp-contract=off (top-level
+ * Each tier holds the partials in 16 / W values of W lanes (partial j
+ * in lane j % W of value j / W) and folds them with its width's
+ * spelling of the tree above: at 1 lane the tree written out over 16
+ * doubles, at 4 lanes the vector adds and the 128-bit fold, at 8
+ * lanes a 256-bit half-add first, so each lane-add lands on the
+ * identical (s[l] + s[l+4]) + (s[l+8] + s[l+12]) association.
+ * tests/simd/reference_kernels.h writes the order out in plain loops,
+ * as the oracle every tier is tested against.
+ *
+ * No reduction or sweep uses fused multiply-add: FMA rounds once
+ * where mul+add rounds twice, so the kernels write mul and add, and
+ * every target builds with -ffp-contract=off (top-level
  * CMakeLists.txt) so the compiler cannot fuse a pair behind the
  * source's back either. The one exception is exp (exp.h), whose fused
  * operations are written out as fused in every tier — an FMA
@@ -306,10 +309,9 @@ struct KernelTable
     // lane-blocked reduction as its dense sibling with each invalid
     // term replaced by a literal +0.0 (zero-substitution) — never by
     // skipping the add — so an all-set mask is bit-identical to the
-    // unmasked kernel by construction, in every tier. Invalid elements
-    // are never read arithmetically in the scalar tier and are crushed
-    // to 0.0 after the multiply in the vector tiers, so NaN-poisoned
-    // masked cells cannot leak into the sum.
+    // unmasked kernel by construction, in every tier. Each invalid
+    // term is crushed to +0.0 after its arithmetic, in every tier, so
+    // NaN-poisoned masked cells cannot leak into the sum.
     // -----------------------------------------------------------------
 
     /** Masked canonical dot: sum over valid i of a[i] * b[i]. */
@@ -333,7 +335,7 @@ struct KernelTable
                                             std::size_t n);
 };
 
-/** The portable reference tier. Always available. */
+/** The portable one-lane tier. Always available. */
 const KernelTable &scalarKernels();
 
 /**

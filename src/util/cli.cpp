@@ -63,7 +63,9 @@ ArgParser::parse(int argc, const char *const *argv)
                 "unknown option '--" + name + "' (see --help)");
         if (it->second.is_flag) {
             require(!has_value, "flag '--" + name + "' takes no value");
-            values_[name] = "1";
+            // A move-assigned temporary: assigning the literal itself
+            // trips GCC 12's -Wrestrict false positive.
+            values_[name] = std::string("1");
         } else {
             if (!has_value) {
                 require(i + 1 < argc,

@@ -165,10 +165,12 @@ TEST(BenchmarkCatalog, OutliersHaveTheDocumentedProfiles)
         CapabilityDim::MemBandwidth);
     const auto cache = static_cast<std::size_t>(CapabilityDim::Cache);
     for (const auto &b : benchmarkCatalog()) {
-        if (b.info.name == "libquantum")
+        if (b.info.name == "libquantum") {
             EXPECT_GE(b.demand[membw], 0.6);
-        if (b.info.name == "leslie3d" || b.info.name == "cactusADM")
+        }
+        if (b.info.name == "leslie3d" || b.info.name == "cactusADM") {
             EXPECT_GE(b.demand[membw], 0.5);
+        }
         if (b.info.name == "namd" || b.info.name == "hmmer") {
             EXPECT_GE(b.demand[cache], 0.45);
             // Lower-than-average scale offset (Section 6.2).

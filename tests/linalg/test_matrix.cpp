@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/matrix.h"
-#include "simd/simd.h"
+#include "tests/simd/reference_kernels.h"
 #include "util/error.h"
 
 namespace
@@ -264,13 +264,13 @@ TEST(Matrix, MultiplyTransposedMatchesExplicitTranspose)
     // which reorders the k sum relative to the textbook loop — so the
     // explicit transpose product agrees to rounding, not bit-for-bit...
     EXPECT_TRUE(fast.approxEquals(reference, 1e-9));
-    // ...while the scalar-tier canonical spec must match exactly, at
-    // whichever tier dispatch selected.
-    const simd::KernelTable &spec = simd::scalarKernels();
+    // ...while the oracle's written-out canonical dot must match
+    // exactly, at whichever tier dispatch selected.
     for (std::size_t i = 0; i < fast.rows(); ++i)
         for (std::size_t j = 0; j < fast.cols(); ++j)
-            EXPECT_EQ(fast(i, j),
-                      spec.dot(a.rowData(i), b.rowData(j), a.cols()));
+            EXPECT_EQ(fast(i, j), simd::reference::dot(a.rowData(i),
+                                                       b.rowData(j),
+                                                       a.cols()));
 }
 
 TEST(Matrix, MultiplyTransposedValidatesSharedColumnCount)

@@ -1,14 +1,15 @@
 /**
  * @file
- * Exhaustive scalar <-> vector-tier bit-equality over the full kernel
- * table, run once per vector tier (AVX2 and AVX-512) through a
- * value-parameterized fixture. Lengths 1..67 cover every (full-block,
- * lane, remainder) phase of the canonical lane-blocked reduction
- * several times over; the GEMM and MLP shapes stress remainder-heavy
- * panels. Every comparison is EXPECT_EQ on the doubles — bit identity,
- * not tolerance — because that is the contract the dispatch layer
- * sells. A tier the build or CPU lacks skips its instantiation
- * cleanly (the runtime probe half of the CI avx512 guard).
+ * Exhaustive bit-equality of every tier (scalar, AVX2 and AVX-512)
+ * against the written-out oracle (tests/simd/reference_kernels.h),
+ * over the full kernel table, through a value-parameterized fixture.
+ * Lengths 1..67 cover every (full-block, lane, remainder) phase of the
+ * canonical lane-blocked reduction several times over; the GEMM and
+ * MLP shapes stress remainder-heavy panels. Every comparison is
+ * EXPECT_EQ on the doubles — bit identity, not tolerance — because
+ * that is the contract the dispatch layer sells. A tier the build or
+ * CPU lacks skips its instantiation cleanly (the runtime probe half of
+ * the CI avx512 guard).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "simd/simd.h"
+#include "tests/simd/reference_kernels.h"
 #include "util/rng.h"
 
 namespace
@@ -48,31 +50,36 @@ weightOperand(std::size_t n, std::uint64_t seed)
     return v;
 }
 
+/** The kernel table of `tier`, or null when the build or CPU lacks it. */
+const simd::KernelTable *
+tableOf(simd::Tier tier)
+{
+    if (!simd::tierAvailable(tier))
+        return nullptr;
+    switch (tier) {
+      case simd::Tier::Avx2:
+        return simd::avx2Kernels();
+      case simd::Tier::Avx512:
+        return simd::avx512Kernels();
+      default:
+        return &simd::scalarKernels();
+    }
+}
+
+namespace ref = simd::reference;
+
 class KernelEquality : public ::testing::TestWithParam<simd::Tier>
 {
   protected:
     void SetUp() override
     {
-        switch (GetParam()) {
-          case simd::Tier::Avx2:
-            if (!simd::tierAvailable(simd::Tier::Avx2))
-                GTEST_SKIP()
-                    << "AVX2 tier unavailable on this build/CPU";
-            vec_ = simd::avx2Kernels();
-            break;
-          case simd::Tier::Avx512:
-            if (!simd::tierAvailable(simd::Tier::Avx512))
-                GTEST_SKIP()
-                    << "AVX-512 tier unavailable on this build/CPU";
-            vec_ = simd::avx512Kernels();
-            break;
-          default:
-            FAIL() << "parameterized over vector tiers only";
-        }
+        tier_ = tableOf(GetParam());
+        if (tier_ == nullptr)
+            GTEST_SKIP() << simd::tierName(GetParam())
+                         << " tier unavailable on this build/CPU";
     }
 
-    const simd::KernelTable &scalar_ = simd::scalarKernels();
-    const simd::KernelTable *vec_ = nullptr;
+    const simd::KernelTable *tier_ = nullptr;
 };
 
 TEST_P(KernelEquality, ReductionsAgreeOnEveryLength)
@@ -82,21 +89,19 @@ TEST_P(KernelEquality, ReductionsAgreeOnEveryLength)
         const auto a = operand(n, 100 + n);
         const auto b = operand(n, 200 + n);
         const auto w = weightOperand(n, 300 + n);
-        EXPECT_EQ(scalar_.dot(a.data(), b.data(), n),
-                  vec_->dot(a.data(), b.data(), n));
-        EXPECT_EQ(scalar_.squaredDistance(a.data(), b.data(), n),
-                  vec_->squaredDistance(a.data(), b.data(), n));
-        EXPECT_EQ(scalar_.manhattan(a.data(), b.data(), n),
-                  vec_->manhattan(a.data(), b.data(), n));
+        EXPECT_EQ(ref::dot(a.data(), b.data(), n),
+                  tier_->dot(a.data(), b.data(), n));
+        EXPECT_EQ(ref::squaredDistance(a.data(), b.data(), n),
+                  tier_->squaredDistance(a.data(), b.data(), n));
+        EXPECT_EQ(ref::manhattan(a.data(), b.data(), n),
+                  tier_->manhattan(a.data(), b.data(), n));
         EXPECT_EQ(
-            scalar_.weightedSquaredDistance(a.data(), b.data(), w.data(),
-                                            n),
-            vec_->weightedSquaredDistance(a.data(), b.data(), w.data(),
-                                          n));
-        EXPECT_EQ(scalar_.centeredDot(a.data(), b.data(), 0.125, -0.75,
-                                      n),
-                  vec_->centeredDot(a.data(), b.data(), 0.125, -0.75,
-                                    n));
+            ref::weightedSquaredDistance(a.data(), b.data(), w.data(), n),
+            tier_->weightedSquaredDistance(a.data(), b.data(), w.data(),
+                                           n));
+        EXPECT_EQ(ref::centeredDot(a.data(), b.data(), 0.125, -0.75, n),
+                  tier_->centeredDot(a.data(), b.data(), 0.125, -0.75,
+                                     n));
     }
 }
 
@@ -107,23 +112,23 @@ TEST_P(KernelEquality, ElementwiseSweepsAgreeOnEveryLength)
         const auto base = operand(n, 400 + n);
         const auto b = operand(n, 500 + n);
 
-        auto s = base;
-        auto v = base;
-        scalar_.axpy(s.data(), b.data(), 1.25, n);
-        vec_->axpy(v.data(), b.data(), 1.25, n);
-        EXPECT_EQ(s, v);
+        auto r = base;
+        auto t = base;
+        ref::axpy(r.data(), b.data(), 1.25, n);
+        tier_->axpy(t.data(), b.data(), 1.25, n);
+        EXPECT_EQ(r, t);
 
-        s = base;
-        v = base;
-        scalar_.scale(s.data(), -0.333, n);
-        vec_->scale(v.data(), -0.333, n);
-        EXPECT_EQ(s, v);
+        r = base;
+        t = base;
+        ref::scale(r.data(), -0.333, n);
+        tier_->scale(t.data(), -0.333, n);
+        EXPECT_EQ(r, t);
 
-        s = base;
-        v = base;
-        scalar_.mulAdd(s.data(), b.data(), base.data(), n);
-        vec_->mulAdd(v.data(), b.data(), base.data(), n);
-        EXPECT_EQ(s, v);
+        r = base;
+        t = base;
+        ref::mulAdd(r.data(), b.data(), base.data(), n);
+        tier_->mulAdd(t.data(), b.data(), base.data(), n);
+        EXPECT_EQ(r, t);
     }
 }
 
@@ -137,13 +142,13 @@ TEST_P(KernelEquality, GemmMicroAgreesOnRemainderHeavyShapes)
                          " n=" + std::to_string(n));
             auto a = operand(k, 600 + k);
             if (k > 2)
-                a[k / 2] = 0.0; // exercise the zero-skip in both tiers
+                a[k / 2] = 0.0; // exercise the zero-skip
             const auto b = operand(k * n, 700 + k * 31 + n);
-            auto cs = operand(n, 800 + n);
-            auto cv = cs;
-            scalar_.gemmMicro(k, n, a.data(), b.data(), n, cs.data());
-            vec_->gemmMicro(k, n, a.data(), b.data(), n, cv.data());
-            EXPECT_EQ(cs, cv);
+            auto cr = operand(n, 800 + n);
+            auto ct = cr;
+            ref::gemmMicro(k, n, a.data(), b.data(), n, cr.data());
+            tier_->gemmMicro(k, n, a.data(), b.data(), n, ct.data());
+            EXPECT_EQ(cr, ct);
         }
     }
 }
@@ -160,59 +165,56 @@ TEST_P(KernelEquality, MlpKernelsAgreeAcrossLayerShapes)
             const auto bias = operand(out, 1000 + out);
             const auto a_in = operand(in, 1100 + in);
 
-            std::vector<double> nets_s(out, 0.0);
-            std::vector<double> nets_v(out, 0.0);
-            scalar_.mlpLayerNets(in, out, wt.data(), bias.data(),
-                                 a_in.data(), nets_s.data());
-            vec_->mlpLayerNets(in, out, wt.data(), bias.data(),
-                               a_in.data(), nets_v.data());
-            EXPECT_EQ(nets_s, nets_v);
+            std::vector<double> nets_r(out, 0.0);
+            std::vector<double> nets_t(out, 0.0);
+            ref::mlpLayerNets(in, out, wt.data(), bias.data(), a_in.data(),
+                              nets_r.data());
+            tier_->mlpLayerNets(in, out, wt.data(), bias.data(),
+                                a_in.data(), nets_t.data());
+            EXPECT_EQ(nets_r, nets_t);
 
             // Deltas: `out` plays the successor width here.
             const auto d_next = operand(out, 1200 + out);
-            std::vector<double> d_s(in, 0.0);
-            std::vector<double> d_v(in, 0.0);
-            scalar_.mlpLayerDeltas(in, out, wt.data(), d_next.data(),
-                                   d_s.data());
-            vec_->mlpLayerDeltas(in, out, wt.data(), d_next.data(),
-                                 d_v.data());
-            EXPECT_EQ(d_s, d_v);
+            std::vector<double> d_r(in, 0.0);
+            std::vector<double> d_t(in, 0.0);
+            ref::mlpLayerDeltas(in, out, wt.data(), d_next.data(),
+                                d_r.data());
+            tier_->mlpLayerDeltas(in, out, wt.data(), d_next.data(),
+                                  d_t.data());
+            EXPECT_EQ(d_r, d_t);
 
             // Momentum update mutates every buffer; compare them all.
-            auto d2_s = operand(out, 1300 + out);
-            auto d2_v = d2_s;
-            auto wt_s = wt;
-            auto wt_v = wt;
-            auto pwt_s = operand(in * out, 1400 + in + out);
-            auto pwt_v = pwt_s;
-            auto bias_s = bias;
-            auto bias_v = bias;
-            auto pb_s = operand(out, 1500 + out);
-            auto pb_v = pb_s;
-            scalar_.mlpUpdateLayer(in, out, 0.05, 0.2, a_in.data(),
-                                   d2_s.data(), wt_s.data(),
-                                   pwt_s.data(), bias_s.data(),
-                                   pb_s.data());
-            vec_->mlpUpdateLayer(in, out, 0.05, 0.2, a_in.data(),
-                                 d2_v.data(), wt_v.data(),
-                                 pwt_v.data(), bias_v.data(),
-                                 pb_v.data());
-            EXPECT_EQ(d2_s, d2_v);
-            EXPECT_EQ(wt_s, wt_v);
-            EXPECT_EQ(pwt_s, pwt_v);
-            EXPECT_EQ(bias_s, bias_v);
-            EXPECT_EQ(pb_s, pb_v);
+            auto d2_r = operand(out, 1300 + out);
+            auto d2_t = d2_r;
+            auto wt_r = wt;
+            auto wt_t = wt;
+            auto pwt_r = operand(in * out, 1400 + in + out);
+            auto pwt_t = pwt_r;
+            auto bias_r = bias;
+            auto bias_t = bias;
+            auto pb_r = operand(out, 1500 + out);
+            auto pb_t = pb_r;
+            ref::mlpUpdateLayer(in, out, 0.05, 0.2, a_in.data(),
+                                d2_r.data(), wt_r.data(), pwt_r.data(),
+                                bias_r.data(), pb_r.data());
+            tier_->mlpUpdateLayer(in, out, 0.05, 0.2, a_in.data(),
+                                  d2_t.data(), wt_t.data(), pwt_t.data(),
+                                  bias_t.data(), pb_t.data());
+            EXPECT_EQ(d2_r, d2_t);
+            EXPECT_EQ(wt_r, wt_t);
+            EXPECT_EQ(pwt_r, pwt_t);
+            EXPECT_EQ(bias_r, bias_t);
+            EXPECT_EQ(pb_r, pb_t);
         }
     }
 }
 
 /**
- * The minibatch kernels. mlpBatchNets must equal running mlpLayerNets
- * row by row (the per-sample engine's arithmetic) and the vector tier
- * must match the scalar tier bit-for-bit; mlpGradAccum must equal the
- * zero-init sample-ascending rank-1 accumulation and OVERWRITE any
- * garbage already in gw. Strided variants cover lda/ldd/ldc larger
- * than the row width.
+ * The minibatch kernels. mlpBatchNets must equal the oracle's
+ * mlpLayerNets run row by row (the per-sample engine's arithmetic);
+ * mlpGradAccum must equal the zero-init sample-ascending rank-1
+ * accumulation and OVERWRITE any garbage already in gw. Strided
+ * variants cover lda/ldd/ldc larger than the row width.
  */
 TEST_P(KernelEquality, BatchKernelsMatchPerSampleLoops)
 {
@@ -235,45 +237,32 @@ TEST_P(KernelEquality, BatchKernelsMatchPerSampleLoops)
                 const auto wt = operand(in * out, 2200 + in * 71 + out);
                 const auto bias = operand(out, 2300 + out);
 
-                std::vector<double> ref(bn * ldc, 0.0);
+                std::vector<double> nets_r(bn * ldc, 0.0);
                 for (std::size_t s = 0; s < bn; ++s)
-                    scalar_.mlpLayerNets(in, out, wt.data(),
-                                         bias.data(), a.data() + s * lda,
-                                         ref.data() + s * ldc);
-
-                std::vector<double> nets_s(bn * ldc, 0.0);
-                scalar_.mlpBatchNets(bn, in, out, a.data(), lda,
-                                     wt.data(), bias.data(),
-                                     nets_s.data(), ldc);
-                std::vector<double> nets_v(bn * ldc, 0.0);
-                vec_->mlpBatchNets(bn, in, out, a.data(), lda,
-                                   wt.data(), bias.data(), nets_v.data(),
-                                   ldc);
-                for (std::size_t s = 0; s < bn; ++s)
-                    for (std::size_t r = 0; r < out; ++r) {
-                        EXPECT_EQ(ref[s * ldc + r], nets_s[s * ldc + r]);
-                        EXPECT_EQ(ref[s * ldc + r], nets_v[s * ldc + r]);
-                    }
+                    ref::mlpLayerNets(in, out, wt.data(), bias.data(),
+                                      a.data() + s * lda,
+                                      nets_r.data() + s * ldc);
+                std::vector<double> nets_t(bn * ldc, 0.0);
+                tier_->mlpBatchNets(bn, in, out, a.data(), lda,
+                                    wt.data(), bias.data(), nets_t.data(),
+                                    ldc);
+                EXPECT_EQ(nets_r, nets_t);
 
                 const std::size_t ldd = out + (in % 2);
                 const auto d =
                     operand(bn * ldd, 2400 + bn * 17 + in + out);
-                std::vector<double> gw_ref(out * in, 0.0);
+                std::vector<double> gw_r(out * in, 0.0);
                 for (std::size_t s = 0; s < bn; ++s)
                     for (std::size_t r = 0; r < out; ++r)
                         for (std::size_t col = 0; col < in; ++col)
-                            gw_ref[r * in + col] +=
+                            gw_r[r * in + col] +=
                                 d[s * ldd + r] * a[s * lda + col];
 
                 // Prefill with garbage: the kernel must overwrite.
-                auto gw_s = operand(out * in, 2500 + in + out);
-                scalar_.mlpGradAccum(bn, out, in, d.data(), ldd,
-                                     a.data(), lda, gw_s.data());
-                EXPECT_EQ(gw_ref, gw_s);
-                auto gw_v = operand(out * in, 2600 + in + out);
-                vec_->mlpGradAccum(bn, out, in, d.data(), ldd, a.data(),
-                                   lda, gw_v.data());
-                EXPECT_EQ(gw_ref, gw_v);
+                auto gw_t = operand(out * in, 2500 + in + out);
+                tier_->mlpGradAccum(bn, out, in, d.data(), ldd, a.data(),
+                                    lda, gw_t.data());
+                EXPECT_EQ(gw_r, gw_t);
             }
         }
     }
@@ -281,12 +270,12 @@ TEST_P(KernelEquality, BatchKernelsMatchPerSampleLoops)
 
 /**
  * gemmDotColumns: the column-major canonical-dot GEMM (samples as
- * lanes) must match the naive per-entry `bias[j] + dot(...)` loop
- * bit-for-bit, in the scalar tier and in the vector tier against both
- * tiers' own dot. k straddles the 16-term canonical block (all-tail,
- * exact block, block + tail, two blocks + tail); m is never a
- * multiple of a lane width or of the 128-sample tile; the input and
- * output rows are padded (lda, ldc > m) so a stride slip shows.
+ * lanes) must match the naive per-entry `bias[j] + dot(...)` loop over
+ * the oracle's dot bit-for-bit, in every tier. k straddles the 16-term
+ * canonical block (all-tail, exact block, block + tail, two blocks +
+ * tail); m is never a multiple of a lane width or of the 128-sample
+ * tile; the input and output rows are padded (lda, ldc > m) so a
+ * stride slip shows.
  */
 TEST_P(KernelEquality, GemmDotMatchesNaiveDotLoopAcrossBlocks)
 {
@@ -307,49 +296,45 @@ TEST_P(KernelEquality, GemmDotMatchesNaiveDotLoopAcrossBlocks)
                 const auto bias = operand(n, 2000 + n);
 
                 std::vector<double> sample(k);
-                std::vector<double> naive_s(n * ldc, 0.0);
-                std::vector<double> naive_v(n * ldc, 0.0);
+                std::vector<double> naive(n * ldc, 0.0);
                 for (std::size_t i = 0; i < m; ++i) {
                     for (std::size_t kk = 0; kk < k; ++kk)
                         sample[kk] = at[kk * lda + i];
-                    for (std::size_t j = 0; j < n; ++j) {
-                        naive_s[j * ldc + i] =
-                            bias[j] + scalar_.dot(sample.data(),
-                                                  b.data() + j * k, k);
-                        naive_v[j * ldc + i] =
-                            bias[j] + vec_->dot(sample.data(),
-                                                b.data() + j * k, k);
-                    }
+                    for (std::size_t j = 0; j < n; ++j)
+                        naive[j * ldc + i] =
+                            bias[j] +
+                            ref::dot(sample.data(), b.data() + j * k, k);
                 }
 
-                std::vector<double> cols_s(n * ldc, 0.0);
-                simd::gemmDotColumns(scalar_, m, n, k, at.data(), lda,
-                                     b.data(), k, bias.data(),
-                                     cols_s.data(), ldc);
-                EXPECT_EQ(naive_s, cols_s);
-
-                std::vector<double> cols_v(n * ldc, 0.0);
-                simd::gemmDotColumns(*vec_, m, n, k, at.data(), lda,
-                                     b.data(), k, bias.data(),
-                                     cols_v.data(), ldc);
-                EXPECT_EQ(naive_v, cols_v);
-                EXPECT_EQ(naive_s, cols_v);
+                std::vector<double> cols(n * ldc, 0.0);
+                simd::gemmDotColumns(*tier_, m, n, k, at.data(), lda,
+                                     b.data(), k, bias.data(), cols.data(),
+                                     ldc);
+                EXPECT_EQ(naive, cols);
             }
         }
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    VectorTiers, KernelEquality,
-    ::testing::Values(simd::Tier::Avx2, simd::Tier::Avx512),
-    [](const ::testing::TestParamInfo<simd::Tier> &param) {
-        return std::string(simd::tierName(param.param));
-    });
+const auto kTierName = [](const ::testing::TestParamInfo<simd::Tier> &param) {
+    return std::string(simd::tierName(param.param));
+};
+
+INSTANTIATE_TEST_SUITE_P(VectorTiers, KernelEquality,
+                         ::testing::Values(simd::Tier::Avx2,
+                                           simd::Tier::Avx512),
+                         kTierName);
+
+// The scalar tier is the same body at one lane; its own instantiation
+// leaves the vector tiers' test names as they were.
+INSTANTIATE_TEST_SUITE_P(ScalarTier, KernelEquality,
+                         ::testing::Values(simd::Tier::Scalar), kTierName);
 
 /**
  * The degenerate-length property the golden-value tests rely on: below
  * one full block (n < 16) the canonical reduction IS the plain
- * sequential sum, so small fixtures keep their pre-SIMD values.
+ * sequential sum, so small fixtures keep their pre-SIMD values. Holds
+ * for the oracle and for every available tier.
  */
 TEST(KernelCanonicalReduction, ShortLengthsMatchSequentialSum)
 {
@@ -360,7 +345,13 @@ TEST(KernelCanonicalReduction, ShortLengthsMatchSequentialSum)
         double seq = 0.0;
         for (std::size_t i = 0; i < n; ++i)
             seq += a[i] * b[i];
-        EXPECT_EQ(simd::scalarKernels().dot(a.data(), b.data(), n), seq);
+        EXPECT_EQ(ref::dot(a.data(), b.data(), n), seq);
+        for (simd::Tier tier : {simd::Tier::Scalar, simd::Tier::Avx2,
+                                simd::Tier::Avx512})
+            if (const simd::KernelTable *kt = tableOf(tier)) {
+                EXPECT_EQ(kt->dot(a.data(), b.data(), n), seq)
+                    << kt->name;
+            }
     }
 }
 

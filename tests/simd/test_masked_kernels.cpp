@@ -2,8 +2,9 @@
  * @file
  * The masked reduction kernels: all-valid bit-equality against their
  * unmasked counterparts per tier (the mask=∅ half of the masked-kernel
- * contract), scalar <-> vector-tier bit-equality under random masks,
- * and NaN containment — a NaN-poisoned invalid cell must contribute a
+ * contract), bit-equality of every tier with the written-out oracle
+ * (tests/simd/reference_kernels.h) under random masks, and NaN
+ * containment — a NaN-poisoned invalid cell must contribute a
  * literal +0.0 instead of leaking into the sum. Lengths 1..67 cover
  * every (full-block, lane, remainder) phase of the canonical
  * lane-blocked reduction, exactly as the unmasked equality suite does.
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "simd/simd.h"
+#include "tests/simd/reference_kernels.h"
 #include "util/rng.h"
 
 namespace
@@ -97,7 +99,6 @@ class MaskedKernels : public ::testing::TestWithParam<simd::Tier>
         }
     }
 
-    const simd::KernelTable &scalar_ = simd::scalarKernels();
     const simd::KernelTable *tier_ = nullptr;
 };
 
@@ -126,24 +127,25 @@ TEST_P(MaskedKernels, AllValidMaskMatchesUnmaskedBitForBit)
     }
 }
 
+/** "The scalar tier" here is its written-out form, the oracle. */
 TEST_P(MaskedKernels, RandomMasksAgreeWithScalarTier)
 {
+    namespace ref = simd::reference;
     for (std::size_t n = 1; n <= kMaxLen; ++n) {
         SCOPED_TRACE("n=" + std::to_string(n));
         const auto a = operand(n, 400 + n);
         const auto b = operand(n, 500 + n);
         const auto w = weightOperand(n, 600 + n);
         const auto valid = randomMask(n, 700 + n);
-        EXPECT_EQ(
-            scalar_.maskedDot(a.data(), b.data(), valid.data(), n),
-            tier_->maskedDot(a.data(), b.data(), valid.data(), n));
-        EXPECT_EQ(scalar_.maskedSum(a.data(), valid.data(), n),
+        EXPECT_EQ(ref::maskedDot(a.data(), b.data(), valid.data(), n),
+                  tier_->maskedDot(a.data(), b.data(), valid.data(), n));
+        EXPECT_EQ(ref::maskedSum(a.data(), valid.data(), n),
                   tier_->maskedSum(a.data(), valid.data(), n));
-        EXPECT_EQ(scalar_.maskedSquaredDistance(a.data(), b.data(),
-                                                valid.data(), n),
+        EXPECT_EQ(ref::maskedSquaredDistance(a.data(), b.data(),
+                                             valid.data(), n),
                   tier_->maskedSquaredDistance(a.data(), b.data(),
                                                valid.data(), n));
-        EXPECT_EQ(scalar_.maskedWeightedSquaredDistance(
+        EXPECT_EQ(ref::maskedWeightedSquaredDistance(
                       a.data(), b.data(), w.data(), valid.data(), n),
                   tier_->maskedWeightedSquaredDistance(
                       a.data(), b.data(), w.data(), valid.data(), n));

@@ -78,8 +78,9 @@ TEST(KendallTau, AgreesInSignWithSpearman)
         }
         const double tau = stats::kendallTau(x, y);
         const double rho = stats::spearman(x, y);
-        if (std::fabs(rho) > 0.3)
+        if (std::fabs(rho) > 0.3) {
             EXPECT_GT(tau * rho, 0.0) << "trial " << trial;
+        }
         EXPECT_LE(std::fabs(tau), 1.0);
     }
 }
