@@ -1,7 +1,14 @@
 #include "ml/mlp.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <initializer_list>
+#include <memory>
+#include <new>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -60,24 +67,54 @@ threadWorkspace()
  * at [e * kMlpLanes + l], the simd::MlpLaneStep layout). One per
  * thread, like MlpWorkspace; resize() zero-fills, so lanes a group
  * does not use hold zeros and stay finite.
+ *
+ * All thirteen arrays live in one 64-byte-aligned arena, packed back
+ * to back: each holds whole elements of kMlpLanes doubles, one 64-byte
+ * line, so every array starts on a line and an AVX-512 lane vector
+ * never straddles two. The network's arrays (w1 ... y) come first, so
+ * clearLane() sweeps the one prefix before act.
  */
-struct LaneWorkspace
+class LaneWorkspace
 {
-    std::vector<double> w1, pw1, b1, pb1, w2, pw2, b2, pb2;
-    std::vector<double> act, delta, x, y, sse;
+  public:
+    static constexpr std::size_t kAlign = 64;
+    static_assert(simd::kMlpLanes * sizeof(double) % kAlign == 0,
+                  "a lane element must fill whole 64-byte lines");
+
+    double *w1{}, *pw1{}, *b1{}, *pb1{}, *w2{}, *pw2{}, *b2{}, *pb2{};
+    double *x{}, *y{}, *act{}, *delta{}, *sse{};
     std::vector<std::vector<std::size_t>> visit; ///< per lane
 
     void
     resize(std::size_t in, std::size_t hidden, std::size_t rows)
     {
         constexpr std::size_t kS = simd::kMlpLanes;
-        for (std::vector<double> *v : {&w1, &pw1})
-            v->assign(in * hidden * kS, 0.0);
-        for (std::vector<double> *v : {&b1, &pb1, &w2, &pw2, &act, &delta})
-            v->assign(hidden * kS, 0.0);
-        for (std::vector<double> *v : {&b2, &pb2, &y, &sse})
-            v->assign(kS, 0.0);
-        x.assign(in * kS, 0.0);
+        // Each array and its length in elements of kS doubles, in
+        // arena order.
+        const std::pair<double **, std::size_t> layout[] = {
+            {&w1, in * hidden}, {&pw1, in * hidden}, {&b1, hidden},
+            {&pb1, hidden},     {&w2, hidden},       {&pw2, hidden},
+            {&b2, 1},           {&pb2, 1},           {&x, in},
+            {&y, 1},            {&act, hidden},      {&delta, hidden},
+            {&sse, 1}};
+        std::size_t total = 0;
+        for (const auto &[array, elements] : layout)
+            total += elements * kS;
+        if (total > capacity_) {
+            // total is whole 64-byte lines, as aligned_alloc requires.
+            arena_.reset(static_cast<double *>(
+                std::aligned_alloc(kAlign, total * sizeof(double))));
+            if (!arena_)
+                throw std::bad_alloc();
+            capacity_ = total;
+        }
+        std::fill_n(arena_.get(), total, 0.0);
+        double *next = arena_.get();
+        for (const auto &[array, elements] : layout) {
+            *array = next;
+            next += elements * kS;
+        }
+
         visit.resize(kS);
         for (std::vector<std::size_t> &order : visit) {
             // Exact size: the whole vector is shuffled each epoch.
@@ -91,12 +128,18 @@ struct LaneWorkspace
     void
     clearLane(std::size_t l)
     {
-        constexpr std::size_t kS = simd::kMlpLanes;
-        for (std::vector<double> *v :
-             {&w1, &pw1, &b1, &pb1, &w2, &pw2, &b2, &pb2, &x, &y})
-            for (std::size_t e = l; e < v->size(); e += kS)
-                (*v)[e] = 0.0;
+        for (double *e = arena_.get() + l; e < act; e += simd::kMlpLanes)
+            *e = 0.0;
     }
+
+  private:
+    struct Free
+    {
+        void operator()(double *p) const { std::free(p); }
+    };
+
+    std::unique_ptr<double[], Free> arena_;
+    std::size_t capacity_ = 0; ///< doubles the arena holds
 };
 
 LaneWorkspace &
@@ -524,19 +567,28 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
                            hidden,
                            0.0,
                            cfg.momentum,
-                           ws.x.data(),
-                           ws.y.data(),
-                           ws.w1.data(),
-                           ws.pw1.data(),
-                           ws.b1.data(),
-                           ws.pb1.data(),
-                           ws.w2.data(),
-                           ws.pw2.data(),
-                           ws.b2.data(),
-                           ws.pb2.data(),
-                           ws.act.data(),
-                           ws.delta.data(),
-                           ws.sse.data()};
+                           ws.x,
+                           ws.y,
+                           ws.w1,
+                           ws.pw1,
+                           ws.b1,
+                           ws.pb1,
+                           ws.w2,
+                           ws.pw2,
+                           ws.b2,
+                           ws.pb2,
+                           ws.act,
+                           ws.delta,
+                           ws.sse};
+    // The arena's promise: every operand starts on a 64-byte line.
+    assert(std::ranges::all_of(
+        std::initializer_list<const double *>{
+            step.x, step.y, step.w1, step.pw1, step.b1, step.pb1, step.w2,
+            step.pw2, step.b2, step.pb2, step.act, step.delta, step.sse},
+        [](const double *p) {
+            const auto address = reinterpret_cast<std::uintptr_t>(p);
+            return address % LaneWorkspace::kAlign == 0;
+        }));
     const simd::KernelTable &kt = simd::kernels();
     std::vector<bool> live(k, true);
     std::size_t n_live = k;
@@ -546,7 +598,7 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
                 rngs[l].shuffle(ws.visit[l]);
         step.lr = cfg.learningRate /
                   (1.0 + cfg.learningRateDecay * static_cast<double>(epoch));
-        std::fill(ws.sse.begin(), ws.sse.end(), 0.0);
+        std::fill_n(ws.sse, kS, 0.0);
         for (std::size_t vi = 0; vi < n; ++vi) {
             for (std::size_t l = 0; l < k; ++l) {
                 if (!live[l])
@@ -583,8 +635,8 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
         if (live[l]) {
             mlpMetrics().epochs.inc(cfg.epochs);
             mlpMetrics().fits.inc();
-            const double *wt[] = {ws.w1.data() + l, ws.w2.data() + l};
-            const double *bias[] = {ws.b1.data() + l, ws.b2.data() + l};
+            const double *wt[] = {ws.w1 + l, ws.w2 + l};
+            const double *bias[] = {ws.b1 + l, ws.b2 + l};
             net.publish(wt, bias, kS);
             continue;
         }

@@ -225,8 +225,14 @@ struct ExpLanes<8>
     static U
     gather(const std::uint64_t *table, U idx)
     {
+        // Without optimization GCC's header makes this intrinsic a
+        // macro that passes an all-ones __mmask8 as the builtin's char:
+        // a -Wsign-conversion false positive in Debug builds.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wsign-conversion"
         return reinterpret_cast<U>(_mm512_i64gather_epi64(
             reinterpret_cast<__m512i>(idx), table, 8));
+#pragma GCC diagnostic pop
     }
 
     static unsigned

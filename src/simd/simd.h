@@ -116,7 +116,10 @@ inline constexpr std::size_t kMlpLanes = 8;
  * [e * kMlpLanes + l]. Per lane, the weight arrays use the per-sample
  * engine's transposed layout (w1 element c * hidden + r is the weight
  * from input c to hidden unit r; w2 element r the weight from hidden
- * unit r to the output).
+ * unit r to the output). For speed every array should start on a
+ * 64-byte boundary: an element's kMlpLanes doubles are then one cache
+ * line, and no AVX-512 load or store splits across two lines. The
+ * bits never depend on alignment.
  */
 struct MlpLaneStep
 {

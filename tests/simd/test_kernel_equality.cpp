@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -312,6 +313,90 @@ TEST_P(KernelEquality, GemmDotMatchesNaiveDotLoopAcrossBlocks)
                                      ldc);
                 EXPECT_EQ(naive, cols);
             }
+        }
+    }
+}
+
+/**
+ * Runs 50 mlpLaneStep calls of `tier` on operands carved from one
+ * buffer: a 64-byte-aligned base moved `shift` doubles on, so every
+ * array starts on a cache line (shift 0) or straddles lines (shift 1).
+ * All kMlpLanes lanes hold data; only the first `lanes` are stepped.
+ * Returns each output array (w1 ... pb2, act, delta, sse) restricted
+ * to the stepped lanes, since the others are unspecified.
+ */
+std::vector<std::vector<double>>
+runLaneSteps(const simd::KernelTable &tier, std::size_t in,
+             std::size_t hidden, std::size_t lanes, std::size_t shift)
+{
+    constexpr std::size_t kS = simd::kMlpLanes;
+    // Elements of x, y, w1, pw1, b1, pb1, w2, pw2, b2, pb2, act, delta
+    // and sse, in MlpLaneStep's order.
+    const std::size_t elements[] = {in,     1,      in * hidden, in * hidden,
+                                    hidden, hidden, hidden,      hidden,
+                                    1,      1,      hidden,      hidden,
+                                    1};
+    std::size_t total = 0;
+    for (std::size_t e : elements)
+        total += e * kS;
+    std::vector<double> storage(total + kS + shift);
+    const auto address = reinterpret_cast<std::uintptr_t>(storage.data());
+    double *next =
+        storage.data() + (64 - address % 64) % 64 / sizeof(double) + shift;
+    util::Rng rng(3100 + in * 31 + hidden);
+    std::vector<double *> arrays;
+    for (std::size_t e : elements) {
+        arrays.push_back(next);
+        for (std::size_t i = 0; i < e * kS; ++i)
+            next[i] = rng.uniform(-0.5, 0.5);
+        next += e * kS;
+    }
+
+    double *x = arrays[0];
+    double *y = arrays[1];
+    const simd::MlpLaneStep step{lanes,      in,         hidden,
+                                 0.3,        0.2,        x,
+                                 y,          arrays[2],  arrays[3],
+                                 arrays[4],  arrays[5],  arrays[6],
+                                 arrays[7],  arrays[8],  arrays[9],
+                                 arrays[10], arrays[11], arrays[12]};
+    for (int s = 0; s < 50; ++s) {
+        for (std::size_t i = 0; i < in * kS; ++i)
+            x[i] = rng.uniform(0.0, 1.0);
+        for (std::size_t l = 0; l < kS; ++l)
+            y[l] = rng.uniform(0.0, 1.0);
+        tier.mlpLaneStep(step);
+    }
+
+    std::vector<std::vector<double>> outputs;
+    for (std::size_t a = 2; a < arrays.size(); ++a) {
+        std::vector<double> &out = outputs.emplace_back();
+        for (std::size_t e = 0; e < elements[a]; ++e)
+            for (std::size_t l = 0; l < lanes; ++l)
+                out.push_back(arrays[a][e * kS + l]);
+    }
+    return outputs;
+}
+
+/**
+ * The lane step's bits depend neither on operand placement nor on the
+ * tier: aligned and line-straddling operands give the scalar tier's
+ * aligned result. Shapes: Table 2's 28 -> 14 -> 1 networks, and one
+ * hidden unit, whose net is a canonical dot across a full block and a
+ * tail; 8 live lanes and 5 (a partial group).
+ */
+TEST_P(KernelEquality, MlpLaneStepIgnoresAlignmentAndTier)
+{
+    const std::size_t hiddens[] = {14, 1};
+    const std::size_t live[] = {8, 5};
+    for (std::size_t hidden : hiddens) {
+        for (std::size_t lanes : live) {
+            SCOPED_TRACE("hidden=" + std::to_string(hidden) +
+                         " lanes=" + std::to_string(lanes));
+            const auto expected =
+                runLaneSteps(simd::scalarKernels(), 28, hidden, lanes, 0);
+            EXPECT_EQ(runLaneSteps(*tier_, 28, hidden, lanes, 0), expected);
+            EXPECT_EQ(runLaneSteps(*tier_, 28, hidden, lanes, 1), expected);
         }
     }
 }
