@@ -317,14 +317,13 @@ BM_KMedoids(benchmark::State &state)
     std::vector<std::vector<double>> points;
     for (std::size_t m = 0; m < machines.size(); ++m)
         points.push_back(db.machineScores(m));
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     for (auto _ : state) {
         util::Rng rng(7);
         benchmark::DoNotOptimize(
             clusterer.cluster(points,
                               static_cast<std::size_t>(state.range(0)),
-                              metric, rng));
+                              rng));
     }
 }
 BENCHMARK(BM_KMedoids)->Arg(4)->Arg(10);

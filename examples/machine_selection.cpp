@@ -17,7 +17,6 @@
 #include "core/selection.h"
 #include "core/transposition.h"
 #include "dataset/synthetic_spec.h"
-#include "ml/distance.h"
 #include "ml/kmedoids.h"
 #include "util/cli.h"
 #include "util/string_utils.h"
@@ -79,10 +78,9 @@ main(int argc, char **argv)
     const auto k =
         static_cast<std::size_t>(args.getLong("clusters"));
     const auto points = core::machineFeatureVectors(db, all);
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(3);
-    const auto clusters = clusterer.cluster(points, k, metric, rng);
+    const auto clusters = clusterer.cluster(points, k, rng);
 
     std::cout << "Architectural clusters of the catalog (medoid "
                  "first):\n";

@@ -94,10 +94,9 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> points;
     for (std::size_t b = 0; b < catalog.size(); ++b)
         points.push_back(chars.row(b));
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(5);
-    const auto clusters = clusterer.cluster(points, k, metric, rng);
+    const auto clusters = clusterer.cluster(points, k, rng);
 
     std::cout << "\nProposed reduced suite (" << k
               << " representatives):\n";

@@ -530,41 +530,4 @@ GaKnnModel::predictApp(const std::vector<double> &app_characteristics,
     return out;
 }
 
-GaKnnTransposition::GaKnnTransposition(
-    std::shared_ptr<const GaKnnModel> model,
-    linalg::Matrix bench_characteristics,
-    std::vector<double> app_characteristics)
-    : model_(std::move(model)),
-      bench_characteristics_(std::move(bench_characteristics)),
-      app_characteristics_(std::move(app_characteristics))
-{
-    util::require(model_ != nullptr,
-                  "GaKnnTransposition: model must not be null");
-    util::require(model_->trained(),
-                  "GaKnnTransposition: model must be trained");
-}
-
-std::vector<double>
-GaKnnTransposition::predict(const core::TranspositionProblem &problem)
-{
-    problem.validate();
-    util::require(problem.benchmarkCount() ==
-                      bench_characteristics_.rows(),
-                  "GaKnnTransposition: problem rows do not match the "
-                  "benchmark characteristics");
-    return model_->predictApp(app_characteristics_,
-                              bench_characteristics_,
-                              problem.targetBenchScores,
-                              GaKnnModel::kNoExclude,
-                              problem.targetMask.dense()
-                                  ? nullptr
-                                  : &problem.targetMask);
-}
-
-std::string
-GaKnnTransposition::name() const
-{
-    return "GA-" + std::to_string(model_->config().k) + "NN";
-}
-
 } // namespace dtrank::baseline

@@ -18,14 +18,23 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/transposition.h"
+#include "dataset/masked_matrix.h"
 #include "linalg/matrix.h"
 #include "ml/genetic.h"
-#include "ml/knn.h"
+
+namespace dtrank::ml
+{
+
+/** How the k nearest neighbours' scores are combined. */
+enum class KnnWeighting
+{
+    Uniform,         ///< Plain mean of the k scores.
+    InverseDistance  ///< Weights 1/(d + eps).
+};
+
+} // namespace dtrank::ml
 
 namespace dtrank::baseline
 {
@@ -248,39 +257,6 @@ class GaKnnModel
     std::vector<double> weights_;
     double training_fitness_ = 0.0;
     bool trained_ = false;
-};
-
-/**
- * Adapter exposing a trained GaKnnModel through the common
- * TranspositionPredictor interface. The adapter carries the
- * characteristics of the training benchmarks (aligned with the problem
- * rows) and of the application of interest; the problem's predictive
- * machines are ignored, as GA-kNN does not use them at prediction
- * time.
- */
-class GaKnnTransposition : public core::TranspositionPredictor
-{
-  public:
-    /**
-     * @param model Trained model (shared).
-     * @param bench_characteristics Characteristics of the training
-     *        benchmarks, row-aligned with the problems this adapter
-     *        will see (N x C).
-     * @param app_characteristics Characteristics of the application.
-     */
-    GaKnnTransposition(std::shared_ptr<const GaKnnModel> model,
-                       linalg::Matrix bench_characteristics,
-                       std::vector<double> app_characteristics);
-
-    std::vector<double>
-    predict(const core::TranspositionProblem &problem) override;
-
-    std::string name() const override;
-
-  private:
-    std::shared_ptr<const GaKnnModel> model_;
-    linalg::Matrix bench_characteristics_;
-    std::vector<double> app_characteristics_;
 };
 
 } // namespace dtrank::baseline

@@ -7,7 +7,6 @@
 
 #include "simd/simd.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace dtrank::core
 {
@@ -165,7 +164,6 @@ MlpTransposition::fit(const TranspositionProblem &problem)
     const ml::MlpConfig mlp_config = networkConfig(targets);
     network_.emplace(mlp_config);
     network_->fit(train, targets);
-    last_mse_ = network_->trainingMse();
 }
 
 ml::MlpConfig
@@ -251,23 +249,6 @@ MlpTransposition::predictColumns(
     return predictColumns(std::move(filled));
 }
 
-std::vector<std::vector<double>>
-MlpTransposition::predictHeldOutApps(const MlpTranspositionConfig &config,
-                                     const dataset::PerfDatabase &predictive,
-                                     const dataset::PerfDatabase &target,
-                                     const std::vector<std::size_t> &apps,
-                                     const std::vector<std::uint64_t> &seeds,
-                                     std::size_t threads)
-{
-    const HeldOutPlan plan = planHeldOutApps(predictive, target, apps, seeds);
-    std::vector<std::vector<double>> out(apps.size());
-    util::parallelFor(threads, plan.groups.size(), [&](std::size_t g) {
-        trainHeldOutGroup(config, predictive, target, apps, seeds, plan, g,
-                          out);
-    });
-    return out;
-}
-
 MlpTransposition::HeldOutPlan
 MlpTransposition::planHeldOutApps(const dataset::PerfDatabase &predictive,
                                   const dataset::PerfDatabase &target,
@@ -277,19 +258,19 @@ MlpTransposition::planHeldOutApps(const dataset::PerfDatabase &predictive,
     const std::size_t n_bench = predictive.benchmarkCount();
     const std::size_t n_pred = predictive.machineCount();
     util::require(seeds.size() == apps.size(),
-                  "MlpTransposition::predictHeldOutApps: one seed per app");
+                  "MlpTransposition::planHeldOutApps: one seed per app");
     util::require(target.benchmarkCount() == n_bench && n_bench >= 2,
-                  "MlpTransposition::predictHeldOutApps: needs aligned "
+                  "MlpTransposition::planHeldOutApps: needs aligned "
                   "benchmark rows and a training benchmark besides the "
                   "app");
     for (std::size_t b = 0; b < n_bench; ++b)
         util::require(predictive.benchmark(b).name ==
                           target.benchmark(b).name,
-                      "MlpTransposition::predictHeldOutApps: benchmark "
+                      "MlpTransposition::planHeldOutApps: benchmark "
                       "rows are not aligned");
     for (std::size_t app : apps)
         util::require(app < n_bench,
-                      "MlpTransposition::predictHeldOutApps: app out of "
+                      "MlpTransposition::planHeldOutApps: app out of "
                       "range");
 
     // Apps train on the predictive machines observing them; apps that
@@ -381,20 +362,10 @@ MlpTransposition::trainHeldOutGroup(const MlpTranspositionConfig &config,
         const std::size_t app = apps[task.lanes[l]];
         MlpTransposition &pr = predictors[l];
         pr.network_.emplace(std::move(nets[l]));
-        pr.last_mse_ = pr.network_->trainingMse();
         out[task.lanes[l]] =
             pr.predictColumns(target.scores().selectRowsExcept(app),
                               target.mask().selectRowsExcept(app));
     }
-}
-
-double
-MlpTransposition::lastTrainingMse() const
-{
-    util::require(last_mse_.has_value(),
-                  "MlpTransposition::lastTrainingMse: no prediction made "
-                  "yet");
-    return *last_mse_;
 }
 
 } // namespace dtrank::core

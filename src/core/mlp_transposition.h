@@ -122,19 +122,10 @@ class MlpTransposition : public TranspositionPredictor
      * network reading its features through a column map that skips
      * its app. The step is planHeldOutApps() followed by
      * trainHeldOutGroup() for every lane group (at most
-     * simd::kMlpLanes networks each) through util::parallelFor over
-     * `threads` workers (see util::ParallelConfig); a caller with
-     * other work to schedule can run the groups itself.
+     * simd::kMlpLanes networks each); the caller schedules the groups,
+     * in any order and on any threads. A HeldOutPlan is the step's
+     * work: its row blocks and lane groups.
      */
-    static std::vector<std::vector<double>>
-    predictHeldOutApps(const MlpTranspositionConfig &config,
-                       const dataset::PerfDatabase &predictive,
-                       const dataset::PerfDatabase &target,
-                       const std::vector<std::size_t> &apps,
-                       const std::vector<std::uint64_t> &seeds,
-                       std::size_t threads);
-
-    /** predictHeldOutApps' work: its row blocks and lane groups. */
     struct HeldOutPlan
     {
         /** One lane group: positions in `apps` trained together. */
@@ -150,7 +141,7 @@ class MlpTransposition : public TranspositionPredictor
     };
 
     /**
-     * Validates predictHeldOutApps' arguments and plans its work: apps
+     * Validates the step's arguments and plans its work: apps
      * grouped by kept machines into row blocks, each block cut into as
      * few lane groups as the lane width allows, balanced.
      */
@@ -174,9 +165,6 @@ class MlpTransposition : public TranspositionPredictor
                                   const HeldOutPlan &plan, std::size_t group,
                                   std::vector<std::vector<double>> &out);
 
-    /** Training MSE of the most recently trained network. */
-    double lastTrainingMse() const;
-
     const MlpTranspositionConfig &config() const { return config_; }
 
   private:
@@ -189,7 +177,6 @@ class MlpTransposition : public TranspositionPredictor
     ml::MlpConfig networkConfig(std::vector<double> &targets);
 
     MlpTranspositionConfig config_;
-    std::optional<double> last_mse_;
     std::optional<ml::Mlp> network_;
     ml::RangeNormalizer feature_norm_; ///< Transductive scaling (unused
                                        ///< when the ablation is off).

@@ -25,30 +25,10 @@ MachineRanking::MachineRanking(const std::vector<double> &predicted_scores)
     }
 }
 
-std::vector<std::size_t>
-MachineRanking::topMachines(std::size_t n) const
-{
-    const std::size_t take = std::min(n, entries_.size());
-    std::vector<std::size_t> out(take);
-    for (std::size_t i = 0; i < take; ++i)
-        out[i] = entries_[i].machineIndex;
-    return out;
-}
-
 std::size_t
 MachineRanking::best() const
 {
     return entries_.front().machineIndex;
-}
-
-std::size_t
-MachineRanking::rankOf(std::size_t machine_index) const
-{
-    for (const RankedMachine &e : entries_)
-        if (e.machineIndex == machine_index)
-            return e.rank;
-    throw util::InvalidArgument("MachineRanking::rankOf: unknown machine "
-                                "index");
 }
 
 std::string

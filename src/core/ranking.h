@@ -36,14 +36,8 @@ class MachineRanking
     /** All entries, best first. */
     const std::vector<RankedMachine> &entries() const { return entries_; }
 
-    /** The top-n machine indices, best first (n capped at the size). */
-    std::vector<std::size_t> topMachines(std::size_t n) const;
-
     /** Index of the predicted best machine. */
     std::size_t best() const;
-
-    /** Rank (1-based) of a given machine index. */
-    std::size_t rankOf(std::size_t machine_index) const;
 
     std::size_t size() const { return entries_.size(); }
 

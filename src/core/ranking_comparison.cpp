@@ -64,15 +64,4 @@ maxRankDisplacement(const std::vector<double> &actual,
     return *std::max_element(d.begin(), d.end());
 }
 
-double
-meanRankDisplacement(const std::vector<double> &actual,
-                     const std::vector<double> &predicted)
-{
-    const auto d = rankDisplacement(actual, predicted);
-    double acc = 0.0;
-    for (std::size_t v : d)
-        acc += static_cast<double>(v);
-    return acc / static_cast<double>(d.size());
-}
-
 } // namespace dtrank::core

@@ -39,9 +39,5 @@ rankDisplacement(const std::vector<double> &actual,
 std::size_t maxRankDisplacement(const std::vector<double> &actual,
                                 const std::vector<double> &predicted);
 
-/** Mean per-machine displacement (Spearman footrule / n). */
-double meanRankDisplacement(const std::vector<double> &actual,
-                            const std::vector<double> &predicted);
-
 } // namespace dtrank::core
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/distance.h"
 #include "ml/kmedoids.h"
 #include "ml/normalizer.h"
 #include "util/error.h"
@@ -79,10 +78,8 @@ selectMachinesByKMedoids(const dataset::PerfDatabase &db,
                   "selectMachinesByKMedoids: k out of range");
 
     const auto points = machineFeatureVectors(db, candidates);
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
-    const ml::KMedoidsResult result =
-        clusterer.cluster(points, k, metric, rng);
+    const ml::KMedoidsResult result = clusterer.cluster(points, k, rng);
 
     std::vector<std::size_t> out;
     out.reserve(k);

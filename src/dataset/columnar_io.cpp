@@ -443,14 +443,6 @@ ColumnarDatabase::machineColumn(std::size_t m) const
            m * benchmarks_.size();
 }
 
-double
-ColumnarDatabase::score(std::size_t b, std::size_t m) const
-{
-    util::require(b < benchmarks_.size(),
-                  "ColumnarDatabase::score: benchmark out of range");
-    return machineColumn(m)[b];
-}
-
 PerfDatabase
 ColumnarDatabase::toDatabase() const
 {

@@ -93,9 +93,6 @@ class ColumnarDatabase
      */
     const double *machineColumn(std::size_t m) const;
 
-    /** Score of benchmark b on machine m (bounds-checked). */
-    double score(std::size_t b, std::size_t m) const;
-
     /** Validity mask (the dense sentinel for version-1 files). */
     const ScoreMask &mask() const { return mask_; }
 

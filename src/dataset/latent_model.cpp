@@ -7,28 +7,6 @@
 namespace dtrank::dataset
 {
 
-std::string
-capabilityDimName(CapabilityDim dim)
-{
-    switch (dim) {
-      case CapabilityDim::Frequency:
-        return "freq";
-      case CapabilityDim::Ilp:
-        return "ilp";
-      case CapabilityDim::Cache:
-        return "cache";
-      case CapabilityDim::MemBandwidth:
-        return "membw";
-      case CapabilityDim::FpThroughput:
-        return "fp";
-      case CapabilityDim::IntThroughput:
-        return "int";
-      case CapabilityDim::Branch:
-        return "branch";
-    }
-    DTRANK_ASSERT_MSG(false, "unknown capability dimension");
-}
-
 namespace
 {
 
@@ -337,25 +315,6 @@ benchmarkCatalog()
     static const std::vector<BenchmarkProfile> catalog =
         buildBenchmarkCatalog();
     return catalog;
-}
-
-double
-expectedLogScore(const BenchmarkProfile &benchmark,
-                 const NicknameProfile &machine)
-{
-    double acc = benchmark.offset;
-    for (std::size_t d = 0; d < kCapabilityDims; ++d)
-        acc += benchmark.demand[d] * machine.capability[d];
-    return acc;
-}
-
-const std::vector<std::string> &
-paperOutlierBenchmarks()
-{
-    static const std::vector<std::string> outliers = {
-        "leslie3d", "cactusADM", "libquantum", "namd", "hmmer",
-    };
-    return outliers;
 }
 
 } // namespace dtrank::dataset

@@ -46,9 +46,6 @@ enum class CapabilityDim : std::size_t
 /** Number of latent capability dimensions. */
 constexpr std::size_t kCapabilityDims = 7;
 
-/** Short name of a capability dimension ("freq", "membw", ...). */
-std::string capabilityDimName(CapabilityDim dim);
-
 /** Capability vector in log2 units relative to a mid-2000s baseline. */
 using CapabilityVector = std::array<double, kCapabilityDims>;
 
@@ -101,16 +98,6 @@ const std::vector<BenchmarkProfile> &benchmarkCatalog();
 
 /** Number of machines per nickname in the paper's dataset. */
 constexpr int kMachinesPerNickname = 3;
-
-/**
- * Expected log2 score of a benchmark on a machine type (no noise):
- * offset + demand . capability.
- */
-double expectedLogScore(const BenchmarkProfile &benchmark,
-                        const NicknameProfile &machine);
-
-/** Benchmarks the paper identifies as outliers in Section 6.2. */
-const std::vector<std::string> &paperOutlierBenchmarks();
 
 } // namespace dtrank::dataset
 

@@ -59,17 +59,6 @@ ScoreMask::rowData(std::size_t r) const
 }
 
 std::size_t
-ScoreMask::observedCount() const
-{
-    if (dense())
-        return rows_ * cols_;
-    std::size_t n = 0;
-    for (std::uint64_t w : words_)
-        n += popcount64(w);
-    return n;
-}
-
-std::size_t
 ScoreMask::observedInRow(std::size_t r) const
 {
     if (dense())

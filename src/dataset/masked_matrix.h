@@ -72,9 +72,6 @@ class ScoreMask
      */
     const std::uint64_t *rowData(std::size_t r) const;
 
-    /** Valid cells in the whole mask (rows * cols when dense). */
-    std::size_t observedCount() const;
-
     /** Valid cells in row r / column c. */
     std::size_t observedInRow(std::size_t r) const;
     std::size_t observedInColumn(std::size_t c) const;

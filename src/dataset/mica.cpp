@@ -45,16 +45,6 @@ const std::array<CharacteristicSpec, 12> kCharacteristics = {{
 
 constexpr std::size_t kNumChars = kCharacteristics.size();
 
-std::vector<std::string>
-buildNames()
-{
-    std::vector<std::string> names;
-    names.reserve(kNumChars);
-    for (const auto &spec : kCharacteristics)
-        names.emplace_back(spec.name);
-    return names;
-}
-
 /** Maps a demand vector through the characteristic mixing matrix. */
 std::vector<double>
 mixDemand(const DemandVector &demand)
@@ -91,19 +81,6 @@ characteristicDisguises()
         {"cactusADM", "gobmk"},    // staged kernels, scalar control
     };
     return disguises;
-}
-
-const std::vector<std::string> &
-micaCharacteristicNames()
-{
-    static const std::vector<std::string> names = buildNames();
-    return names;
-}
-
-std::size_t
-micaCharacteristicCount()
-{
-    return kNumChars;
 }
 
 MicaCluster

@@ -82,12 +82,6 @@ struct MicaConfig
  */
 const std::map<std::string, std::string> &characteristicDisguises();
 
-/** Names of the generated characteristics, in column order. */
-const std::vector<std::string> &micaCharacteristicNames();
-
-/** Number of generated characteristics. */
-std::size_t micaCharacteristicCount();
-
 /**
  * Cluster a benchmark profile belongs to, judged by its own demand
  * profile (memory-bound if its bandwidth demand is >= 0.3) and domain.

@@ -151,22 +151,6 @@ PerfDatabase::selectMachines(
                         mask_.selectColumns(machine_indices));
 }
 
-PerfDatabase
-PerfDatabase::selectBenchmarks(
-    const std::vector<std::size_t> &benchmark_indices) const
-{
-    std::vector<BenchmarkInfo> benchmarks;
-    benchmarks.reserve(benchmark_indices.size());
-    for (std::size_t b : benchmark_indices) {
-        util::require(b < benchmarks_.size(),
-                      "PerfDatabase::selectBenchmarks: index out of range");
-        benchmarks.push_back(benchmarks_[b]);
-    }
-    return PerfDatabase(SelectionView{}, std::move(benchmarks), machines_,
-                        scores_.selectRows(benchmark_indices),
-                        mask_.selectRows(benchmark_indices));
-}
-
 std::vector<std::size_t>
 PerfDatabase::machinesWhere(
     const std::function<bool(const MachineInfo &)> &pred) const
@@ -208,15 +192,6 @@ PerfDatabase::families() const
     std::set<std::string> uniq;
     for (const MachineInfo &m : machines_)
         uniq.insert(m.family);
-    return {uniq.begin(), uniq.end()};
-}
-
-std::vector<int>
-PerfDatabase::releaseYears() const
-{
-    std::set<int> uniq;
-    for (const MachineInfo &m : machines_)
-        uniq.insert(m.releaseYear);
     return {uniq.begin(), uniq.end()};
 }
 

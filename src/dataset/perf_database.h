@@ -78,10 +78,10 @@ class PerfDatabase
      * any non-mask-aware consumer visibly corrupts instead of silently
      * using a stale value. A dense-sentinel mask makes this identical
      * to the dense constructor. All-missing rows/columns are rejected —
-     * but only here, at top-level construction: selectMachines /
-     * selectBenchmarks views may legitimately carry empty sub-lines (a
-     * benchmark unobserved on every owned machine) and the model stack
-     * treats those as contributing no training data.
+     * but only here, at top-level construction: selectMachines views
+     * may legitimately carry empty sub-lines (a benchmark unobserved on
+     * every owned machine) and the model stack treats those as
+     * contributing no training data.
      */
     PerfDatabase(std::vector<BenchmarkInfo> benchmarks,
                  std::vector<MachineInfo> machines, linalg::Matrix scores,
@@ -147,10 +147,6 @@ class PerfDatabase
     PerfDatabase selectMachines(
         const std::vector<std::size_t> &machine_indices) const;
 
-    /** Database restricted to the given benchmark rows (in order). */
-    PerfDatabase selectBenchmarks(
-        const std::vector<std::size_t> &benchmark_indices) const;
-
     /** Indices of machines matching a predicate, ascending. */
     std::vector<std::size_t> machinesWhere(
         const std::function<bool(const MachineInfo &)> &pred) const;
@@ -167,9 +163,6 @@ class PerfDatabase
 
     /** Sorted unique processor family names. */
     std::vector<std::string> families() const;
-
-    /** Sorted unique release years. */
-    std::vector<int> releaseYears() const;
 
     /**
      * Geometric-mean score of each machine across all benchmarks —

@@ -264,15 +264,4 @@ ScaledSpecGenerator::generate() const
                         machine_major.transposed());
 }
 
-PerfDatabase
-makeScaledDataset(std::size_t nMachines, std::size_t nBenchmarks,
-                  std::uint64_t seed)
-{
-    ScaledSpecConfig config;
-    config.machines = nMachines;
-    config.benchmarks = nBenchmarks;
-    config.seed = seed;
-    return ScaledSpecGenerator(config).generate();
-}
-
 } // namespace dtrank::dataset

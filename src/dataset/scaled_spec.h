@@ -123,15 +123,4 @@ class ScaledSpecGenerator
     ScaledSpecConfig config_;
 };
 
-/**
- * Convenience: scaled dataset with default structural knobs.
- * makeScaledDataset(117, 29, s) has the paper's shape (same families,
- * same outlier set) but is NOT sample-identical to makePaperDataset(s):
- * the paper generator draws from one sequential stream, this one from
- * per-entity streams so it can generate 100k machines in parallel.
- */
-PerfDatabase makeScaledDataset(std::size_t nMachines,
-                               std::size_t nBenchmarks,
-                               std::uint64_t seed = 2011);
-
 } // namespace dtrank::dataset

@@ -44,15 +44,6 @@ Cholesky::solve(const std::vector<double> &b) const
     return solveUpperTriangular(lt_, y);
 }
 
-double
-Cholesky::determinant() const
-{
-    double det = 1.0;
-    for (std::size_t i = 0; i < l_.rows(); ++i)
-        det *= l_(i, i) * l_(i, i);
-    return det;
-}
-
 QrDecomposition::QrDecomposition(const Matrix &a)
     : qr_(a), rows_(a.rows()), cols_(a.cols())
 {
@@ -85,18 +76,6 @@ QrDecomposition::QrDecomposition(const Matrix &a)
         }
         rdiag_[k] = -nrm;
     }
-}
-
-Matrix
-QrDecomposition::r() const
-{
-    Matrix out(cols_, cols_, 0.0);
-    for (std::size_t i = 0; i < cols_; ++i) {
-        out(i, i) = rdiag_[i];
-        for (std::size_t j = i + 1; j < cols_; ++j)
-            out(i, j) = qr_(i, j);
-    }
-    return out;
 }
 
 std::vector<double>

@@ -31,9 +31,6 @@ class Cholesky
     /** Solves A x = b using the stored factorization. */
     std::vector<double> solve(const std::vector<double> &b) const;
 
-    /** Determinant of A (product of squared diagonal of L). */
-    double determinant() const;
-
   private:
     Matrix l_;
     Matrix lt_; ///< L^T, materialized once so repeated solves (one
@@ -52,9 +49,6 @@ class QrDecomposition
   public:
     /** Factorizes A (rows >= cols required). */
     explicit QrDecomposition(const Matrix &a);
-
-    /** The upper-triangular factor R (cols x cols). */
-    Matrix r() const;
 
     /** Applies Q^T to a vector of length rows(). */
     std::vector<double> applyQt(const std::vector<double> &b) const;

@@ -38,68 +38,6 @@ solveLeastSquares(const Matrix &a, const std::vector<double> &b)
     return out;
 }
 
-namespace
-{
-
-bool
-rowValidBit(const std::vector<std::uint64_t> &row_valid, std::size_t i)
-{
-    if (row_valid.empty())
-        return true;
-    return ((row_valid[i / 64] >> (i % 64)) & 1u) != 0;
-}
-
-/** Copies the valid rows of (a, b) into (a_out, b_out), in order. */
-void
-compactValidRows(const Matrix &a, const std::vector<double> &b,
-                 const std::vector<std::uint64_t> &row_valid,
-                 Matrix &a_out, std::vector<double> &b_out)
-{
-    util::require(a.rows() == b.size(),
-                  "solveLeastSquaresMasked: row count mismatch");
-    util::require(row_valid.size() >= (a.rows() + 63) / 64,
-                  "solveLeastSquaresMasked: row_valid word count "
-                  "mismatch");
-    std::vector<std::size_t> keep;
-    keep.reserve(a.rows());
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        if (rowValidBit(row_valid, i))
-            keep.push_back(i);
-    util::require(!keep.empty(), "solveLeastSquaresMasked: every row is "
-                                 "masked invalid (all-missing)");
-    a_out = a.selectRows(keep);
-    b_out.resize(keep.size());
-    for (std::size_t i = 0; i < keep.size(); ++i)
-        b_out[i] = b[keep[i]];
-}
-
-} // namespace
-
-LeastSquaresResult
-solveLeastSquaresMasked(const Matrix &a, const std::vector<double> &b,
-                        const std::vector<std::uint64_t> &row_valid)
-{
-    if (row_valid.empty())
-        return solveLeastSquares(a, b);
-    Matrix ac;
-    std::vector<double> bc;
-    compactValidRows(a, b, row_valid, ac, bc);
-    return solveLeastSquares(ac, bc);
-}
-
-LeastSquaresResult
-solveRidgeMasked(const Matrix &a, const std::vector<double> &b,
-                 const std::vector<std::uint64_t> &row_valid,
-                 double lambda)
-{
-    if (row_valid.empty())
-        return solveRidge(a, b, lambda);
-    Matrix ac;
-    std::vector<double> bc;
-    compactValidRows(a, b, row_valid, ac, bc);
-    return solveRidge(ac, bc, lambda);
-}
-
 LeastSquaresResult
 solveRidge(const Matrix &a, const std::vector<double> &b, double lambda)
 {

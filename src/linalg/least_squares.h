@@ -7,7 +7,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -42,23 +41,6 @@ LeastSquaresResult solveLeastSquares(const Matrix &a,
  */
 LeastSquaresResult solveRidge(const Matrix &a, const std::vector<double> &b,
                               double lambda);
-
-/**
- * Least squares over the valid rows only: `row_valid` packs one bit
- * per design-matrix row (bit i % 64 of word i / 64, little-endian —
- * the dataset::ScoreMask word layout); invalid rows are dropped before
- * the solve, as if they had never been observed. An empty vector (or
- * all bits set) reproduces solveLeastSquares bit for bit.
- */
-LeastSquaresResult
-solveLeastSquaresMasked(const Matrix &a, const std::vector<double> &b,
-                        const std::vector<std::uint64_t> &row_valid);
-
-/** Ridge analogue of solveLeastSquaresMasked (same row_valid layout). */
-LeastSquaresResult
-solveRidgeMasked(const Matrix &a, const std::vector<double> &b,
-                 const std::vector<std::uint64_t> &row_valid,
-                 double lambda);
 
 } // namespace dtrank::linalg
 

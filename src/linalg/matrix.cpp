@@ -1,11 +1,9 @@
 #include "linalg/matrix.h"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "simd/simd.h"
-#include "util/string_utils.h"
+#include "util/error.h"
 
 namespace dtrank::linalg
 {
@@ -33,24 +31,6 @@ Matrix::identity(std::size_t n)
     Matrix m(n, n, 0.0);
     for (std::size_t i = 0; i < n; ++i)
         m(i, i) = 1.0;
-    return m;
-}
-
-Matrix
-Matrix::columnVector(const std::vector<double> &v)
-{
-    Matrix m(v.size(), 1);
-    for (std::size_t i = 0; i < v.size(); ++i)
-        m(i, 0) = v[i];
-    return m;
-}
-
-Matrix
-Matrix::rowVector(const std::vector<double> &v)
-{
-    Matrix m(1, v.size());
-    for (std::size_t i = 0; i < v.size(); ++i)
-        m(0, i) = v[i];
     return m;
 }
 
@@ -194,37 +174,6 @@ Matrix::multiply(const std::vector<double> &v) const
 }
 
 Matrix
-Matrix::add(const Matrix &other) const
-{
-    util::require(rows_ == other.rows_ && cols_ == other.cols_,
-                  "Matrix::add: dimension mismatch");
-    Matrix out(*this);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] += other.data_[i];
-    return out;
-}
-
-Matrix
-Matrix::subtract(const Matrix &other) const
-{
-    util::require(rows_ == other.rows_ && cols_ == other.cols_,
-                  "Matrix::subtract: dimension mismatch");
-    Matrix out(*this);
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] -= other.data_[i];
-    return out;
-}
-
-Matrix
-Matrix::scaled(double factor) const
-{
-    Matrix out(*this);
-    for (double &x : out.data_)
-        x *= factor;
-    return out;
-}
-
-Matrix
 Matrix::select(const std::vector<std::size_t> &row_indices,
                const std::vector<std::size_t> &col_indices) const
 {
@@ -281,51 +230,6 @@ Matrix::selectColumns(const std::vector<std::size_t> &col_indices) const
     for (std::size_t i = 0; i < rows_; ++i)
         all_rows[i] = i;
     return select(all_rows, col_indices);
-}
-
-double
-Matrix::frobeniusNorm() const
-{
-    double acc = 0.0;
-    for (double x : data_)
-        acc += x * x;
-    return std::sqrt(acc);
-}
-
-double
-Matrix::maxAbs() const
-{
-    double m = 0.0;
-    for (double x : data_)
-        m = std::max(m, std::fabs(x));
-    return m;
-}
-
-bool
-Matrix::approxEquals(const Matrix &other, double tol) const
-{
-    if (rows_ != other.rows_ || cols_ != other.cols_)
-        return false;
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        if (std::fabs(data_[i] - other.data_[i]) > tol)
-            return false;
-    return true;
-}
-
-std::string
-Matrix::toString(int decimals) const
-{
-    std::ostringstream os;
-    for (std::size_t r = 0; r < rows_; ++r) {
-        os << (r == 0 ? "[" : " ");
-        for (std::size_t c = 0; c < cols_; ++c) {
-            if (c > 0)
-                os << ", ";
-            os << util::formatFixed((*this)(r, c), decimals);
-        }
-        os << (r + 1 == rows_ ? "]" : ";\n");
-    }
-    return os.str();
 }
 
 } // namespace dtrank::linalg

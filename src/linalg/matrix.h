@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <initializer_list>
-#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -38,12 +37,6 @@ class Matrix
 
     /** Identity matrix of order n. */
     static Matrix identity(std::size_t n);
-
-    /** Builds a single-column matrix from a vector. */
-    static Matrix columnVector(const std::vector<double> &v);
-
-    /** Builds a single-row matrix from a vector. */
-    static Matrix rowVector(const std::vector<double> &v);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
@@ -119,15 +112,6 @@ class Matrix
     /** Matrix-vector product; requires cols() == v.size(). */
     std::vector<double> multiply(const std::vector<double> &v) const;
 
-    /** Elementwise sum; dimensions must match. */
-    Matrix add(const Matrix &other) const;
-
-    /** Elementwise difference; dimensions must match. */
-    Matrix subtract(const Matrix &other) const;
-
-    /** Scalar multiple. */
-    Matrix scaled(double factor) const;
-
     /**
      * Submatrix copy.
      *
@@ -151,22 +135,10 @@ class Matrix
     /** Submatrix with all rows kept. */
     Matrix selectColumns(const std::vector<std::size_t> &col_indices) const;
 
-    /** Frobenius norm. */
-    double frobeniusNorm() const;
-
-    /** Maximum absolute element (0 for the empty matrix). */
-    double maxAbs() const;
-
-    /** True when dimensions match and all elements differ by <= tol. */
-    bool approxEquals(const Matrix &other, double tol = 1e-12) const;
-
     bool operator==(const Matrix &other) const = default;
 
     /** Raw storage (row-major), mainly for serialization and tests. */
     const std::vector<double> &data() const { return data_; }
-
-    /** Compact human-readable rendering for diagnostics. */
-    std::string toString(int decimals = 4) const;
 
   private:
     std::size_t rows_ = 0;

@@ -26,28 +26,11 @@ norm2(const std::vector<double> &v)
 }
 
 std::vector<double>
-add(const std::vector<double> &a, const std::vector<double> &b)
-{
-    util::require(a.size() == b.size(), "add: size mismatch");
-    std::vector<double> out(a);
-    simd::axpy(out.data(), b.data(), 1.0, b.size());
-    return out;
-}
-
-std::vector<double>
 subtract(const std::vector<double> &a, const std::vector<double> &b)
 {
     util::require(a.size() == b.size(), "subtract: size mismatch");
     std::vector<double> out(a);
     simd::axpy(out.data(), b.data(), -1.0, b.size());
-    return out;
-}
-
-std::vector<double>
-scale(const std::vector<double> &v, double factor)
-{
-    std::vector<double> out(v);
-    simd::scale(out.data(), factor, out.size());
     return out;
 }
 
@@ -64,17 +47,6 @@ squaredDistance(const std::vector<double> &a, const std::vector<double> &b)
 {
     util::require(a.size() == b.size(), "squaredDistance: size mismatch");
     return simd::squaredDistance(a.data(), b.data(), a.size());
-}
-
-double
-weightedSquaredDistance(const std::vector<double> &a,
-                        const std::vector<double> &b,
-                        const std::vector<double> &weights)
-{
-    util::require(a.size() == b.size() && a.size() == weights.size(),
-                  "weightedSquaredDistance: size mismatch");
-    return simd::weightedSquaredDistance(a.data(), b.data(),
-                                         weights.data(), a.size());
 }
 
 } // namespace dtrank::linalg

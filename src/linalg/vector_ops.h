@@ -18,16 +18,9 @@ double dot(const std::vector<double> &a, const std::vector<double> &b);
 /** Euclidean (L2) norm. */
 double norm2(const std::vector<double> &v);
 
-/** Elementwise a + b. */
-std::vector<double> add(const std::vector<double> &a,
-                        const std::vector<double> &b);
-
 /** Elementwise a - b. */
 std::vector<double> subtract(const std::vector<double> &a,
                              const std::vector<double> &b);
-
-/** Scalar multiple. */
-std::vector<double> scale(const std::vector<double> &v, double factor);
 
 /** In-place a += factor * b (axpy). */
 void addScaled(std::vector<double> &a, const std::vector<double> &b,
@@ -36,14 +29,6 @@ void addScaled(std::vector<double> &a, const std::vector<double> &b,
 /** Squared Euclidean distance between two points. */
 double squaredDistance(const std::vector<double> &a,
                        const std::vector<double> &b);
-
-/**
- * Squared distance weighted per dimension:
- * sum_i w_i * (a_i - b_i)^2. Sizes of all three must match.
- */
-double weightedSquaredDistance(const std::vector<double> &a,
-                               const std::vector<double> &b,
-                               const std::vector<double> &weights);
 
 } // namespace dtrank::linalg
 

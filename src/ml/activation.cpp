@@ -4,7 +4,6 @@
 
 #include "simd/simd.h"
 #include "util/error.h"
-#include "util/string_utils.h"
 
 namespace dtrank::ml
 {
@@ -40,38 +39,6 @@ activateDerivativeFromOutput(Activation a, double y)
         return 1.0;
     }
     DTRANK_ASSERT_MSG(false, "unknown activation");
-}
-
-std::string
-activationName(Activation a)
-{
-    switch (a) {
-      case Activation::Sigmoid:
-        return "sigmoid";
-      case Activation::Tanh:
-        return "tanh";
-      case Activation::Relu:
-        return "relu";
-      case Activation::Linear:
-        return "linear";
-    }
-    DTRANK_ASSERT_MSG(false, "unknown activation");
-}
-
-Activation
-activationFromName(const std::string &name)
-{
-    const std::string n = util::toLower(util::trim(name));
-    if (n == "sigmoid")
-        return Activation::Sigmoid;
-    if (n == "tanh")
-        return Activation::Tanh;
-    if (n == "relu")
-        return Activation::Relu;
-    if (n == "linear")
-        return Activation::Linear;
-    throw util::InvalidArgument("activationFromName: unknown activation '" +
-                                name + "'");
 }
 
 } // namespace dtrank::ml

@@ -5,7 +5,6 @@
 
 #pragma once
 
-#include <string>
 
 namespace dtrank::ml
 {
@@ -28,12 +27,6 @@ double activate(Activation a, double x);
  * wants (e.g. sigmoid' = y * (1 - y)).
  */
 double activateDerivativeFromOutput(Activation a, double y);
-
-/** Human-readable name ("sigmoid", ...). */
-std::string activationName(Activation a);
-
-/** Parses an activation name; throws InvalidArgument on unknown names. */
-Activation activationFromName(const std::string &name);
 
 } // namespace dtrank::ml
 

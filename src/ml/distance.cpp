@@ -3,55 +3,24 @@
 #include <cmath>
 
 #include "linalg/vector_ops.h"
-#include "simd/simd.h"
-#include "util/error.h"
 
 namespace dtrank::ml
 {
 
 double
-EuclideanDistance::distance(const std::vector<double> &a,
-                            const std::vector<double> &b) const
+euclideanDistance(const std::vector<double> &a, const std::vector<double> &b)
 {
     return std::sqrt(linalg::squaredDistance(a, b));
 }
 
-double
-ManhattanDistance::distance(const std::vector<double> &a,
-                            const std::vector<double> &b) const
-{
-    util::require(a.size() == b.size(),
-                  "ManhattanDistance: size mismatch");
-    return simd::manhattan(a.data(), b.data(), a.size());
-}
-
-WeightedEuclideanDistance::WeightedEuclideanDistance(
-    std::vector<double> weights)
-    : weights_(std::move(weights))
-{
-    util::require(!weights_.empty(),
-                  "WeightedEuclideanDistance: empty weights");
-    for (double w : weights_)
-        util::require(w >= 0.0,
-                      "WeightedEuclideanDistance: negative weight");
-}
-
-double
-WeightedEuclideanDistance::distance(const std::vector<double> &a,
-                                    const std::vector<double> &b) const
-{
-    return std::sqrt(linalg::weightedSquaredDistance(a, b, weights_));
-}
-
 std::vector<std::vector<double>>
-pairwiseDistances(const std::vector<std::vector<double>> &points,
-                  const DistanceMetric &metric)
+pairwiseDistances(const std::vector<std::vector<double>> &points)
 {
     const std::size_t n = points.size();
     std::vector<std::vector<double>> d(n, std::vector<double>(n, 0.0));
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
-            const double dist = metric.distance(points[i], points[j]);
+            const double dist = euclideanDistance(points[i], points[j]);
             d[i][j] = dist;
             d[j][i] = dist;
         }

@@ -1,78 +1,25 @@
 /**
  * @file
- * Distance metrics over feature vectors, including the per-dimension
- * weighted Euclidean distance whose weights the GA-kNN baseline learns
- * (Hoste et al., PACT 2006).
+ * Euclidean distance over feature vectors, and the pairwise distance
+ * matrix k-medoids clusters from.
  */
 
 #pragma once
 
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace dtrank::ml
 {
 
-/** Abstract pairwise distance over equally sized vectors. */
-class DistanceMetric
-{
-  public:
-    virtual ~DistanceMetric() = default;
-
-    /** Distance between two points. */
-    virtual double distance(const std::vector<double> &a,
-                            const std::vector<double> &b) const = 0;
-
-    /** Metric name for diagnostics. */
-    virtual std::string name() const = 0;
-};
-
-/** Standard Euclidean (L2) distance. */
-class EuclideanDistance : public DistanceMetric
-{
-  public:
-    double distance(const std::vector<double> &a,
-                    const std::vector<double> &b) const override;
-    std::string name() const override { return "euclidean"; }
-};
-
-/** Manhattan (L1) distance. */
-class ManhattanDistance : public DistanceMetric
-{
-  public:
-    double distance(const std::vector<double> &a,
-                    const std::vector<double> &b) const override;
-    std::string name() const override { return "manhattan"; }
-};
+/** Euclidean (L2) distance between two equally sized points. */
+double euclideanDistance(const std::vector<double> &a,
+                         const std::vector<double> &b);
 
 /**
- * Weighted Euclidean distance sqrt(sum_i w_i (a_i - b_i)^2) with
- * non-negative per-dimension weights.
- */
-class WeightedEuclideanDistance : public DistanceMetric
-{
-  public:
-    /** @param weights Per-dimension weights; all must be >= 0. */
-    explicit WeightedEuclideanDistance(std::vector<double> weights);
-
-    double distance(const std::vector<double> &a,
-                    const std::vector<double> &b) const override;
-    std::string name() const override { return "weighted-euclidean"; }
-
-    const std::vector<double> &weights() const { return weights_; }
-
-  private:
-    std::vector<double> weights_;
-};
-
-/**
- * Full pairwise distance matrix of a point set (symmetric, zero
- * diagonal), used by k-medoids.
+ * Full pairwise Euclidean distance matrix of a point set (symmetric,
+ * zero diagonal), used by k-medoids.
  */
 std::vector<std::vector<double>>
-pairwiseDistances(const std::vector<std::vector<double>> &points,
-                  const DistanceMetric &metric);
+pairwiseDistances(const std::vector<std::vector<double>> &points);
 
 } // namespace dtrank::ml
-

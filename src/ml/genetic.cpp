@@ -90,20 +90,6 @@ GeneticAlgorithm::clip(std::vector<double> &genome) const
 }
 
 GaResult
-GeneticAlgorithm::optimize(const FitnessFn &fitness, util::Rng &rng) const
-{
-    util::require(static_cast<bool>(fitness),
-                  "GeneticAlgorithm::optimize: fitness must be callable");
-    return optimize(
-        [&](const std::vector<const std::vector<double> *> &genomes,
-            double *scores, obs::TraceSpan &) {
-            for (std::size_t i = 0; i < genomes.size(); ++i)
-                scores[i] = fitness(*genomes[i]);
-        },
-        rng);
-}
-
-GaResult
 GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
                            util::Rng &rng) const
 {

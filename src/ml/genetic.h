@@ -75,8 +75,6 @@ struct GaResult
 class GeneticAlgorithm
 {
   public:
-    using FitnessFn = std::function<double(const std::vector<double> &)>;
-
     /**
      * Scores a batch: writes the fitness of *genomes[i] to scores[i].
      * `span` is the trace span of the scoring pass, for the fitness
@@ -107,9 +105,6 @@ class GeneticAlgorithm
      *         no best genome to return.
      */
     GaResult optimize(const BatchFitnessFn &fitness, util::Rng &rng) const;
-
-    /** optimize() with a per-genome fitness, scored one at a time. */
-    GaResult optimize(const FitnessFn &fitness, util::Rng &rng) const;
 
     std::size_t genomeLength() const { return lower_.size(); }
     const GaConfig &config() const { return config_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "ml/distance.h"
 #include "util/error.h"
 
 namespace dtrank::ml
@@ -19,10 +20,9 @@ KMedoids::KMedoids(KMedoidsConfig config) : config_(config)
 
 KMedoidsResult
 KMedoids::cluster(const std::vector<std::vector<double>> &points,
-                  std::size_t k, const DistanceMetric &metric,
-                  util::Rng &rng) const
+                  std::size_t k, util::Rng &rng) const
 {
-    return clusterFromDistances(pairwiseDistances(points, metric), k, rng);
+    return clusterFromDistances(pairwiseDistances(points), k, rng);
 }
 
 KMedoidsResult

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "ml/distance.h"
 #include "util/rng.h"
 
 namespace dtrank::ml
@@ -51,16 +50,14 @@ class KMedoids
     explicit KMedoids(KMedoidsConfig config = KMedoidsConfig{});
 
     /**
-     * Clusters points into k groups.
+     * Clusters points into k groups by Euclidean distance.
      *
      * @param points Feature vectors (machines' benchmark-score columns).
      * @param k Number of clusters, 1 <= k <= points.size().
-     * @param metric Distance between points.
      * @param rng Randomness source for initialization.
      */
     KMedoidsResult cluster(const std::vector<std::vector<double>> &points,
-                           std::size_t k, const DistanceMetric &metric,
-                           util::Rng &rng) const;
+                           std::size_t k, util::Rng &rng) const;
 
     /**
      * Clusters from a precomputed symmetric distance matrix.

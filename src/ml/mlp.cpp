@@ -975,15 +975,6 @@ Mlp::predict(const std::vector<double> &features) const
 }
 
 std::vector<double>
-Mlp::predict(const linalg::Matrix &x) const
-{
-    util::require(trained_, "Mlp::predict: model not trained");
-    util::require(x.cols() == input_size_,
-                  "Mlp::predict: feature count mismatch");
-    return predictColumns(x.transposed());
-}
-
-std::vector<double>
 Mlp::predictColumns(const linalg::Matrix &xt) const
 {
     util::require(trained_, "Mlp::predictColumns: model not trained");

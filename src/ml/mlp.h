@@ -225,13 +225,6 @@ class Mlp
     double predict(const std::vector<double> &features) const;
 
     /**
-     * Predicts for each row of a raw feature matrix; a thin wrapper
-     * over predictColumns() on the transpose, so bit-identical to
-     * calling the scalar predict() on every row.
-     */
-    std::vector<double> predict(const linalg::Matrix &x) const;
-
-    /**
      * Predicts for each column of a raw FEATURE-MAJOR matrix (one row
      * per feature, one column per sample — the benchmark x machine
      * layout). The batched forward pass: per tile of samples, one

@@ -157,20 +157,6 @@ StandardNormalizer::fit(const linalg::Matrix &x)
     }
 }
 
-std::vector<double>
-StandardNormalizer::transform(const std::vector<double> &row) const
-{
-    util::require(fitted(), "StandardNormalizer: not fitted");
-    util::require(row.size() == means_.size(),
-                  "StandardNormalizer::transform: feature count mismatch");
-    std::vector<double> out(row.size());
-    for (std::size_t c = 0; c < row.size(); ++c)
-        out[c] = stddevs_[c] == 0.0
-                     ? 0.0
-                     : (row[c] - means_[c]) / stddevs_[c];
-    return out;
-}
-
 linalg::Matrix
 StandardNormalizer::transform(const linalg::Matrix &x) const
 {

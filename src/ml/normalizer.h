@@ -89,9 +89,6 @@ class StandardNormalizer
     /** Learns per-column mean/stddev from the training matrix. */
     void fit(const linalg::Matrix &x);
 
-    /** Maps one row of raw features into z-scores. */
-    std::vector<double> transform(const std::vector<double> &row) const;
-
     /** Maps a whole matrix. */
     linalg::Matrix transform(const linalg::Matrix &x) const;
 

@@ -60,20 +60,6 @@ Pca::fit(const linalg::Matrix &x)
     fitted_ = true;
 }
 
-std::size_t
-Pca::featureCount() const
-{
-    util::require(fitted_, "Pca: not fitted");
-    return means_.size();
-}
-
-const linalg::Matrix &
-Pca::components() const
-{
-    util::require(fitted_, "Pca: not fitted");
-    return components_;
-}
-
 const std::vector<double> &
 Pca::explainedVariance() const
 {

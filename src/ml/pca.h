@@ -44,15 +44,6 @@ class Pca
 
     bool fitted() const { return fitted_; }
 
-    /** Number of input features. */
-    std::size_t featureCount() const;
-
-    /**
-     * Component loadings: one column per component, descending
-     * explained variance.
-     */
-    const linalg::Matrix &components() const;
-
     /** Variance along each component, descending. */
     const std::vector<double> &explainedVariance() const;
 

@@ -70,17 +70,6 @@ TraceCollector::snapshot() const
     return out;
 }
 
-std::size_t
-TraceCollector::eventCount() const
-{
-    std::size_t count = 0;
-    for (const Slot &slot : slots_) {
-        util::LockGuard lock(slot.mutex);
-        count += slot.events.size();
-    }
-    return count;
-}
-
 void
 TraceCollector::clear()
 {

@@ -81,9 +81,6 @@ class TraceCollector
     /** Copies out every recorded event (slot order, not time order). */
     std::vector<TraceEvent> snapshot() const;
 
-    /** Number of recorded events. */
-    std::size_t eventCount() const;
-
     /** Drops all recorded events (tests). */
     void clear();
 

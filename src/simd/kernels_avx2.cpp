@@ -77,14 +77,6 @@ struct Avx2
         return _mm256_and_pd(
             v, _mm256_castsi256_pd(_mm256_cmpeq_epi64(hit, sel)));
     }
-
-    /** Clears the sign bit per lane. */
-    static V
-    abs(V v)
-    {
-        return _mm256_and_pd(
-            v, _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL)));
-    }
 };
 
 } // namespace

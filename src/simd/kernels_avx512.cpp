@@ -78,16 +78,6 @@ struct Avx512
     {
         return _mm512_maskz_mov_pd(static_cast<Mask>(bits), v);
     }
-
-    /** |x| via the F-subset integer andnot (and_pd needs DQ). */
-    static V
-    abs(V v)
-    {
-        const __m512i sign_bit =
-            _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ULL));
-        return _mm512_castsi512_pd(
-            _mm512_andnot_epi64(sign_bit, _mm512_castpd_si512(v)));
-    }
 };
 
 } // namespace

@@ -12,7 +12,6 @@
 
 #include "simd/simd.h"
 
-#include <cmath>
 
 #include "simd/kernels_vector.h"
 
@@ -68,12 +67,6 @@ struct Scalar
     keep(std::uint64_t bits, V v)
     {
         return bits != 0 ? v : 0.0;
-    }
-
-    static V
-    abs(V v)
-    {
-        return std::fabs(v);
     }
 };
 

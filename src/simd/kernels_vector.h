@@ -22,8 +22,7 @@
  *   Mask, mask(live)    a mask of the first `live` lanes, live <= W;
  *   maskLoad(p, m)      the masked lanes at p, others 0.0;
  *   maskStore(p, m, v)  stores the masked lanes of v at p;
- *   keep(bits, v)       v with lane l zeroed unless bit l is set;
- *   abs(v)              |v| per lane.
+ *   keep(bits, v)       v with lane l zeroed unless bit l is set.
  *
  * No FMA outside exp (exp.h), as everywhere in this layer: every TU
  * builds with -ffp-contract=off (top-level CMakeLists.txt), so each
@@ -33,7 +32,6 @@
 
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 #include "simd/exp.h"
@@ -119,15 +117,6 @@ struct VectorKernels
                 const double d = a[i] - b[i];
                 return d * d;
             });
-    }
-
-    static double
-    manhattan(const double *a, const double *b, std::size_t n)
-    {
-        return reduce(
-            n,
-            [=](std::size_t i) { return T::abs(load(a + i) - load(b + i)); },
-            [=](std::size_t i) { return std::fabs(a[i] - b[i]); });
     }
 
     static double
@@ -510,7 +499,6 @@ vectorKernelTable(const char *name)
         K::mulAdd,
         K::gemmMicro,
         K::squaredDistance,
-        K::manhattan,
         K::weightedSquaredDistance,
         K::centeredDot,
         K::mlpLayerNets,

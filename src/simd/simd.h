@@ -181,9 +181,6 @@ struct KernelTable
     double (*squaredDistance)(const double *a, const double *b,
                               std::size_t n);
 
-    /** Canonical-reduction sum_i |a[i] - b[i]|. */
-    double (*manhattan)(const double *a, const double *b, std::size_t n);
-
     /** Canonical-reduction sum_i (w[i] * (a[i]-b[i])) * (a[i]-b[i]). */
     double (*weightedSquaredDistance)(const double *a, const double *b,
                                       const double *w, std::size_t n);
@@ -512,12 +509,6 @@ inline double
 squaredDistance(const double *a, const double *b, std::size_t n)
 {
     return kernels().squaredDistance(a, b, n);
-}
-
-inline double
-manhattan(const double *a, const double *b, std::size_t n)
-{
-    return kernels().manhattan(a, b, n);
 }
 
 inline double

@@ -68,17 +68,6 @@ maximum(const std::vector<double> &v)
 }
 
 double
-median(std::vector<double> v)
-{
-    util::require(!v.empty(), "median: empty input");
-    std::sort(v.begin(), v.end());
-    const std::size_t n = v.size();
-    if (n % 2 == 1)
-        return v[n / 2];
-    return 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-double
 quantile(std::vector<double> v, double q)
 {
     util::require(!v.empty(), "quantile: empty input");
@@ -111,14 +100,6 @@ argMax(const std::vector<double> &v)
         std::max_element(v.begin(), v.end()) - v.begin());
 }
 
-std::size_t
-argMin(const std::vector<double> &v)
-{
-    util::require(!v.empty(), "argMin: empty input");
-    return static_cast<std::size_t>(
-        std::min_element(v.begin(), v.end()) - v.begin());
-}
-
 void
 Summary::add(double x)
 {
@@ -131,27 +112,6 @@ Summary::add(double x)
     ++count_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(count_);
-    const double nb = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = na + nb;
-    mean_ += delta * nb / n;
-    m2_ += other.m2_ + delta * delta * na * nb / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
 }
 
 double
@@ -173,19 +133,6 @@ Summary::max() const
 {
     util::require(count_ > 0, "Summary::max: no observations");
     return max_;
-}
-
-double
-Summary::variance() const
-{
-    util::require(count_ >= 2, "Summary::variance: needs >= 2 observations");
-    return m2_ / static_cast<double>(count_ - 1);
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 } // namespace dtrank::stats

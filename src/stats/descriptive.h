@@ -32,9 +32,6 @@ double minimum(const std::vector<double> &v);
 /** Largest element. Requires non-empty input. */
 double maximum(const std::vector<double> &v);
 
-/** Median (average of the middle two for even sizes). */
-double median(std::vector<double> v);
-
 /**
  * Quantile via linear interpolation between order statistics
  * (type-7 / numpy default). `q` must be in [0, 1].
@@ -47,12 +44,9 @@ double geometricMean(const std::vector<double> &v);
 /** Index of the maximum element (first if tied). Requires non-empty. */
 std::size_t argMax(const std::vector<double> &v);
 
-/** Index of the minimum element (first if tied). Requires non-empty. */
-std::size_t argMin(const std::vector<double> &v);
-
 /**
  * Running summary accumulator for aggregating experiment metrics:
- * tracks count, mean, min, max and sample variance (Welford).
+ * tracks count, mean (Welford's running update), min and max.
  */
 class Summary
 {
@@ -60,22 +54,14 @@ class Summary
     /** Adds one observation. */
     void add(double x);
 
-    /** Merges another summary into this one. */
-    void merge(const Summary &other);
-
     std::size_t count() const { return count_; }
     double mean() const;
     double min() const;
     double max() const;
-    /** Sample variance; requires count() >= 2. */
-    double variance() const;
-    /** Sample standard deviation; requires count() >= 2. */
-    double stddev() const;
 
   private:
     std::size_t count_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/error.h"
 
 namespace dtrank::stats
 {
@@ -58,32 +57,6 @@ orderDescending(const std::vector<double> &values)
                          return values[a] > values[b];
                      });
     return order;
-}
-
-std::vector<std::size_t>
-orderAscending(const std::vector<double> &values)
-{
-    std::vector<std::size_t> order(values.size());
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return values[a] < values[b];
-                     });
-    return order;
-}
-
-std::size_t
-positionInDescendingOrder(const std::vector<double> &values,
-                          std::size_t index)
-{
-    util::require(index < values.size(),
-                  "positionInDescendingOrder: index out of range");
-    const auto order = orderDescending(values);
-    for (std::size_t pos = 0; pos < order.size(); ++pos)
-        if (order[pos] == index)
-            return pos;
-    throw util::Error("positionInDescendingOrder: index not found in its "
-                      "own ordering");
 }
 
 } // namespace dtrank::stats

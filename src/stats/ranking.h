@@ -38,17 +38,5 @@ std::vector<double> rankData(const std::vector<double> &values,
  */
 std::vector<std::size_t> orderDescending(const std::vector<double> &values);
 
-/**
- * Returns the indices that would sort `values` ascending (stable).
- */
-std::vector<std::size_t> orderAscending(const std::vector<double> &values);
-
-/**
- * Position (0-based) of element `index` in the descending ordering of
- * `values`; 0 means `index` holds the largest value.
- */
-std::size_t positionInDescendingOrder(const std::vector<double> &values,
-                                      std::size_t index);
-
 } // namespace dtrank::stats
 

@@ -50,15 +50,6 @@ SimpleLinearRegression::SimpleLinearRegression(const std::vector<double> &x,
         r_squared_ = 1.0 - rss_ / ss_tot;
 }
 
-std::vector<double>
-SimpleLinearRegression::predict(const std::vector<double> &x) const
-{
-    std::vector<double> out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = predict(x[i]);
-    return out;
-}
-
 MultipleLinearRegression::MultipleLinearRegression(
     const linalg::Matrix &x, const std::vector<double> &y, double ridge)
 {

@@ -43,9 +43,6 @@ class SimpleLinearRegression
     /** Predicted response at x. */
     double predict(double x) const { return intercept_ + slope_ * x; }
 
-    /** Predicted responses for a batch of predictor values. */
-    std::vector<double> predict(const std::vector<double> &x) const;
-
     /** Residual sum of squares on the training sample. */
     double residualSumSquares() const { return rss_; }
 

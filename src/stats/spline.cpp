@@ -127,13 +127,4 @@ SplineRegression::predict(double x) const
     return acc;
 }
 
-std::vector<double>
-SplineRegression::predict(const std::vector<double> &x) const
-{
-    std::vector<double> out(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i)
-        out[i] = predict(x[i]);
-    return out;
-}
-
 } // namespace dtrank::stats

@@ -83,9 +83,6 @@ class SplineRegression
     /** Predicted response at x (linear extrapolation in the tails). */
     double predict(double x) const;
 
-    /** Predicted responses for a batch of predictor values. */
-    std::vector<double> predict(const std::vector<double> &x) const;
-
     /** Residual sum of squares on the training sample. */
     double residualSumSquares() const { return rss_; }
 

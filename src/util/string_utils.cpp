@@ -39,18 +39,6 @@ trim(const std::string &s)
 }
 
 std::string
-join(const std::vector<std::string> &pieces, const std::string &sep)
-{
-    std::string out;
-    for (std::size_t i = 0; i < pieces.size(); ++i) {
-        if (i > 0)
-            out += sep;
-        out += pieces[i];
-    }
-    return out;
-}
-
-std::string
 toLower(const std::string &s)
 {
     std::string out(s);
@@ -64,13 +52,6 @@ startsWith(const std::string &s, const std::string &prefix)
 {
     return s.size() >= prefix.size() &&
            s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string

@@ -17,18 +17,11 @@ std::vector<std::string> split(const std::string &s, char delim);
 /** Removes leading and trailing ASCII whitespace. */
 std::string trim(const std::string &s);
 
-/** Joins the pieces with the given separator. */
-std::string join(const std::vector<std::string> &pieces,
-                 const std::string &sep);
-
 /** Lower-cases ASCII characters. */
 std::string toLower(const std::string &s);
 
 /** True when `s` starts with `prefix`. */
 bool startsWith(const std::string &s, const std::string &prefix);
-
-/** True when `s` ends with `suffix`. */
-bool endsWith(const std::string &s, const std::string &suffix);
 
 /**
  * Formats a double with a fixed number of decimals.

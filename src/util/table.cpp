@@ -13,16 +13,6 @@ TablePrinter::TablePrinter(std::vector<std::string> header)
     : header_(std::move(header))
 {
     require(!header_.empty(), "TablePrinter: header must not be empty");
-    align_.assign(header_.size(), Align::Right);
-    align_[0] = Align::Left;
-}
-
-void
-TablePrinter::setAlign(std::size_t col, Align a)
-{
-    require(col < align_.size(), "TablePrinter::setAlign: column out of "
-                                 "range");
-    align_[col] = a;
 }
 
 void
@@ -39,16 +29,6 @@ TablePrinter::addSeparator()
     rows_.emplace_back();
 }
 
-std::size_t
-TablePrinter::rowCount() const
-{
-    std::size_t n = 0;
-    for (const auto &r : rows_)
-        if (!r.empty())
-            ++n;
-    return n;
-}
-
 void
 TablePrinter::print(std::ostream &os) const
 {
@@ -60,16 +40,11 @@ TablePrinter::print(std::ostream &os) const
             width[c] = std::max(width[c], row[c].size());
 
     auto emit_cells = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            if (c > 0)
-                os << "  ";
-            const std::string &s = cells[c];
-            const std::size_t pad = width[c] - s.size();
-            if (align_[c] == Align::Right)
-                os << std::string(pad, ' ') << s;
-            else
-                os << s << std::string(pad, ' ');
-        }
+        // The first column is left-aligned, the others right-aligned.
+        os << cells[0] << std::string(width[0] - cells[0].size(), ' ');
+        for (std::size_t c = 1; c < cells.size(); ++c)
+            os << "  " << std::string(width[c] - cells[c].size(), ' ')
+               << cells[c];
         os << '\n';
     };
 

@@ -13,9 +13,6 @@
 namespace dtrank::util
 {
 
-/** Column alignment inside a TablePrinter. */
-enum class Align { Left, Right };
-
 /**
  * Accumulates rows of string cells and renders an aligned ASCII table.
  *
@@ -29,21 +26,15 @@ enum class Align { Left, Right };
 class TablePrinter
 {
   public:
-    /** Creates a table with the given header cells (left-aligned first
-     *  column, right-aligned others by default). */
+    /** Creates a table with the given header cells; the first column
+     *  is left-aligned, the others right-aligned. */
     explicit TablePrinter(std::vector<std::string> header);
-
-    /** Overrides the alignment of a column. */
-    void setAlign(std::size_t col, Align a);
 
     /** Appends a data row; must have exactly as many cells as the header. */
     void addRow(std::vector<std::string> row);
 
     /** Appends a horizontal separator line. */
     void addSeparator();
-
-    /** Number of data rows added so far (separators excluded). */
-    std::size_t rowCount() const;
 
     /** Renders the table. */
     void print(std::ostream &os) const;
@@ -53,7 +44,6 @@ class TablePrinter
 
   private:
     std::vector<std::string> header_;
-    std::vector<Align> align_;
     // Separator rows are encoded as empty vectors.
     std::vector<std::vector<std::string>> rows_;
 };

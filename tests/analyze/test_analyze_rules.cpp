@@ -808,17 +808,75 @@ TEST(AnalyzeRules, BaselineRoundTripFiltersTrackedFindings)
 TEST(AnalyzeRules, BaselineFiltersOnlyExactKeys)
 {
     const std::vector<Finding> tracked = {
-        {"no-fp-accumulate", "src/ml/mlp.cpp", 384, "msg"}};
+        {"no-fp-accumulate", "src/ml/mlp.cpp", 384, "msg", "acc += x;"}};
     const auto keys = dtrank::analyze::parseBaseline(
-        "# comment\nno-fp-accumulate src/ml/mlp.cpp:384\n");
+        "# comment\nno-fp-accumulate src/ml/mlp.cpp: acc += x;\n");
     EXPECT_TRUE(
         dtrank::analyze::filterBaselined(tracked, keys).empty());
 
-    // A different line on the same file is a new finding.
-    const std::vector<Finding> moved = {
-        {"no-fp-accumulate", "src/ml/mlp.cpp", 385, "msg"}};
-    EXPECT_EQ(dtrank::analyze::filterBaselined(moved, keys).size(),
+    // Another source line, rule or file is a new finding.
+    for (const Finding &other :
+         {Finding{"no-fp-accumulate", "src/ml/mlp.cpp", 384, "msg",
+                  "acc += y;"},
+          Finding{"no-libm-exp", "src/ml/mlp.cpp", 384, "msg",
+                  "acc += x;"},
+          Finding{"no-fp-accumulate", "src/ml/pca.cpp", 384, "msg",
+                  "acc += x;"}})
+        EXPECT_EQ(dtrank::analyze::filterBaselined({other}, keys).size(),
+                  1u)
+            << dtrank::analyze::baselineKey(other);
+}
+
+/** A src/ file with one scalar accumulation, `padding` lines down. */
+std::string
+accumulatingSource(std::size_t padding, std::size_t copies)
+{
+    std::string text(padding, '\n');
+    text += "double sum(const double *v, int n) {\n"
+            "  double acc = 0.0;\n"
+            "  for (int i = 0; i < n; ++i) {\n";
+    for (std::size_t c = 0; c < copies; ++c)
+        text += "    acc   +=  v[i];\n";
+    return text + "  }\n  return acc;\n}\n";
+}
+
+TEST(AnalyzeRules, BaselineKeysOnTheSourceLineSoAMovedLineStillMatches)
+{
+    const auto tracked =
+        analyzeContent("src/stats/sum.cpp", accumulatingSource(0, 1));
+    ASSERT_EQ(ofRule(tracked, "no-fp-accumulate").size(), 1u);
+    EXPECT_EQ(tracked[0].source, "acc += v[i];");
+    const auto baseline = dtrank::analyze::parseBaseline(
+        dtrank::analyze::renderBaseline(tracked));
+
+    // Code added above the tracked line moves it; it stays tracked.
+    const auto moved =
+        analyzeContent("src/stats/sum.cpp", accumulatingSource(7, 1));
+    ASSERT_EQ(moved.size(), 1u);
+    EXPECT_EQ(moved[0].line, tracked[0].line + 7);
+    EXPECT_TRUE(dtrank::analyze::filterBaselined(moved, baseline).empty());
+}
+
+TEST(AnalyzeRules, BaselineCountsIdenticalLines)
+{
+    const auto tracked =
+        analyzeContent("src/stats/sum.cpp", accumulatingSource(0, 1));
+    const auto baseline = dtrank::analyze::parseBaseline(
+        dtrank::analyze::renderBaseline(tracked));
+
+    // A second copy of the tracked line is a new finding.
+    const auto doubled =
+        analyzeContent("src/stats/sum.cpp", accumulatingSource(0, 2));
+    ASSERT_EQ(ofRule(doubled, "no-fp-accumulate").size(), 2u);
+    EXPECT_EQ(dtrank::analyze::filterBaselined(doubled, baseline).size(),
               1u);
+
+    // Tracked twice, both copies are absorbed.
+    const auto both = dtrank::analyze::parseBaseline(
+        dtrank::analyze::renderBaseline(doubled));
+    EXPECT_EQ(both.size(), 1u);
+    EXPECT_EQ(both.begin()->second, 2u);
+    EXPECT_TRUE(dtrank::analyze::filterBaselined(doubled, both).empty());
 }
 
 TEST(AnalyzeRules, FormatFindingIsEditorParsable)

@@ -2,7 +2,8 @@
  * @file
  * Tests for include-graph extraction and the cross-file rules: module
  * layering (the module DAG), module cycles, file-level include
- * cycles, and unused direct includes — all on synthetic source sets,
+ * cycles, unused direct includes and orphan headers — all on
+ * synthetic source sets,
  * plus the checked-in upward-include fixture that proves the layering
  * rule rejects a real injected violation.
  */
@@ -255,6 +256,52 @@ TEST(IncludeGraph, UmbrellaHeaderWithNoDeclarationsGetsNoVerdict)
          {"src/util/umbrella.h",
           "#pragma once\n#include \"util/other.h\"\n"}});
     EXPECT_TRUE(ofRule(findings, "unused-include").empty());
+}
+
+/**
+ * A report module that only its own .cpp and its test include, next to
+ * a header the CLI includes.
+ */
+std::vector<SourceFile>
+reportModuleSet()
+{
+    return {
+        {"src/experiments/markdown_report.h",
+         "#pragma once\nstd::string renderTable();\n"},
+        {"src/experiments/markdown_report.cpp",
+         "#include \"experiments/markdown_report.h\"\n"},
+        {"src/experiments/harness.h", "#pragma once\nint runSplit();\n"},
+        {"tests/experiments/test_markdown_report.cpp",
+         "#include \"experiments/markdown_report.h\"\n"},
+        {"tools/dtrank_cli.cpp", "#include \"experiments/harness.h\"\n"}};
+}
+
+TEST(IncludeGraph, HeaderOnlyItsCppAndTestsIncludeIsAnOrphan)
+{
+    const auto orphans =
+        ofRule(includeGraphFindings(reportModuleSet()), "orphan-header");
+    ASSERT_EQ(orphans.size(), 1u);
+    EXPECT_EQ(orphans[0].file, "src/experiments/markdown_report.h");
+    EXPECT_EQ(orphans[0].line, 1u);
+}
+
+TEST(IncludeGraph, IncluderOutsideTheSetAdoptsAHeader)
+{
+    // perfbench's harness is passed as includers: not analyzed, but
+    // its includes count.
+    const auto findings = includeGraphFindings(
+        reportModuleSet(),
+        {{"perfbench/harness/offline_main.cpp",
+          "#include \"experiments/markdown_report.h\"\n"}});
+    EXPECT_TRUE(ofRule(findings, "orphan-header").empty());
+}
+
+TEST(IncludeGraph, LibraryFragmentGetsNoOrphanVerdict)
+{
+    // Without application code in the set nothing can be judged.
+    const auto findings = includeGraphFindings(
+        {{"src/util/dep.h", "#pragma once\nclass Dep {};\n"}});
+    EXPECT_TRUE(ofRule(findings, "orphan-header").empty());
 }
 
 } // namespace

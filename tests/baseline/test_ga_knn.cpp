@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -567,51 +566,6 @@ TEST(GaKnn, ScaledSweepPredictMatchesReferenceBitForBit)
             }
         }
     }
-}
-
-TEST(GaKnnTransposition, AdapterPredictsViaModel)
-{
-    ToyWorld world;
-    baseline::GaKnnConfig config = fastConfig();
-    config.k = 2; // the toy world has only six benchmarks
-    auto model = std::make_shared<baseline::GaKnnModel>(config);
-    model->train(world.characteristics, world.scores);
-
-    // The adapter predicts the app (a group-A workload) on target
-    // machines using only the candidate benchmarks.
-    baseline::GaKnnTransposition adapter(
-        model, world.characteristics, {0.02, 0.0});
-
-    core::TranspositionProblem problem;
-    problem.predictiveBenchScores = linalg::Matrix(6, 1, 1.0);
-    problem.predictiveAppScores = {1.0};
-    problem.targetBenchScores = world.scores;
-    const auto pred = adapter.predict(problem);
-    ASSERT_EQ(pred.size(), 2u);
-    EXPECT_LT(pred[0], 20.0); // group-A-like prediction
-    EXPECT_EQ(adapter.name(), "GA-2NN");
-}
-
-TEST(GaKnnTransposition, AdapterValidation)
-{
-    ToyWorld world;
-    auto untrained = std::make_shared<baseline::GaKnnModel>(fastConfig());
-    EXPECT_THROW(baseline::GaKnnTransposition(
-                     untrained, world.characteristics, {0.0, 0.0}),
-                 util::InvalidArgument);
-    EXPECT_THROW(baseline::GaKnnTransposition(
-                     nullptr, world.characteristics, {0.0, 0.0}),
-                 util::InvalidArgument);
-
-    auto model = std::make_shared<baseline::GaKnnModel>(fastConfig());
-    model->train(world.characteristics, world.scores);
-    baseline::GaKnnTransposition adapter(model, world.characteristics,
-                                         {0.0, 0.0});
-    core::TranspositionProblem bad;
-    bad.predictiveBenchScores = linalg::Matrix(2, 1, 1.0);
-    bad.predictiveAppScores = {1.0};
-    bad.targetBenchScores = linalg::Matrix(2, 1, 1.0);
-    EXPECT_THROW(adapter.predict(bad), util::InvalidArgument);
 }
 
 } // namespace

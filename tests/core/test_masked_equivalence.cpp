@@ -20,9 +20,7 @@
 #include "dataset/perf_database.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/harness.h"
-#include "linalg/least_squares.h"
 #include "simd/simd.h"
-#include "util/error.h"
 
 namespace
 {
@@ -133,68 +131,6 @@ TEST_F(MaskedEmptyMaskIdentity, AllValidMaskMatchesDenseAcrossThreads)
         expectIdentical(reference, runSplit(twin, Tier::Avx2, 4));
     if (simd::tierAvailable(Tier::Avx512))
         expectIdentical(reference, runSplit(twin, Tier::Avx512, 4));
-}
-
-TEST(MaskedLeastSquares, EmptyAndAllSetRowMasksReproduceDense)
-{
-    linalg::Matrix a(5, 2);
-    const double rows[5][2] = {{1.0, 0.5},
-                               {1.0, 1.5},
-                               {1.0, 2.0},
-                               {1.0, 3.25},
-                               {1.0, 4.0}};
-    std::vector<double> b = {1.1, 2.3, 2.9, 4.6, 5.2};
-    for (std::size_t r = 0; r < 5; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-            a(r, c) = rows[r][c];
-
-    const auto dense = linalg::solveLeastSquares(a, b);
-    const auto empty = linalg::solveLeastSquaresMasked(a, b, {});
-    const auto all_set =
-        linalg::solveLeastSquaresMasked(a, b, {0x1f});
-    EXPECT_EQ(dense.coefficients, empty.coefficients);
-    EXPECT_EQ(dense.residualSumSquares, empty.residualSumSquares);
-    EXPECT_EQ(dense.coefficients, all_set.coefficients);
-    EXPECT_EQ(dense.residualSumSquares, all_set.residualSumSquares);
-
-    const auto ridge = linalg::solveRidge(a, b, 1e-4);
-    const auto ridge_masked =
-        linalg::solveRidgeMasked(a, b, {0x1f}, 1e-4);
-    EXPECT_EQ(ridge.coefficients, ridge_masked.coefficients);
-}
-
-TEST(MaskedLeastSquares, DroppedRowsMatchAnExplicitlyCompactedSolve)
-{
-    linalg::Matrix a(6, 2);
-    std::vector<double> b(6);
-    for (std::size_t r = 0; r < 6; ++r) {
-        a(r, 0) = 1.0;
-        a(r, 1) = 0.5 * static_cast<double>(r + 1);
-        b[r] = 1.0 + 0.9 * a(r, 1) + (r % 2 == 0 ? 0.05 : -0.05);
-    }
-    // Keep rows 0, 2, 3, 5 (bits 0b101101).
-    const std::vector<std::uint64_t> row_valid = {0x2d};
-    const auto masked = linalg::solveLeastSquaresMasked(a, b, row_valid);
-
-    const std::vector<std::size_t> keep = {0, 2, 3, 5};
-    const linalg::Matrix a_kept = a.selectRows(keep);
-    std::vector<double> b_kept;
-    for (std::size_t r : keep)
-        b_kept.push_back(b[r]);
-    const auto compacted = linalg::solveLeastSquares(a_kept, b_kept);
-    EXPECT_EQ(masked.coefficients, compacted.coefficients);
-    EXPECT_EQ(masked.residualSumSquares, compacted.residualSumSquares);
-}
-
-TEST(MaskedLeastSquares, RejectsFullyMaskedSystems)
-{
-    linalg::Matrix a(3, 1);
-    a(0, 0) = 1.0;
-    a(1, 0) = 2.0;
-    a(2, 0) = 3.0;
-    const std::vector<double> b = {1.0, 2.0, 3.0};
-    EXPECT_THROW(linalg::solveLeastSquaresMasked(a, b, {0x0}),
-                 util::InvalidArgument);
 }
 
 /** Real missingness: every method must still produce finite, positive

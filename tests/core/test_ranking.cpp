@@ -26,24 +26,6 @@ TEST(MachineRanking, OrdersBestFirst)
     EXPECT_DOUBLE_EQ(ranking.entries()[0].predictedScore, 30.0);
 }
 
-TEST(MachineRanking, TopMachinesCapped)
-{
-    const core::MachineRanking ranking({1.0, 3.0, 2.0});
-    EXPECT_EQ(ranking.topMachines(2),
-              (std::vector<std::size_t>{1, 2}));
-    EXPECT_EQ(ranking.topMachines(10).size(), 3u);
-    EXPECT_TRUE(ranking.topMachines(0).empty());
-}
-
-TEST(MachineRanking, RankOf)
-{
-    const core::MachineRanking ranking({1.0, 3.0, 2.0});
-    EXPECT_EQ(ranking.rankOf(1), 1u);
-    EXPECT_EQ(ranking.rankOf(2), 2u);
-    EXPECT_EQ(ranking.rankOf(0), 3u);
-    EXPECT_THROW(ranking.rankOf(3), util::InvalidArgument);
-}
-
 TEST(MachineRanking, StableOnTies)
 {
     const core::MachineRanking ranking({5.0, 5.0});

@@ -12,6 +12,7 @@
 #include "core/transposition.h"
 #include "dataset/synthetic_spec.h"
 #include "util/error.h"
+#include "tests/linalg/approx_equals.h"
 
 namespace
 {
@@ -179,9 +180,9 @@ TEST(MakeProblemFromSplit, MatchesManualConstruction)
     const auto manual = core::makeProblem(db.selectMachines({0, 1}),
                                           db.selectMachines({2, 3}),
                                           "mcf");
-    EXPECT_TRUE(split.predictiveBenchScores.approxEquals(
+    EXPECT_TRUE(test::approxEquals(split.predictiveBenchScores,
         manual.predictiveBenchScores, 0.0));
-    EXPECT_TRUE(split.targetBenchScores.approxEquals(
+    EXPECT_TRUE(test::approxEquals(split.targetBenchScores,
         manual.targetBenchScores, 0.0));
     EXPECT_EQ(split.predictiveAppScores, manual.predictiveAppScores);
 }

@@ -25,6 +25,16 @@ namespace
 using namespace dtrank;
 using namespace dtrank::dataset;
 
+/** The scaled generator's 29-benchmark dataset of `machines` machines. */
+PerfDatabase
+scaledDataset(std::size_t machines, std::uint64_t seed)
+{
+    ScaledSpecConfig config;
+    config.machines = machines;
+    config.seed = seed;
+    return ScaledSpecGenerator(config).generate();
+}
+
 std::string
 tempPath(const std::string &stem)
 {
@@ -87,7 +97,7 @@ TEST(ColumnarIo, PaperDatabaseRoundTripsBitIdentically)
 TEST(ColumnarIo, ScaledDatabaseRoundTripsBitIdentically)
 {
     const std::string path = tempPath("dtrank_scaled.dtc");
-    const PerfDatabase db = makeScaledDataset(1000, 29, 7);
+    const PerfDatabase db = scaledDataset(1000, 7);
     saveColumnar(db, path);
     const PerfDatabase loaded = loadColumnar(path);
     std::remove(path.c_str());
@@ -97,7 +107,7 @@ TEST(ColumnarIo, ScaledDatabaseRoundTripsBitIdentically)
 TEST(ColumnarIo, ZeroCopyColumnsMatchTheSource)
 {
     const std::string path = tempPath("dtrank_columns.dtc");
-    const PerfDatabase db = makeScaledDataset(200, 29, 3);
+    const PerfDatabase db = scaledDataset(200, 3);
     saveColumnar(db, path);
     const auto columnar = ColumnarDatabase::open(path);
     std::remove(path.c_str());
@@ -108,7 +118,6 @@ TEST(ColumnarIo, ZeroCopyColumnsMatchTheSource)
         const double *page = columnar.machineColumn(m);
         for (std::size_t b = 0; b < db.benchmarkCount(); ++b) {
             EXPECT_EQ(page[b], db.score(b, m));
-            EXPECT_EQ(columnar.score(b, m), db.score(b, m));
         }
     }
 }

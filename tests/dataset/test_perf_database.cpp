@@ -127,16 +127,6 @@ TEST(PerfDatabase, SelectMachinesKeepsOrder)
     EXPECT_THROW(db.selectMachines({9}), util::InvalidArgument);
 }
 
-TEST(PerfDatabase, SelectBenchmarksKeepsOrder)
-{
-    const PerfDatabase db = makeSmallDb();
-    const PerfDatabase sub = db.selectBenchmarks({2, 1});
-    EXPECT_EQ(sub.benchmarkCount(), 2u);
-    EXPECT_EQ(sub.benchmark(0).name, "gamma");
-    EXPECT_DOUBLE_EQ(sub.score(1, 0), 4.0);
-    EXPECT_THROW(db.selectBenchmarks({9}), util::InvalidArgument);
-}
-
 TEST(PerfDatabase, MachineQueries)
 {
     const PerfDatabase db = makeSmallDb();
@@ -158,7 +148,6 @@ TEST(PerfDatabase, FamiliesAndYearsSortedUnique)
     const PerfDatabase db = makeSmallDb();
     EXPECT_EQ(db.families(),
               (std::vector<std::string>{"FamX", "FamY"}));
-    EXPECT_EQ(db.releaseYears(), (std::vector<int>{2007, 2009}));
 }
 
 TEST(PerfDatabase, GeometricMeans)

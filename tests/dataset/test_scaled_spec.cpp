@@ -68,7 +68,7 @@ TEST(ScaledSpec, SameSeedReproducesDifferentSeedDoesNot)
 
 TEST(ScaledSpec, PaperSizeKeepsPaperShape)
 {
-    const auto db = makeScaledDataset(117, 29, 2011);
+    const auto db = generate(117, 29, 2011, 0);
     EXPECT_EQ(db.machineCount(), 117u);
     EXPECT_EQ(db.benchmarkCount(), 29u);
     EXPECT_EQ(db.families().size(), 17u);
@@ -165,13 +165,6 @@ TEST(ScaledSpec, DerivedBenchmarkDemandStaysNormalized)
         }
         EXPECT_NEAR(sum, 1.0, 1e-9);
     }
-}
-
-TEST(ScaledSpec, ConvenienceBuilderMatchesGenerator)
-{
-    const auto via_helper = makeScaledDataset(300, 29, 9);
-    const auto via_generator = generate(300, 29, 9, 0);
-    EXPECT_TRUE(scoresBitEqual(via_helper, via_generator));
 }
 
 } // namespace

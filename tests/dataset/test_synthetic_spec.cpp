@@ -13,6 +13,7 @@
 #include "stats/correlation.h"
 #include "stats/descriptive.h"
 #include "util/error.h"
+#include "tests/linalg/approx_equals.h"
 
 namespace
 {
@@ -32,14 +33,14 @@ TEST(SyntheticSpec, DeterministicForFixedSeed)
 {
     const PerfDatabase a = makePaperDataset(123);
     const PerfDatabase b = makePaperDataset(123);
-    EXPECT_TRUE(a.scores().approxEquals(b.scores(), 0.0));
+    EXPECT_TRUE(test::approxEquals(a.scores(), b.scores(), 0.0));
 }
 
 TEST(SyntheticSpec, DifferentSeedsDiffer)
 {
     const PerfDatabase a = makePaperDataset(1);
     const PerfDatabase b = makePaperDataset(2);
-    EXPECT_FALSE(a.scores().approxEquals(b.scores(), 1e-6));
+    EXPECT_FALSE(test::approxEquals(a.scores(), b.scores(), 1e-6));
 }
 
 TEST(SyntheticSpec, AllScoresPositiveAndPlausible)

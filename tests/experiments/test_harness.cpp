@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,6 +37,18 @@ struct Fixture
     dataset::PerfDatabase db = dataset::makePaperDataset();
     linalg::Matrix chars = dataset::MicaGenerator().generateForCatalog();
 };
+
+/** A dense `db` restricted to the given benchmark rows, in order. */
+dataset::PerfDatabase
+selectBenchmarks(const dataset::PerfDatabase &db,
+                 const std::vector<std::size_t> &rows)
+{
+    std::vector<dataset::BenchmarkInfo> benchmarks;
+    for (std::size_t b : rows)
+        benchmarks.push_back(db.benchmark(b));
+    return dataset::PerfDatabase(std::move(benchmarks), db.machines(),
+                                 db.scores().selectRows(rows));
+}
 
 TEST(MethodNames, MatchThePaper)
 {
@@ -277,7 +291,7 @@ TEST(SplitMlpLanes, ThreeBenchmarkSplitMatchesPerAppPredictTask)
     // layer, and every app shares one kept set.
     Fixture f;
     const std::vector<std::size_t> benchmarks = {2, 9, 21};
-    expectSplitMatchesPerApp(f.db.selectBenchmarks(benchmarks),
+    expectSplitMatchesPerApp(selectBenchmarks(f.db, benchmarks),
                              fastSuite(), f.chars.selectRows(benchmarks));
 }
 

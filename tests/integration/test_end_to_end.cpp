@@ -53,8 +53,7 @@ TEST(EndToEnd, PurchaseAdvisorPipeline)
 
     // 5. Rank and buy.
     const core::MachineRanking ranking(predicted);
-    const auto top3 = ranking.topMachines(3);
-    ASSERT_EQ(top3.size(), 3u);
+    ASSERT_GE(ranking.size(), 3u);
 
     // 6. Sanity: the purchase is close to optimal.
     const auto actual = db.selectMachines(targets).benchmarkScores(

@@ -10,6 +10,7 @@
 #include "linalg/eigen.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "tests/linalg/approx_equals.h"
 
 namespace
 {
@@ -79,10 +80,10 @@ TEST_P(EigenPropertyTest, ReconstructsRandomSymmetricMatrices)
     for (std::size_t i = 0; i < n; ++i)
         d(i, i) = result.eigenvalues[i];
     const Matrix rebuilt = v.multiply(d).multiply(v.transposed());
-    EXPECT_TRUE(rebuilt.approxEquals(a, 1e-8));
+    EXPECT_TRUE(test::approxEquals(rebuilt, a, 1e-8));
 
     // V must be orthonormal.
-    EXPECT_TRUE(v.transposed().multiply(v).approxEquals(
+    EXPECT_TRUE(test::approxEquals(v.transposed().multiply(v),
         Matrix::identity(n), 1e-8));
 
     // Trace is preserved.

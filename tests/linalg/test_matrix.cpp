@@ -8,6 +8,7 @@
 #include "linalg/matrix.h"
 #include "tests/simd/reference_kernels.h"
 #include "util/error.h"
+#include "tests/linalg/approx_equals.h"
 
 namespace
 {
@@ -54,19 +55,6 @@ TEST(Matrix, Identity)
             EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
 }
 
-TEST(Matrix, VectorFactories)
-{
-    const Matrix col = Matrix::columnVector({1, 2, 3});
-    EXPECT_EQ(col.rows(), 3u);
-    EXPECT_EQ(col.cols(), 1u);
-    EXPECT_DOUBLE_EQ(col(1, 0), 2.0);
-
-    const Matrix row = Matrix::rowVector({4, 5});
-    EXPECT_EQ(row.rows(), 1u);
-    EXPECT_EQ(row.cols(), 2u);
-    EXPECT_DOUBLE_EQ(row(0, 1), 5.0);
-}
-
 TEST(Matrix, BoundsCheckedAccess)
 {
     Matrix m(2, 2);
@@ -104,7 +92,7 @@ TEST(Matrix, Transpose)
     EXPECT_EQ(t.rows(), 3u);
     EXPECT_EQ(t.cols(), 2u);
     EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-    EXPECT_TRUE(t.transposed().approxEquals(m));
+    EXPECT_TRUE(test::approxEquals(t.transposed(), m));
 }
 
 TEST(Matrix, MultiplyKnownProduct)
@@ -112,14 +100,14 @@ TEST(Matrix, MultiplyKnownProduct)
     const Matrix a{{1, 2}, {3, 4}};
     const Matrix b{{5, 6}, {7, 8}};
     const Matrix c = a.multiply(b);
-    EXPECT_TRUE(c.approxEquals(Matrix{{19, 22}, {43, 50}}));
+    EXPECT_TRUE(test::approxEquals(c, Matrix{{19, 22}, {43, 50}}));
 }
 
 TEST(Matrix, MultiplyIdentityIsNoop)
 {
     const Matrix a{{1, 2}, {3, 4}};
-    EXPECT_TRUE(a.multiply(Matrix::identity(2)).approxEquals(a));
-    EXPECT_TRUE(Matrix::identity(2).multiply(a).approxEquals(a));
+    EXPECT_TRUE(test::approxEquals(a.multiply(Matrix::identity(2)), a));
+    EXPECT_TRUE(test::approxEquals(Matrix::identity(2).multiply(a), a));
 }
 
 TEST(Matrix, MultiplyDimensionMismatchThrows)
@@ -138,17 +126,6 @@ TEST(Matrix, MatrixVectorProduct)
                  util::InvalidArgument);
 }
 
-TEST(Matrix, AddSubtractScale)
-{
-    const Matrix a{{1, 2}, {3, 4}};
-    const Matrix b{{4, 3}, {2, 1}};
-    EXPECT_TRUE(a.add(b).approxEquals(Matrix{{5, 5}, {5, 5}}));
-    EXPECT_TRUE(a.subtract(a).approxEquals(Matrix(2, 2, 0.0)));
-    EXPECT_TRUE(a.scaled(2.0).approxEquals(Matrix{{2, 4}, {6, 8}}));
-    EXPECT_THROW(a.add(Matrix(1, 2)), util::InvalidArgument);
-    EXPECT_THROW(a.subtract(Matrix(2, 3)), util::InvalidArgument);
-}
-
 TEST(Matrix, Select)
 {
     const Matrix m{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}};
@@ -164,26 +141,19 @@ TEST(Matrix, Select)
 TEST(Matrix, SelectRowsColumns)
 {
     const Matrix m{{1, 2}, {3, 4}, {5, 6}};
-    EXPECT_TRUE(m.selectRows({1}).approxEquals(Matrix{{3, 4}}));
+    EXPECT_TRUE(test::approxEquals(m.selectRows({1}), Matrix{{3, 4}}));
     EXPECT_TRUE(
-        m.selectColumns({1}).approxEquals(Matrix{{2}, {4}, {6}}));
-}
-
-TEST(Matrix, Norms)
-{
-    const Matrix m{{3, 4}};
-    EXPECT_DOUBLE_EQ(m.frobeniusNorm(), 5.0);
-    EXPECT_DOUBLE_EQ(m.maxAbs(), 4.0);
-    EXPECT_DOUBLE_EQ(Matrix().maxAbs(), 0.0);
+        test::approxEquals(m.selectColumns({1}), Matrix{{2}, {4}, {6}}));
 }
 
 TEST(Matrix, ApproxEquals)
 {
+    // The tolerance comparison the linear-algebra tests rely on.
     const Matrix a{{1.0}};
     const Matrix b{{1.0 + 1e-13}};
-    EXPECT_TRUE(a.approxEquals(b));
-    EXPECT_FALSE(a.approxEquals(Matrix{{1.1}}));
-    EXPECT_FALSE(a.approxEquals(Matrix(2, 1)));
+    EXPECT_TRUE(test::approxEquals(a, b));
+    EXPECT_FALSE(test::approxEquals(a, Matrix{{1.1}}));
+    EXPECT_FALSE(test::approxEquals(a, Matrix(2, 1)));
 }
 
 TEST(Matrix, EqualityOperator)
@@ -193,14 +163,6 @@ TEST(Matrix, EqualityOperator)
     EXPECT_EQ(a, b);
     b(0, 1) = 3;
     EXPECT_NE(a, b);
-}
-
-TEST(Matrix, ToStringMentionsEntries)
-{
-    const Matrix m{{1.5, 2.0}};
-    const std::string s = m.toString(1);
-    EXPECT_NE(s.find("1.5"), std::string::npos);
-    EXPECT_NE(s.find("2.0"), std::string::npos);
 }
 
 /** Deterministic pseudo-random fill (no RNG dependency needed). */
@@ -263,7 +225,7 @@ TEST(Matrix, MultiplyTransposedMatchesExplicitTranspose)
     // The per-element dot uses the canonical lane-blocked reduction,
     // which reorders the k sum relative to the textbook loop — so the
     // explicit transpose product agrees to rounding, not bit-for-bit...
-    EXPECT_TRUE(fast.approxEquals(reference, 1e-9));
+    EXPECT_TRUE(test::approxEquals(fast, reference, 1e-9));
     // ...while the oracle's written-out canonical dot must match
     // exactly, at whichever tier dispatch selected.
     for (std::size_t i = 0; i < fast.rows(); ++i)

@@ -28,17 +28,9 @@ TEST(VectorOps, Norm2)
 
 TEST(VectorOps, AddSubtract)
 {
-    EXPECT_EQ(linalg::add({1, 2}, {3, 4}), (std::vector<double>{4, 6}));
     EXPECT_EQ(linalg::subtract({3, 4}, {1, 2}),
               (std::vector<double>{2, 2}));
-    EXPECT_THROW(linalg::add({1}, {1, 2}), util::InvalidArgument);
     EXPECT_THROW(linalg::subtract({1}, {1, 2}), util::InvalidArgument);
-}
-
-TEST(VectorOps, Scale)
-{
-    EXPECT_EQ(linalg::scale({1, -2}, 3.0),
-              (std::vector<double>{3, -6}));
 }
 
 TEST(VectorOps, AddScaledInPlace)
@@ -56,22 +48,6 @@ TEST(VectorOps, SquaredDistance)
     EXPECT_DOUBLE_EQ(linalg::squaredDistance({1, 1}, {1, 1}), 0.0);
     EXPECT_THROW(linalg::squaredDistance({1}, {1, 2}),
                  util::InvalidArgument);
-}
-
-TEST(VectorOps, WeightedSquaredDistance)
-{
-    EXPECT_DOUBLE_EQ(
-        linalg::weightedSquaredDistance({0, 0}, {1, 2}, {2, 0.5}),
-        2.0 * 1.0 + 0.5 * 4.0);
-    // Zero weights erase dimensions entirely.
-    EXPECT_DOUBLE_EQ(
-        linalg::weightedSquaredDistance({0, 0}, {1, 100}, {1, 0}), 1.0);
-    EXPECT_THROW(
-        linalg::weightedSquaredDistance({1}, {1, 2}, {1, 1}),
-        util::InvalidArgument);
-    EXPECT_THROW(
-        linalg::weightedSquaredDistance({1, 2}, {1, 2}, {1}),
-        util::InvalidArgument);
 }
 
 } // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "ml/activation.h"
-#include "util/error.h"
 
 namespace
 {
@@ -58,7 +57,7 @@ TEST_P(DerivativeTest, MatchesFiniteDifference)
         const double y = ml::activate(a, x);
         EXPECT_NEAR(ml::activateDerivativeFromOutput(a, y), numeric,
                     1e-5)
-            << ml::activationName(a) << " at x=" << x;
+            << "activation " << static_cast<int>(a) << " at x=" << x;
     }
 }
 
@@ -67,25 +66,5 @@ INSTANTIATE_TEST_SUITE_P(All, DerivativeTest,
                                            Activation::Tanh,
                                            Activation::Relu,
                                            Activation::Linear));
-
-TEST(Activation, NameRoundTrip)
-{
-    for (Activation a :
-         {Activation::Sigmoid, Activation::Tanh, Activation::Relu,
-          Activation::Linear}) {
-        EXPECT_EQ(ml::activationFromName(ml::activationName(a)), a);
-    }
-}
-
-TEST(Activation, FromNameIsCaseInsensitive)
-{
-    EXPECT_EQ(ml::activationFromName(" SIGMOID "), Activation::Sigmoid);
-}
-
-TEST(Activation, FromNameRejectsUnknown)
-{
-    EXPECT_THROW(ml::activationFromName("softmax"),
-                 util::InvalidArgument);
-}
 
 } // namespace

@@ -1,11 +1,15 @@
 /**
  * @file
- * Unit tests for the distance metrics.
+ * Unit tests for the Euclidean distance and the pairwise distance
+ * matrix.
  */
+
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ml/distance.h"
+#include "simd/simd.h"
 #include "util/error.h"
 
 namespace
@@ -15,55 +19,34 @@ using namespace dtrank;
 
 TEST(Euclidean, KnownDistances)
 {
-    const ml::EuclideanDistance d;
-    EXPECT_DOUBLE_EQ(d.distance({0, 0}, {3, 4}), 5.0);
-    EXPECT_DOUBLE_EQ(d.distance({1, 1}, {1, 1}), 0.0);
-    EXPECT_EQ(d.name(), "euclidean");
+    EXPECT_DOUBLE_EQ(ml::euclideanDistance({0, 0}, {3, 4}), 5.0);
+    EXPECT_DOUBLE_EQ(ml::euclideanDistance({1, 1}, {1, 1}), 0.0);
+    EXPECT_THROW(ml::euclideanDistance({1}, {1, 2}), util::InvalidArgument);
 }
 
-TEST(Manhattan, KnownDistances)
-{
-    const ml::ManhattanDistance d;
-    EXPECT_DOUBLE_EQ(d.distance({0, 0}, {3, -4}), 7.0);
-    EXPECT_EQ(d.name(), "manhattan");
-    EXPECT_THROW(d.distance({1}, {1, 2}), util::InvalidArgument);
-}
-
+// GA-kNN's distance is the weighted squared Euclidean distance of the
+// simd kernel table.
 TEST(WeightedEuclidean, ReducesToEuclideanWithUnitWeights)
 {
-    const ml::WeightedEuclideanDistance d({1.0, 1.0});
-    EXPECT_DOUBLE_EQ(d.distance({0, 0}, {3, 4}), 5.0);
+    const std::vector<double> a{0, 0}, b{3, 4}, w{1.0, 1.0};
+    EXPECT_DOUBLE_EQ(
+        simd::weightedSquaredDistance(a.data(), b.data(), w.data(), 2),
+        25.0);
 }
 
 TEST(WeightedEuclidean, ZeroWeightIgnoresDimension)
 {
-    const ml::WeightedEuclideanDistance d({1.0, 0.0});
-    EXPECT_DOUBLE_EQ(d.distance({0, 0}, {3, 1000}), 3.0);
-}
-
-TEST(WeightedEuclidean, Validation)
-{
-    EXPECT_THROW(ml::WeightedEuclideanDistance({}),
-                 util::InvalidArgument);
-    EXPECT_THROW(ml::WeightedEuclideanDistance({1.0, -0.5}),
-                 util::InvalidArgument);
-    const ml::WeightedEuclideanDistance d({1.0});
-    EXPECT_THROW(d.distance({1.0, 2.0}, {1.0, 2.0}),
-                 util::InvalidArgument);
-}
-
-TEST(WeightedEuclidean, ExposesWeights)
-{
-    const ml::WeightedEuclideanDistance d({0.5, 2.0});
-    EXPECT_EQ(d.weights(), (std::vector<double>{0.5, 2.0}));
+    const std::vector<double> a{0, 0}, b{3, 1000}, w{1.0, 0.0};
+    EXPECT_DOUBLE_EQ(
+        simd::weightedSquaredDistance(a.data(), b.data(), w.data(), 2),
+        9.0);
 }
 
 TEST(PairwiseDistances, SymmetricZeroDiagonal)
 {
     const std::vector<std::vector<double>> points = {
         {0, 0}, {3, 4}, {6, 8}};
-    const ml::EuclideanDistance metric;
-    const auto d = ml::pairwiseDistances(points, metric);
+    const auto d = ml::pairwiseDistances(points);
     ASSERT_EQ(d.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         EXPECT_DOUBLE_EQ(d[i][i], 0.0);
@@ -79,8 +62,7 @@ TEST(PairwiseDistances, TriangleInequalityHolds)
 {
     const std::vector<std::vector<double>> points = {
         {0, 0}, {1, 2}, {4, 1}, {-2, 3}};
-    const ml::EuclideanDistance metric;
-    const auto d = ml::pairwiseDistances(points, metric);
+    const auto d = ml::pairwiseDistances(points);
     for (std::size_t i = 0; i < points.size(); ++i)
         for (std::size_t j = 0; j < points.size(); ++j)
             for (std::size_t k = 0; k < points.size(); ++k)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ml/distance.h"
 #include "ml/kmedoids.h"
 #include "util/error.h"
 
@@ -29,10 +30,9 @@ twoBlobs()
 TEST(KMedoids, RecoverWellSeparatedClusters)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(1);
-    const auto result = clusterer.cluster(points, 2, metric, rng);
+    const auto result = clusterer.cluster(points, 2, rng);
 
     ASSERT_EQ(result.medoids.size(), 2u);
     ASSERT_EQ(result.assignment.size(), points.size());
@@ -50,10 +50,9 @@ TEST(KMedoids, RecoverWellSeparatedClusters)
 TEST(KMedoids, MedoidsAreMembersOfTheirClusters)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(2);
-    const auto result = clusterer.cluster(points, 3, metric, rng);
+    const auto result = clusterer.cluster(points, 3, rng);
     for (std::size_t c = 0; c < result.medoids.size(); ++c)
         EXPECT_EQ(result.assignment[result.medoids[c]], c);
 }
@@ -61,10 +60,9 @@ TEST(KMedoids, MedoidsAreMembersOfTheirClusters)
 TEST(KMedoids, KEqualsNMakesEveryPointAMedoid)
 {
     const std::vector<std::vector<double>> points = {{0}, {5}, {9}};
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(3);
-    const auto result = clusterer.cluster(points, 3, metric, rng);
+    const auto result = clusterer.cluster(points, 3, rng);
     const std::set<std::size_t> medoids(result.medoids.begin(),
                                         result.medoids.end());
     EXPECT_EQ(medoids.size(), 3u);
@@ -75,10 +73,9 @@ TEST(KMedoids, SingleClusterPicksCentralPoint)
 {
     const std::vector<std::vector<double>> points = {
         {0.0}, {10.0}, {5.0}, {6.0}};
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(4);
-    const auto result = clusterer.cluster(points, 1, metric, rng);
+    const auto result = clusterer.cluster(points, 1, rng);
     // The medoid minimizing total distance is 5.0 (index 2):
     // cost(5) = 5+5+1 = 11 < cost(6) = 6+4+1 = 11 ... tie; accept
     // either of the central points.
@@ -88,12 +85,11 @@ TEST(KMedoids, SingleClusterPicksCentralPoint)
 TEST(KMedoids, DeterministicGivenSeed)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng1(7);
     util::Rng rng2(7);
-    const auto a = clusterer.cluster(points, 2, metric, rng1);
-    const auto b = clusterer.cluster(points, 2, metric, rng2);
+    const auto a = clusterer.cluster(points, 2, rng1);
+    const auto b = clusterer.cluster(points, 2, rng2);
     EXPECT_EQ(a.medoids, b.medoids);
     EXPECT_EQ(a.assignment, b.assignment);
 }
@@ -101,10 +97,9 @@ TEST(KMedoids, DeterministicGivenSeed)
 TEST(KMedoids, MedoidsReturnedSorted)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(11);
-    const auto result = clusterer.cluster(points, 3, metric, rng);
+    const auto result = clusterer.cluster(points, 3, rng);
     EXPECT_TRUE(std::is_sorted(result.medoids.begin(),
                                result.medoids.end()));
 }
@@ -112,26 +107,24 @@ TEST(KMedoids, MedoidsReturnedSorted)
 TEST(KMedoids, ClusterFromDistancesMatchesPointApi)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
-    const auto dist = ml::pairwiseDistances(points, metric);
+    const auto dist = ml::pairwiseDistances(points);
     const ml::KMedoids clusterer;
     util::Rng rng1(5);
     util::Rng rng2(5);
-    const auto a = clusterer.cluster(points, 2, metric, rng1);
+    const auto a = clusterer.cluster(points, 2, rng1);
     const auto b = clusterer.clusterFromDistances(dist, 2, rng2);
     EXPECT_EQ(a.medoids, b.medoids);
 }
 
 TEST(KMedoids, Validation)
 {
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     util::Rng rng(1);
-    EXPECT_THROW(clusterer.cluster({}, 1, metric, rng),
+    EXPECT_THROW(clusterer.cluster({}, 1, rng),
                  util::InvalidArgument);
-    EXPECT_THROW(clusterer.cluster({{1.0}}, 2, metric, rng),
+    EXPECT_THROW(clusterer.cluster({{1.0}}, 2, rng),
                  util::InvalidArgument);
-    EXPECT_THROW(clusterer.cluster({{1.0}}, 0, metric, rng),
+    EXPECT_THROW(clusterer.cluster({{1.0}}, 0, rng),
                  util::InvalidArgument);
     // Non-square distance matrix.
     EXPECT_THROW(
@@ -152,12 +145,11 @@ TEST(KMedoids, ConfigValidation)
 TEST(KMedoids, CostDecreasesWithMoreClusters)
 {
     const auto points = twoBlobs();
-    const ml::EuclideanDistance metric;
     const ml::KMedoids clusterer;
     double prev_cost = 1e18;
     for (std::size_t k = 1; k <= 4; ++k) {
         util::Rng rng(20 + k);
-        const auto result = clusterer.cluster(points, k, metric, rng);
+        const auto result = clusterer.cluster(points, k, rng);
         EXPECT_LE(result.totalCost, prev_cost + 1e-9);
         prev_cost = result.totalCost;
     }

@@ -209,7 +209,7 @@ TEST(Mlp, BatchPredictMatchesScalar)
     config.epochs = 50;
     ml::Mlp net(config);
     net.fit(x, {1, 2, 3, 4});
-    const auto batch = net.predict(x);
+    const auto batch = net.predictColumns(x.transposed());
     for (std::size_t r = 0; r < 4; ++r)
         EXPECT_DOUBLE_EQ(batch[r], net.predict(x.row(r)));
 }
@@ -253,7 +253,7 @@ TEST(Mlp, BatchPredictIsBitIdenticalOnWideNetworks)
         for (std::size_t i = 0; i < shape.queries; ++i)
             for (std::size_t c = 0; c < shape.features; ++c)
                 q(i, c) = rng.uniform(-4.0, 4.0);
-        const auto batch = net.predict(q);
+        const auto batch = net.predictColumns(q.transposed());
         const auto columns = net.predictColumns(q.transposed());
         ASSERT_EQ(batch.size(), shape.queries);
         for (std::size_t r = 0; r < shape.queries; ++r) {
@@ -315,8 +315,8 @@ TEST(Mlp, MinibatchLossDecreasesAndIsDeterministic)
     EXPECT_LT(loss.back(), loss.front());
     // Same seed, same batch size: bit-identical runs.
     EXPECT_EQ(a.lossHistory(), b.lossHistory());
-    const auto pa = a.predict(x);
-    const auto pb = b.predict(x);
+    const auto pa = a.predictColumns(x.transposed());
+    const auto pb = b.predictColumns(x.transposed());
     EXPECT_EQ(pa, pb);
 }
 
@@ -376,7 +376,7 @@ TEST(Mlp, MinibatchBitIdenticalAcrossSimdTiers)
     ml::Mlp ref(config);
     ref.fit(x, y);
     const auto ref_loss = ref.lossHistory();
-    const auto ref_pred = ref.predict(x);
+    const auto ref_pred = ref.predictColumns(x.transposed());
 
     for (simd::Tier tier : {simd::Tier::Avx2, simd::Tier::Avx512}) {
         if (simd::requestTier(tier) != tier)
@@ -385,7 +385,8 @@ TEST(Mlp, MinibatchBitIdenticalAcrossSimdTiers)
         net.fit(x, y);
         EXPECT_EQ(net.lossHistory(), ref_loss)
             << simd::tierName(tier);
-        EXPECT_EQ(net.predict(x), ref_pred) << simd::tierName(tier);
+        EXPECT_EQ(net.predictColumns(x.transposed()), ref_pred)
+            << simd::tierName(tier);
     }
     simd::setTier(saved);
 }

@@ -146,7 +146,8 @@ expectSameNetworks(const std::vector<ml::Mlp> &lhs,
         ASSERT_TRUE(rhs[l].trained());
         EXPECT_EQ(lhs[l].lossHistory(), rhs[l].lossHistory());
         const Matrix xl = p.x.selectColumns(p.columns[l]);
-        EXPECT_EQ(lhs[l].predict(xl), rhs[l].predict(xl));
+        EXPECT_EQ(lhs[l].predictColumns(xl.transposed()),
+                  rhs[l].predictColumns(xl.transposed()));
     }
 }
 

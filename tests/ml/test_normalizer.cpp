@@ -139,8 +139,8 @@ TEST(StandardNormalizer, ConstantFeatureMapsToZero)
 {
     ml::StandardNormalizer norm;
     norm.fit(Matrix{{7, 1}, {7, 2}});
-    const auto z = norm.transform(std::vector<double>{7, 1.5});
-    EXPECT_DOUBLE_EQ(z[0], 0.0);
+    const Matrix z = norm.transform(Matrix{{7, 1.5}});
+    EXPECT_DOUBLE_EQ(z(0, 0), 0.0);
 }
 
 TEST(StandardNormalizer, ExposesMoments)
@@ -154,11 +154,9 @@ TEST(StandardNormalizer, ExposesMoments)
 TEST(StandardNormalizer, Validation)
 {
     ml::StandardNormalizer norm;
-    EXPECT_THROW(norm.transform(std::vector<double>{1.0}),
-                 util::InvalidArgument);
+    EXPECT_THROW(norm.transform(Matrix{{1.0}}), util::InvalidArgument);
     norm.fit(Matrix{{1, 2}, {3, 4}});
-    EXPECT_THROW(norm.transform(std::vector<double>{1.0}),
-                 util::InvalidArgument);
+    EXPECT_THROW(norm.transform(Matrix{{1.0}}), util::InvalidArgument);
 }
 
 } // namespace

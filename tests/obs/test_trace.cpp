@@ -28,7 +28,7 @@ TEST(ObsTrace, DisabledCollectorRecordsNothing)
         EXPECT_FALSE(span.active());
         span.arg("ignored", std::string("value"));
     }
-    EXPECT_EQ(collector.eventCount(), 0u);
+    EXPECT_EQ(collector.snapshot().size(), 0u);
 }
 
 TEST(ObsTrace, EnabledSpanRecordsNameCategoryAndArgs)
@@ -64,7 +64,7 @@ TEST(ObsTrace, SpansStartedBeforeDisableStillRecord)
         obs::TraceSpan span("late", "test", &collector);
         collector.disable();
     }
-    EXPECT_EQ(collector.eventCount(), 1u);
+    EXPECT_EQ(collector.snapshot().size(), 1u);
 }
 
 TEST(ObsTrace, ConcurrentSpansFromPoolWorkersAllArrive)
@@ -82,7 +82,7 @@ TEST(ObsTrace, ConcurrentSpansFromPoolWorkersAllArrive)
             f.get();
     }
     collector.disable();
-    EXPECT_EQ(collector.eventCount(), 64u);
+    EXPECT_EQ(collector.snapshot().size(), 64u);
 }
 
 TEST(ObsTrace, ClearDropsBufferedEvents)
@@ -92,9 +92,9 @@ TEST(ObsTrace, ClearDropsBufferedEvents)
     {
         obs::TraceSpan span("gone", "test", &collector);
     }
-    ASSERT_EQ(collector.eventCount(), 1u);
+    ASSERT_EQ(collector.snapshot().size(), 1u);
     collector.clear();
-    EXPECT_EQ(collector.eventCount(), 0u);
+    EXPECT_EQ(collector.snapshot().size(), 0u);
 }
 
 TEST(ObsTrace, ToJsonEmitsCompleteEventsWithMicrosecondUnits)

@@ -23,7 +23,10 @@ namespace
 
 TEST(RankEngineAtScale, ColdSessionsShareTheDatabase)
 {
-    const dataset::PerfDatabase db = dataset::makeScaledDataset(20000, 29);
+    dataset::ScaledSpecConfig spec;
+    spec.machines = 20000;
+    const dataset::PerfDatabase db =
+        dataset::ScaledSpecGenerator(spec).generate();
     RankEngineConfig config;
     config.sessionCapacity = 128;
     RankEngine engine(db, std::nullopt, config);

@@ -14,7 +14,6 @@
 
 #pragma once
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -61,13 +60,6 @@ squaredDistance(const double *a, const double *b, std::size_t n)
         const double d = a[i] - b[i];
         return d * d;
     });
-}
-
-inline double
-manhattan(const double *a, const double *b, std::size_t n)
-{
-    return canonicalSum(
-        n, [=](std::size_t i) { return std::fabs(a[i] - b[i]); });
 }
 
 inline double

@@ -94,8 +94,6 @@ TEST_P(KernelEquality, ReductionsAgreeOnEveryLength)
                   tier_->dot(a.data(), b.data(), n));
         EXPECT_EQ(ref::squaredDistance(a.data(), b.data(), n),
                   tier_->squaredDistance(a.data(), b.data(), n));
-        EXPECT_EQ(ref::manhattan(a.data(), b.data(), n),
-                  tier_->manhattan(a.data(), b.data(), n));
         EXPECT_EQ(
             ref::weightedSquaredDistance(a.data(), b.data(), w.data(), n),
             tier_->weightedSquaredDistance(a.data(), b.data(), w.data(),

@@ -74,20 +74,4 @@ TEST(OrderDescending, StableOnTies)
     EXPECT_EQ(order, (std::vector<std::size_t>{1, 0, 2}));
 }
 
-TEST(OrderAscending, SortsByValue)
-{
-    const auto order = stats::orderAscending({10, 30, 20});
-    EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));
-}
-
-TEST(PositionInDescendingOrder, FindsPosition)
-{
-    const std::vector<double> v = {10, 30, 20};
-    EXPECT_EQ(stats::positionInDescendingOrder(v, 1), 0u);
-    EXPECT_EQ(stats::positionInDescendingOrder(v, 2), 1u);
-    EXPECT_EQ(stats::positionInDescendingOrder(v, 0), 2u);
-    EXPECT_THROW(stats::positionInDescendingOrder(v, 3),
-                 util::InvalidArgument);
-}
-
 } // namespace

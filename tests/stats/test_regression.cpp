@@ -53,13 +53,6 @@ TEST(SimpleLinearRegression, ConstantResponsePerfectFit)
     EXPECT_DOUBLE_EQ(fit.rSquared(), 1.0);
 }
 
-TEST(SimpleLinearRegression, BatchPredict)
-{
-    const stats::SimpleLinearRegression fit({0, 1}, {1, 3});
-    EXPECT_EQ(fit.predict(std::vector<double>{2, 3}),
-              (std::vector<double>{5, 7}));
-}
-
 TEST(SimpleLinearRegression, Validation)
 {
     EXPECT_THROW(stats::SimpleLinearRegression({1}, {1}),

@@ -118,20 +118,6 @@ TEST(SplineRegression, Validation)
                  util::InvalidArgument);
 }
 
-TEST(SplineRegression, BatchPredictMatchesScalar)
-{
-    std::vector<double> x;
-    std::vector<double> y;
-    for (int i = 0; i <= 12; ++i) {
-        x.push_back(static_cast<double>(i));
-        y.push_back(std::sqrt(1.0 + i));
-    }
-    const stats::SplineRegression fit(x, y);
-    const auto batch = fit.predict(std::vector<double>{2.5, 7.0});
-    EXPECT_DOUBLE_EQ(batch[0], fit.predict(2.5));
-    EXPECT_DOUBLE_EQ(batch[1], fit.predict(7.0));
-}
-
 class SplineRecoveryTest : public ::testing::TestWithParam<int>
 {
 };

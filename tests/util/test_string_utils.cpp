@@ -48,19 +48,6 @@ TEST(Trim, RemovesSurroundingWhitespace)
     EXPECT_EQ(util::trim(" a b "), "a b");
 }
 
-TEST(Join, ConcatenatesWithSeparator)
-{
-    EXPECT_EQ(util::join({"a", "b", "c"}, ", "), "a, b, c");
-    EXPECT_EQ(util::join({"only"}, ","), "only");
-    EXPECT_EQ(util::join({}, ","), "");
-}
-
-TEST(JoinSplit, RoundTrip)
-{
-    const std::vector<std::string> parts = {"x", "", "yy", "z"};
-    EXPECT_EQ(util::split(util::join(parts, "|"), '|'), parts);
-}
-
 TEST(ToLower, AsciiOnly)
 {
     EXPECT_EQ(util::toLower("MiXeD123!"), "mixed123!");
@@ -72,9 +59,6 @@ TEST(StartsEndsWith, Basics)
     EXPECT_TRUE(util::startsWith("benchmark", "bench"));
     EXPECT_FALSE(util::startsWith("bench", "benchmark"));
     EXPECT_TRUE(util::startsWith("x", ""));
-    EXPECT_TRUE(util::endsWith("score.csv", ".csv"));
-    EXPECT_FALSE(util::endsWith("csv", "score.csv"));
-    EXPECT_TRUE(util::endsWith("x", ""));
 }
 
 TEST(FormatFixed, Decimals)

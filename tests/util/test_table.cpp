@@ -25,16 +25,6 @@ TEST(TablePrinter, RejectsMismatchedRow)
     EXPECT_THROW(t.addRow({"1", "2", "3"}), util::InvalidArgument);
 }
 
-TEST(TablePrinter, CountsDataRowsOnly)
-{
-    util::TablePrinter t({"a"});
-    EXPECT_EQ(t.rowCount(), 0u);
-    t.addRow({"x"});
-    t.addSeparator();
-    t.addRow({"y"});
-    EXPECT_EQ(t.rowCount(), 2u);
-}
-
 TEST(TablePrinter, RendersHeaderAndRule)
 {
     util::TablePrinter t({"name", "value"});
@@ -59,26 +49,6 @@ TEST(TablePrinter, FirstColumnLeftAlignedOthersRight)
     EXPECT_EQ(data.substr(0, 4), "x   ");
     // Right-aligned second cell: ends with '1'.
     EXPECT_EQ(data.back(), '1');
-}
-
-TEST(TablePrinter, AlignOverride)
-{
-    util::TablePrinter t({"aaaa", "bbbb"});
-    t.setAlign(1, util::Align::Left);
-    t.addRow({"x", "1"});
-    const std::string out = t.toString();
-    const auto last_nl = out.rfind('\n', out.size() - 2);
-    const std::string data =
-        out.substr(last_nl + 1, out.size() - last_nl - 2);
-    // Second cell is left-aligned now: "1" right after the 2-space gap.
-    EXPECT_NE(data.find("  1"), std::string::npos);
-}
-
-TEST(TablePrinter, SetAlignOutOfRangeThrows)
-{
-    util::TablePrinter t({"a"});
-    EXPECT_THROW(t.setAlign(1, util::Align::Left),
-                 util::InvalidArgument);
 }
 
 TEST(TablePrinter, WidthAdaptsToWidestCell)

@@ -1000,6 +1000,39 @@ sortFindings(std::vector<Finding> &findings)
               });
 }
 
+/**
+ * Line `line` (1-based) of `content` with leading and trailing
+ * whitespace removed and inner runs of whitespace collapsed to one
+ * space; empty when out of range.
+ */
+std::string
+collapsedLine(const std::string &content, std::size_t line)
+{
+    std::size_t begin = 0;
+    for (std::size_t n = 1; n < line; ++n) {
+        begin = content.find('\n', begin);
+        if (begin == std::string::npos)
+            return {};
+        ++begin;
+    }
+    const std::size_t end = std::min(content.find('\n', begin),
+                                     content.size());
+    std::string out;
+    bool gap = false;
+    for (std::size_t i = begin; i < end; ++i) {
+        const char c = content[i];
+        if (c == ' ' || c == '\t' || c == '\r') {
+            gap = !out.empty();
+            continue;
+        }
+        if (gap)
+            out += ' ';
+        gap = false;
+        out += c;
+    }
+    return out;
+}
+
 /** Minimal JSON string escaping (quotes, backslash, control chars). */
 std::string
 jsonEscape(const std::string &text)
@@ -1056,6 +1089,7 @@ ruleIds()
         ids.push_back(rule.id);
     for (const char *id :
          {"pragma-once", "layering", "include-cycle", "unused-include",
+          "orphan-header",
           "no-fp-accumulate", "no-unordered-iteration",
           "no-unguarded-static", "no-libm-exp"})
         ids.push_back(id);
@@ -1063,7 +1097,8 @@ ruleIds()
 }
 
 std::vector<Finding>
-analyzeSources(const std::vector<SourceFile> &files)
+analyzeSources(const std::vector<SourceFile> &files,
+               const std::vector<SourceFile> &includers)
 {
     std::vector<Finding> findings;
     // Line views per path, kept for suppression of cross-file rules.
@@ -1077,7 +1112,7 @@ analyzeSources(const std::vector<SourceFile> &files)
         runDeterminismRules(path, file, findings);
     }
 
-    for (Finding &finding : includeGraphFindings(files)) {
+    for (Finding &finding : includeGraphFindings(files, includers)) {
         const auto it = std::find_if(
             lexed.begin(), lexed.end(),
             [&](const auto &entry) { return entry.first == finding.file; });
@@ -1087,6 +1122,14 @@ analyzeSources(const std::vector<SourceFile> &files)
         findings.push_back(std::move(finding));
     }
 
+    // The baseline keys on each finding's source line.
+    for (Finding &finding : findings) {
+        const auto it = std::find_if(
+            files.begin(), files.end(),
+            [&](const SourceFile &file) { return file.path == finding.file; });
+        if (it != files.end())
+            finding.source = collapsedLine(it->content, finding.line);
+    }
     sortFindings(findings);
     return findings;
 }
@@ -1097,54 +1140,54 @@ analyzeContent(const std::string &path, const std::string &content)
     return analyzeSources({{path, content}});
 }
 
-std::vector<Finding>
-analyzeTree(const std::string &root,
-            const std::vector<std::string> &top_dirs)
+namespace
+{
+
+/**
+ * Appends the repo-relative path of every .h/.hpp/.cpp/.cc file under
+ * root/<top> (or top itself when it names a file), skipping
+ * directories named "fixtures" or "build".
+ */
+void
+listSources(const std::string &root, const std::string &top,
+            std::vector<std::string> &paths)
 {
     namespace fs = std::filesystem;
-    static const std::vector<std::string> kDefaultDirs = {
-        "src", "tools", "bench"};
     static constexpr std::string_view kExtensions[] = {
         ".h", ".hpp", ".cpp", ".cc",
     };
-
-    const std::vector<std::string> &dirs =
-        top_dirs.empty() ? kDefaultDirs : top_dirs;
-    std::vector<std::string> paths;
-    for (const std::string &top : dirs) {
-        const fs::path dir = fs::path(root) / top;
-        if (fs::is_regular_file(dir)) {
-            paths.push_back(top); // an explicit file target
+    const fs::path dir = fs::path(root) / top;
+    if (fs::is_regular_file(dir)) {
+        paths.push_back(top); // an explicit file target
+        return;
+    }
+    if (!fs::is_directory(dir))
+        throw util::IoError("no such file or directory: " + dir.string());
+    auto it = fs::recursive_directory_iterator(dir);
+    for (const fs::directory_entry &entry : it) {
+        const std::string name = entry.path().filename().string();
+        if (entry.is_directory() && (name == "fixtures" || name == "build")) {
+            it.disable_recursion_pending();
             continue;
         }
-        if (!fs::is_directory(dir))
-            throw util::IoError("no such file or directory: " +
-                                dir.string());
-        auto it = fs::recursive_directory_iterator(dir);
-        for (const fs::directory_entry &entry : it) {
-            const std::string name = entry.path().filename().string();
-            if (entry.is_directory() &&
-                (name == "fixtures" || name == "build")) {
-                it.disable_recursion_pending();
-                continue;
-            }
-            if (!entry.is_regular_file())
-                continue;
-            const std::string ext = entry.path().extension().string();
-            if (std::find(std::begin(kExtensions),
-                          std::end(kExtensions),
-                          ext) == std::end(kExtensions))
-                continue;
-            paths.push_back(
-                fs::relative(entry.path(), root).generic_string());
-        }
+        if (!entry.is_regular_file())
+            continue;
+        const std::string ext = entry.path().extension().string();
+        if (std::find(std::begin(kExtensions), std::end(kExtensions),
+                      ext) == std::end(kExtensions))
+            continue;
+        paths.push_back(fs::relative(entry.path(), root).generic_string());
     }
-    std::sort(paths.begin(), paths.end());
+}
 
+std::vector<SourceFile>
+readSources(const std::string &root, std::vector<std::string> paths)
+{
+    std::sort(paths.begin(), paths.end());
     std::vector<SourceFile> files;
     files.reserve(paths.size());
     for (const std::string &path : paths) {
-        const fs::path full = fs::path(root) / path;
+        const std::filesystem::path full = std::filesystem::path(root) / path;
         std::ifstream in(full, std::ios::binary);
         if (!in)
             throw util::IoError("cannot read " + full.string());
@@ -1152,7 +1195,33 @@ analyzeTree(const std::string &root,
         buffer << in.rdbuf();
         files.push_back({path, buffer.str()});
     }
-    return analyzeSources(files);
+    return files;
+}
+
+} // namespace
+
+std::vector<Finding>
+analyzeTree(const std::string &root,
+            const std::vector<std::string> &top_dirs)
+{
+    static const std::vector<std::string> kDefaultDirs = {
+        "src", "tools", "bench"};
+    // The benchmark's harness links the program but is not held to
+    // its rules: its includes only count as uses of src/ headers.
+    static const std::string kHarnessDir = "perfbench";
+
+    const std::vector<std::string> &dirs =
+        top_dirs.empty() ? kDefaultDirs : top_dirs;
+    std::vector<std::string> paths;
+    for (const std::string &top : dirs)
+        listSources(root, top, paths);
+    std::vector<std::string> harness;
+    if (std::find(dirs.begin(), dirs.end(), kHarnessDir) == dirs.end() &&
+        std::filesystem::is_directory(std::filesystem::path(root) /
+                                      kHarnessDir))
+        listSources(root, kHarnessDir, harness);
+    return analyzeSources(readSources(root, std::move(paths)),
+                          readSources(root, std::move(harness)));
 }
 
 std::string
@@ -1220,14 +1289,16 @@ toSarif(const std::vector<Finding> &findings)
 std::string
 baselineKey(const Finding &finding)
 {
-    return finding.rule + " " + finding.file + ":" +
-           std::to_string(finding.line);
+    std::string key = finding.rule + " " + finding.file + ":";
+    if (!finding.source.empty())
+        key += " " + finding.source;
+    return key;
 }
 
-std::set<std::string>
+Baseline
 parseBaseline(const std::string &text)
 {
-    std::set<std::string> keys;
+    Baseline keys;
     std::istringstream in(text);
     std::string line;
     while (std::getline(in, line)) {
@@ -1235,7 +1306,7 @@ parseBaseline(const std::string &text)
         if (begin == std::string::npos || line[begin] == '#')
             continue;
         const std::size_t end = line.find_last_not_of(" \t\r");
-        keys.insert(line.substr(begin, end - begin + 1));
+        ++keys[line.substr(begin, end - begin + 1)];
     }
     return keys;
 }
@@ -1243,12 +1314,15 @@ parseBaseline(const std::string &text)
 std::string
 renderBaseline(const std::vector<Finding> &findings)
 {
-    std::set<std::string> keys;
+    std::vector<std::string> keys;
     for (const Finding &finding : findings)
-        keys.insert(baselineKey(finding));
+        keys.push_back(baselineKey(finding));
+    std::sort(keys.begin(), keys.end());
     std::ostringstream out;
     out << "# dtrank_analyze baseline: tracked legacy findings.\n"
-        << "# One `rule path:line` per line; new findings fail the "
+        << "# One `rule path: source line` per finding, whitespace "
+           "collapsed; a line\n"
+        << "# listed n times absorbs n findings. New findings fail the "
            "build.\n"
         << "# Regenerate with: dtrank_analyze --write-baseline\n";
     for (const std::string &key : keys)
@@ -1257,13 +1331,16 @@ renderBaseline(const std::vector<Finding> &findings)
 }
 
 std::vector<Finding>
-filterBaselined(const std::vector<Finding> &findings,
-                const std::set<std::string> &baseline)
+filterBaselined(const std::vector<Finding> &findings, Baseline baseline)
 {
     std::vector<Finding> kept;
-    for (const Finding &finding : findings)
-        if (baseline.count(baselineKey(finding)) == 0)
+    for (const Finding &finding : findings) {
+        const auto it = baseline.find(baselineKey(finding));
+        if (it != baseline.end() && it->second > 0)
+            --it->second;
+        else
             kept.push_back(finding);
+    }
     return kept;
 }
 

@@ -26,6 +26,8 @@
  *   include-cycle     a cycle among project headers
  *   unused-include    a direct include of a project header none of
  *                     whose declared names the includer mentions
+ *   orphan-header     a src/ header no file includes but its own .cpp
+ *                     and tests/ (see include_graph.h)
  *
  * Determinism-contract rules:
  *   no-fp-accumulate  `+=`/`-=` onto a double scalar inside a loop in
@@ -53,16 +55,20 @@
  * suppressions keep working.
  *
  * Baseline: legacy findings are tracked in a checked-in baseline file
- * (tools/analyze/baseline.txt, one `rule path:line` entry per line,
- * `#` comments allowed). Findings whose key appears in the baseline
- * are filtered out; anything new fails. `--write-baseline`
- * regenerates the file.
+ * (tools/analyze/baseline.txt, `#` comments allowed), one
+ * `rule path: source` entry per finding, `source` being the finding's
+ * line with its whitespace collapsed. Keying by content rather than
+ * line number lets a tracked line move when code above it changes.
+ * An entry listed n times absorbs n findings with that key, so a new
+ * copy of a tracked line in the same file is still a new finding.
+ * Findings the baseline absorbs are filtered out; anything new fails.
+ * `--write-baseline` regenerates the file.
  */
 
 #pragma once
 
 #include <cstddef>
-#include <set>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -76,6 +82,8 @@ struct Finding
     std::string file;    ///< Repo-relative path as given to the engine.
     std::size_t line;    ///< 1-based line number.
     std::string message; ///< Human-readable explanation.
+    /** The line at `line`, whitespace-collapsed (see analyzeSources). */
+    std::string source = {};
 };
 
 /** One in-memory source file (paths are repo-relative, '/'-separated). */
@@ -95,10 +103,14 @@ std::vector<std::string> ruleIds();
  * Analyzes a set of sources together: per-file rules on each file,
  * include-graph rules across the set (project includes that resolve
  * to files outside the set are layer-checked by path but skipped by
- * unused-include, which needs the header's contents). Findings are
- * sorted by file, then line, then rule.
+ * unused-include, which needs the header's contents). `includers`
+ * count as users of headers for orphan-header and are not analyzed.
+ * Findings are sorted by file, then line, then rule, and carry their
+ * source line.
  */
-std::vector<Finding> analyzeSources(const std::vector<SourceFile> &files);
+std::vector<Finding>
+analyzeSources(const std::vector<SourceFile> &files,
+               const std::vector<SourceFile> &includers = {});
 
 /** Analyzes one in-memory file (include-graph rules see only it). */
 std::vector<Finding> analyzeContent(const std::string &path,
@@ -107,7 +119,9 @@ std::vector<Finding> analyzeContent(const std::string &path,
 /**
  * Walks root/<dir> for every dir in `top_dirs` (default: src, tools,
  * bench), reads every .h/.hpp/.cpp/.cc file — skipping directories
- * named "fixtures" or "build" — and analyzes them together.
+ * named "fixtures" or "build" — and analyzes them together. The files
+ * of root/perfbench, when it exists and is not among `top_dirs`, are
+ * the orphan-header rule's `includers`.
  * @throws util::IoError when a file cannot be read.
  */
 std::vector<Finding>
@@ -120,18 +134,23 @@ std::string toJson(const std::vector<Finding> &findings);
 /** Findings as a SARIF 2.1.0 document (one run, one result each). */
 std::string toSarif(const std::vector<Finding> &findings);
 
-/** The baseline key of a finding: `rule path:line`. */
+/** Baseline keys, each with the number of findings it absorbs. */
+using Baseline = std::map<std::string, std::size_t>;
+
+/** The baseline key of a finding: `rule path: source`. */
 std::string baselineKey(const Finding &finding);
 
 /** Parses a baseline document (one key per line, `#` comments). */
-std::set<std::string> parseBaseline(const std::string &text);
+Baseline parseBaseline(const std::string &text);
 
 /** Renders findings as a baseline document (sorted, commented). */
 std::string renderBaseline(const std::vector<Finding> &findings);
 
-/** Drops findings whose baselineKey appears in `baseline`. */
-std::vector<Finding>
-filterBaselined(const std::vector<Finding> &findings,
-                const std::set<std::string> &baseline);
+/**
+ * Drops, in order, each finding whose key the baseline still holds a
+ * count for, using one count per finding dropped.
+ */
+std::vector<Finding> filterBaselined(const std::vector<Finding> &findings,
+                                     Baseline baseline);
 
 } // namespace dtrank::analyze

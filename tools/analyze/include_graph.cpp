@@ -375,8 +375,47 @@ includeEdges(const SourceFile &file)
     return edges;
 }
 
+void
+checkOrphanHeaders(const GraphState &graph,
+                   const std::vector<SourceFile> &includers,
+                   std::vector<Finding> &findings)
+{
+    auto is_app = [](const std::string &path) {
+        return !startsWith(path, "src/") && !startsWith(path, "tests/");
+    };
+    if (includers.empty() && std::none_of(graph.ordered_paths.begin(),
+                                          graph.ordered_paths.end(), is_app))
+        return;
+
+    std::unordered_set<std::string> used;
+    auto note = [&](const std::string &from,
+                    const std::vector<IncludeEdge> &edges) {
+        if (startsWith(from, "tests/"))
+            return;
+        for (const IncludeEdge &edge : edges)
+            if (!isOwnHeader(from, edge.target))
+                used.insert(edge.target);
+    };
+    for (const std::string &path : graph.ordered_paths)
+        note(path, graph.edges.at(path));
+    for (const SourceFile &file : includers)
+        note(file.path, includeEdges(file));
+
+    for (const std::string &path : graph.ordered_paths) {
+        const bool header = path.size() > 2 &&
+                            path.compare(path.size() - 2, 2, ".h") == 0;
+        if (startsWith(path, "src/") && header && used.count(path) == 0)
+            findings.push_back(
+                {"orphan-header", path, 1,
+                 "no file outside tests/ includes this header except its "
+                 "own .cpp, so production cannot reach it: delete it or "
+                 "move it into tests/"});
+    }
+}
+
 std::vector<Finding>
-includeGraphFindings(const std::vector<SourceFile> &sources)
+includeGraphFindings(const std::vector<SourceFile> &sources,
+                     const std::vector<SourceFile> &includers)
 {
     GraphState graph;
     for (const SourceFile &file : sources) {
@@ -390,6 +429,7 @@ includeGraphFindings(const std::vector<SourceFile> &sources)
     checkLayering(graph, findings);
     checkFileCycles(graph, findings);
     checkUnusedIncludes(graph, findings);
+    checkOrphanHeaders(graph, includers, findings);
     return findings;
 }
 

@@ -71,10 +71,18 @@ std::vector<IncludeEdge> includeEdges(const SourceFile &file);
  *  - "include-cycle": file-level cycles among the set's headers.
  *  - "unused-include": direct includes of a header present in the set
  *    none of whose provided names appear in the including file.
+ *  - "orphan-header": a src/ header that no file includes except its
+ *    own .cpp and files under tests/. Production cannot reach what it
+ *    declares, so it is deleted or moved into tests/. Judged only when
+ *    the set (or `includers`) holds application code, i.e. a file
+ *    outside src/ and tests/: a library fragment cannot tell.
  *
  * `sources` is the whole analysis set; findings refer to files in it.
+ * `includers` are files outside the set whose includes also count as
+ * uses of a header (perfbench's harness); no rule checks them.
  */
 std::vector<Finding>
-includeGraphFindings(const std::vector<SourceFile> &sources);
+includeGraphFindings(const std::vector<SourceFile> &sources,
+                     const std::vector<SourceFile> &includers = {});
 
 } // namespace dtrank::analyze
