@@ -29,19 +29,15 @@ LinearTransposition::predict(const TranspositionProblem &problem)
     diagnostics_.intercept.assign(n_target, 0.0);
     diagnostics_.slope.assign(n_target, 0.0);
 
-    // Both criteria are "smaller is better"; the first predictor with
-    // the best score wins.
-    const bool by_rss =
-        config_.criterion == FitCriterion::ResidualSumSquares;
-    std::vector<double> best_score(n_target,
-                                   std::numeric_limits<double>::infinity());
+    // The first predictor with the lowest RSS wins.
+    std::vector<double> best_rss(n_target,
+                                 std::numeric_limits<double>::infinity());
     scanLineFits(
         machineColumns(problem.predictiveBenchScores, config_.logSpace),
         problem.targetBenchScores, config_.logSpace, config_.threads,
         [&](std::size_t t, std::size_t p, const LineFit &fit) {
-            const double score = by_rss ? fit.rss : -fit.rSquared;
-            if (score < best_score[t]) {
-                best_score[t] = score;
+            if (fit.rss < best_rss[t]) {
+                best_rss[t] = fit.rss;
                 diagnostics_.chosenPredictive[t] = p;
                 diagnostics_.fitRSquared[t] = fit.rSquared;
                 diagnostics_.intercept[t] = fit.intercept;
@@ -110,7 +106,7 @@ LinearTransposition::predictMasked(const TranspositionProblem &problem)
                 for (double &v : y)
                     v = std::log2(v);
 
-            double best_score = std::numeric_limits<double>::infinity();
+            double best_rss = std::numeric_limits<double>::infinity();
             bool found = false;
             std::size_t best_p = 0;
             double best_intercept = 0.0;
@@ -133,13 +129,10 @@ LinearTransposition::predictMasked(const TranspositionProblem &problem)
                 if (xs.size() < 2)
                     continue;
                 const stats::SimpleLinearRegression fit(xs, ys);
-                const double score =
-                    config_.criterion == FitCriterion::ResidualSumSquares
-                        ? fit.residualSumSquares()
-                        : -fit.rSquared();
-                if (score < best_score) {
+                const double rss = fit.residualSumSquares();
+                if (rss < best_rss) {
                     found = true;
-                    best_score = score;
+                    best_rss = rss;
                     best_p = p;
                     best_intercept = fit.intercept();
                     best_slope = fit.slope();

@@ -19,18 +19,13 @@
 namespace dtrank::core
 {
 
-/** How NN^T scores candidate predictive machines. */
-enum class FitCriterion
-{
-    ResidualSumSquares, ///< Lowest RSS wins (the paper's "best fit").
-    RSquared            ///< Highest R² wins (equivalent ordering unless
-                        ///< the target machine has zero variance).
-};
-
-/** Configuration of the NN^T predictor. */
+/**
+ * Configuration of the NN^T predictor. The candidate with the lowest
+ * residual sum of squares is the best fit (the paper's criterion); the
+ * diagnostics still report its R².
+ */
 struct LinearTranspositionConfig
 {
-    FitCriterion criterion = FitCriterion::ResidualSumSquares;
     /**
      * Fit and predict in log performance space. The paper regresses raw
      * SPEC ratios; log space is provided as an ablation (scores are

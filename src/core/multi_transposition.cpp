@@ -11,13 +11,19 @@
 namespace dtrank::core
 {
 
+namespace
+{
+
+/** Ridge penalty keeping collinear proxy sets solvable. */
+constexpr double kRidge = 1e-6;
+
+} // namespace
+
 MultiTransposition::MultiTransposition(MultiTranspositionConfig config)
     : config_(config)
 {
     util::require(config_.proxies >= 1,
                   "MultiTransposition: proxies must be >= 1");
-    util::require(config_.ridge >= 0.0,
-                  "MultiTransposition: ridge must be >= 0");
 }
 
 std::string
@@ -89,8 +95,7 @@ MultiTransposition::predict(const TranspositionProblem &problem)
         linalg::Matrix design(n_bench, k);
         for (std::size_t j = 0; j < k; ++j)
             design.setColumn(j, pred_cols[order[j]]);
-        const stats::MultipleLinearRegression fit(design, y,
-                                                  config_.ridge);
+        const stats::MultipleLinearRegression fit(design, y, kRidge);
 
         std::vector<double> app_features(k);
         for (std::size_t j = 0; j < k; ++j)

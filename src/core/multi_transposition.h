@@ -25,8 +25,6 @@ struct MultiTranspositionConfig
 {
     /** Number of proxy machines combined per target (>= 1). */
     std::size_t proxies = 3;
-    /** Ridge penalty keeping collinear proxy sets solvable. */
-    double ridge = 1e-6;
     /** Fit and predict in log2 performance space (ablation). */
     bool logSpace = false;
 };

@@ -9,12 +9,13 @@
 namespace dtrank::core
 {
 
-SplineTransposition::SplineTransposition(SplineTranspositionConfig config)
-    : config_(config)
+namespace
 {
-    util::require(config_.knots >= 3,
-                  "SplineTransposition: knots must be >= 3");
-}
+
+/** Knots per spline; stats::SplineRegression shrinks it on small data. */
+constexpr std::size_t kKnots = 4;
+
+} // namespace
 
 std::vector<double>
 SplineTransposition::predict(const TranspositionProblem &problem)
@@ -62,8 +63,7 @@ SplineTransposition::predict(const TranspositionProblem &problem)
         double best_r2 = 0.0;
 
         for (std::size_t p = 0; p < n_pred; ++p) {
-            const stats::SplineRegression fit(pred_cols[p], y,
-                                              config_.knots);
+            const stats::SplineRegression fit(pred_cols[p], y, kKnots);
             if (fit.residualSumSquares() < best_rss) {
                 best_rss = fit.residualSumSquares();
                 best_p = p;

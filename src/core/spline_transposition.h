@@ -20,11 +20,12 @@
 namespace dtrank::core
 {
 
-/** Configuration of the SPL^T predictor. */
+/**
+ * Configuration of the SPL^T predictor. Each spline has 4 knots, fewer
+ * when the data cannot support them.
+ */
 struct SplineTranspositionConfig
 {
-    /** Knots per spline (>= 3; shrunk automatically on small data). */
-    std::size_t knots = 4;
     /** Fit and predict in log2 performance space (ablation). */
     bool logSpace = false;
 };
@@ -43,7 +44,10 @@ class SplineTransposition : public TranspositionPredictor
 {
   public:
     explicit SplineTransposition(
-        SplineTranspositionConfig config = SplineTranspositionConfig{});
+        SplineTranspositionConfig config = SplineTranspositionConfig{})
+        : config_(config)
+    {
+    }
 
     std::vector<double>
     predict(const TranspositionProblem &problem) override;

@@ -15,6 +15,19 @@ namespace dtrank::ml
 namespace
 {
 
+/** Probability of applying crossover to a selected pair. */
+constexpr double kCrossoverRate = 0.9;
+/** Per-gene mutation probability. */
+constexpr double kMutationRate = 0.1;
+/** Stddev of Gaussian mutation relative to the gene range. */
+constexpr double kMutationSigma = 0.1;
+/** Tournament size for parent selection. */
+constexpr std::size_t kTournamentSize = 3;
+/** Number of top individuals copied unchanged each generation. */
+constexpr std::size_t kEliteCount = 2;
+/** BLX-alpha blend crossover exploration parameter. */
+constexpr double kBlendAlpha = 0.3;
+
 /** GA-wide counters, registered once on first optimize (cold path). */
 struct GaMetrics
 {
@@ -53,24 +66,11 @@ GeneticAlgorithm::GeneticAlgorithm(GaConfig config,
         util::require(lower_[i] < upper_[i],
                       "GeneticAlgorithm: lower bound must be < upper "
                       "bound");
-    util::require(config_.populationSize >= 2,
-                  "GeneticAlgorithm: populationSize must be >= 2");
+    util::require(config_.populationSize > kEliteCount,
+                  "GeneticAlgorithm: populationSize must exceed the 2 "
+                  "elites");
     util::require(config_.generations >= 1,
                   "GeneticAlgorithm: generations must be >= 1");
-    util::require(config_.crossoverRate >= 0.0 &&
-                      config_.crossoverRate <= 1.0,
-                  "GeneticAlgorithm: crossoverRate outside [0, 1]");
-    util::require(config_.mutationRate >= 0.0 &&
-                      config_.mutationRate <= 1.0,
-                  "GeneticAlgorithm: mutationRate outside [0, 1]");
-    util::require(config_.mutationSigma > 0.0,
-                  "GeneticAlgorithm: mutationSigma must be positive");
-    util::require(config_.tournamentSize >= 1,
-                  "GeneticAlgorithm: tournamentSize must be >= 1");
-    util::require(config_.eliteCount < config_.populationSize,
-                  "GeneticAlgorithm: eliteCount must be < populationSize");
-    util::require(config_.blendAlpha >= 0.0,
-                  "GeneticAlgorithm: blendAlpha must be >= 0");
 }
 
 std::vector<double>
@@ -142,7 +142,7 @@ GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
 
     auto tournament = [&]() -> std::size_t {
         std::size_t winner = rng.index(n);
-        for (std::size_t t = 1; t < config_.tournamentSize; ++t) {
+        for (std::size_t t = 1; t < kTournamentSize; ++t) {
             const std::size_t challenger = rng.index(n);
             if (scores[challenger] > scores[winner])
                 winner = challenger;
@@ -168,21 +168,18 @@ GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
 
         // Elitism: carry over the best individuals, and their scores,
         // unchanged.
-        if (config_.eliteCount > 0) {
-            std::vector<std::size_t> order(n);
-            std::iota(order.begin(), order.end(), std::size_t{0});
-            std::partial_sort(
-                order.begin(),
-                order.begin() +
-                    static_cast<std::ptrdiff_t>(config_.eliteCount),
-                order.end(), [&](std::size_t a, std::size_t b) {
-                    return scores[a] > scores[b];
-                });
-            for (std::size_t e = 0; e < config_.eliteCount; ++e) {
-                next.push_back(population[order[e]]);
-                next_scores.push_back(scores[order[e]]);
-                next_known.push_back(1);
-            }
+        std::vector<std::size_t> order(n);
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::partial_sort(order.begin(),
+                          order.begin() +
+                              static_cast<std::ptrdiff_t>(kEliteCount),
+                          order.end(), [&](std::size_t a, std::size_t b) {
+                              return scores[a] > scores[b];
+                          });
+        for (std::size_t e = 0; e < kEliteCount; ++e) {
+            next.push_back(population[order[e]]);
+            next_scores.push_back(scores[order[e]]);
+            next_known.push_back(1);
         }
 
         while (next.size() < n) {
@@ -191,15 +188,15 @@ GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
             std::vector<double> child_a = population[parent_a];
             std::vector<double> child_b = population[parent_b];
 
-            if (rng.bernoulli(config_.crossoverRate)) {
+            if (rng.bernoulli(kCrossoverRate)) {
                 // BLX-alpha: sample each gene uniformly from the
                 // interval spanned by the parents, extended by alpha.
                 for (std::size_t i = 0; i < child_a.size(); ++i) {
                     const double lo = std::min(child_a[i], child_b[i]);
                     const double hi = std::max(child_a[i], child_b[i]);
                     const double span = hi - lo;
-                    const double a = lo - config_.blendAlpha * span;
-                    const double b = hi + config_.blendAlpha * span;
+                    const double a = lo - kBlendAlpha * span;
+                    const double b = hi + kBlendAlpha * span;
                     if (a < b) {
                         child_a[i] = rng.uniform(a, b);
                         child_b[i] = rng.uniform(a, b);
@@ -211,10 +208,10 @@ GeneticAlgorithm::optimize(const BatchFitnessFn &fitness,
                  {std::pair{&child_a, parent_a},
                   std::pair{&child_b, parent_b}}) {
                 for (std::size_t i = 0; i < child->size(); ++i) {
-                    if (rng.bernoulli(config_.mutationRate)) {
+                    if (rng.bernoulli(kMutationRate)) {
                         const double range = upper_[i] - lower_[i];
-                        (*child)[i] += rng.gaussian(
-                            0.0, config_.mutationSigma * range);
+                        (*child)[i] +=
+                            rng.gaussian(0.0, kMutationSigma * range);
                     }
                 }
                 clip(*child);

@@ -19,23 +19,17 @@
 namespace dtrank::ml
 {
 
-/** Hyperparameters of the genetic algorithm. */
+/**
+ * The budget of the genetic algorithm. Its operators' settings are
+ * constants of genetic.cpp: crossover rate 0.9, per-gene mutation rate
+ * 0.1 with a Gaussian of 0.1 x the gene range, tournaments of 3, 2
+ * elites and BLX-0.3 crossover.
+ */
 struct GaConfig
 {
+    /** Individuals per generation; more than the 2 elites. */
     std::size_t populationSize = 50;
     std::size_t generations = 60;
-    /** Probability of applying crossover to a selected pair. */
-    double crossoverRate = 0.9;
-    /** Per-gene mutation probability. */
-    double mutationRate = 0.1;
-    /** Stddev of Gaussian mutation relative to the gene range. */
-    double mutationSigma = 0.1;
-    /** Tournament size for parent selection. */
-    std::size_t tournamentSize = 3;
-    /** Number of top individuals copied unchanged each generation. */
-    std::size_t eliteCount = 2;
-    /** BLX-alpha blend crossover exploration parameter. */
-    double blendAlpha = 0.3;
 };
 
 /** Outcome of a GA run. */
@@ -85,7 +79,7 @@ class GeneticAlgorithm
         double *scores, obs::TraceSpan &span)>;
 
     /**
-     * @param config Hyperparameters (validated on construction).
+     * @param config Budget (validated on construction).
      * @param lower Per-gene lower bounds.
      * @param upper Per-gene upper bounds (elementwise > lower).
      */
@@ -106,7 +100,6 @@ class GeneticAlgorithm
      */
     GaResult optimize(const BatchFitnessFn &fitness, util::Rng &rng) const;
 
-    std::size_t genomeLength() const { return lower_.size(); }
     const GaConfig &config() const { return config_; }
 
   private:

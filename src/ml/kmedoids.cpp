@@ -10,13 +10,15 @@
 namespace dtrank::ml
 {
 
-KMedoids::KMedoids(KMedoidsConfig config) : config_(config)
+namespace
 {
-    util::require(config_.maxIterations >= 1,
-                  "KMedoids: maxIterations must be >= 1");
-    util::require(config_.restarts >= 1,
-                  "KMedoids: restarts must be >= 1");
-}
+
+/** Update iterations per run, at most. */
+constexpr std::size_t kMaxIterations = 100;
+/** Independent runs from fresh random medoids; the best cost wins. */
+constexpr std::size_t kRestarts = 5;
+
+} // namespace
 
 KMedoidsResult
 KMedoids::cluster(const std::vector<std::vector<double>> &points,
@@ -45,7 +47,7 @@ KMedoids::clusterFromDistances(const std::vector<std::vector<double>> &dist,
     KMedoidsResult best;
     best.totalCost = std::numeric_limits<double>::infinity();
 
-    for (std::size_t restart = 0; restart < config_.restarts; ++restart) {
+    for (std::size_t restart = 0; restart < kRestarts; ++restart) {
         KMedoidsResult run;
         run.medoids = rng.sampleWithoutReplacement(n, k);
         run.assignment.assign(n, 0);
@@ -63,13 +65,15 @@ KMedoids::clusterFromDistances(const std::vector<std::vector<double>> &dist,
                     }
                 }
                 run.assignment[i] = bc;
+                // Summed in ascending point order:
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 cost += bd;
             }
             return cost;
         };
 
         run.totalCost = assign_all();
-        for (std::size_t iter = 0; iter < config_.maxIterations; ++iter) {
+        for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
             ++run.iterations;
             bool changed = false;
 
@@ -83,9 +87,13 @@ KMedoids::clusterFromDistances(const std::vector<std::vector<double>> &dist,
                     if (run.assignment[i] != c)
                         continue;
                     double cost = 0.0;
-                    for (std::size_t j = 0; j < n; ++j)
-                        if (run.assignment[j] == c)
-                            cost += dist[i][j];
+                    for (std::size_t j = 0; j < n; ++j) {
+                        if (run.assignment[j] != c)
+                            continue;
+                        // Summed in ascending member order:
+                        // dtrank-analyze-ignore(no-fp-accumulate)
+                        cost += dist[i][j];
+                    }
                     if (cost < best_cost) {
                         best_cost = cost;
                         best_medoid = i;

@@ -31,24 +31,15 @@ struct KMedoidsResult
     bool converged = false;
 };
 
-/** Configuration for KMedoids. */
-struct KMedoidsConfig
-{
-    std::size_t maxIterations = 100;
-    /** Independent restarts; the best-cost run wins. */
-    std::size_t restarts = 5;
-};
-
 /**
  * Voronoi-iteration k-medoids: random initial medoids, alternate
- * assignment and per-cluster medoid update until membership stabilizes.
- * Deterministic given the Rng seed.
+ * assignment and per-cluster medoid update until membership stabilizes
+ * or 100 iterations have run. Five independent restarts; the best-cost
+ * run wins. Deterministic given the Rng seed.
  */
 class KMedoids
 {
   public:
-    explicit KMedoids(KMedoidsConfig config = KMedoidsConfig{});
-
     /**
      * Clusters points into k groups by Euclidean distance.
      *
@@ -65,9 +56,6 @@ class KMedoids
     KMedoidsResult clusterFromDistances(
         const std::vector<std::vector<double>> &dist, std::size_t k,
         util::Rng &rng) const;
-
-  private:
-    KMedoidsConfig config_;
 };
 
 } // namespace dtrank::ml

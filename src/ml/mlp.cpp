@@ -23,6 +23,22 @@ namespace dtrank::ml
 namespace
 {
 
+// WEKA v3's MultilayerPerceptron defaults, which the paper never varies.
+constexpr double kLearningRate = 0.3;
+constexpr double kMomentum = 0.2;
+/** Initial weights and biases are drawn uniformly from [-0.5, 0.5]. */
+constexpr double kInitWeightRange = 0.5;
+
+/**
+ * Stochastic backprop with a fixed step can diverge on tiny training
+ * sets (the transposition setting trains on as few as 3 machines).
+ * When the epoch loss turns non-finite or grows beyond
+ * kDivergenceFactor x the first epoch's loss, training restarts with
+ * the learning rate halved, up to kMaxRestarts times.
+ */
+constexpr std::size_t kMaxRestarts = 6;
+constexpr double kDivergenceFactor = 100.0;
+
 /** MLP training counters, registered once on first fit (cold path). */
 struct MlpMetrics
 {
@@ -151,45 +167,19 @@ threadLaneWorkspace()
 
 // The hot per-sample linear algebra (layer nets, delta recurrence,
 // momentum updates) and the sigmoid live in the runtime-dispatched
-// kernel layer (simd/simd.h); only the activation dispatch stays here
-// because it is an ml-level concern.
+// kernel layer (simd/simd.h). Hidden units are sigmoid and the output
+// unit is linear, so a layer's activation is kt.sigmoid or nothing.
 
 /**
- * Activation sweep with the dispatch hoisted out of the unit loop; the
- * values are exactly those of ml::activate.
+ * d[j] *= sigmoid'(net_j), written through the unit's output y[j] =
+ * sigmoid(net_j) as y * (1 - y).
  */
 inline void
-applyActivation(const simd::KernelTable &kt, Activation act,
-                std::size_t out, double *__restrict a)
+scaleBySigmoidDerivative(std::size_t width, const double *__restrict y,
+                         double *__restrict d)
 {
-    switch (act) {
-      case Activation::Sigmoid:
-        kt.sigmoid(out, a);
-        break;
-      case Activation::Linear:
-        break;
-      default:
-        for (std::size_t r = 0; r < out; ++r)
-            a[r] = activate(act, a[r]);
-    }
-}
-
-/** d[j] *= f'(out_l[j]), expressions matching ml::activate's. */
-inline void
-scaleByDerivative(Activation act, std::size_t width,
-                  const double *__restrict out_l, double *__restrict d)
-{
-    switch (act) {
-      case Activation::Sigmoid:
-        for (std::size_t j = 0; j < width; ++j)
-            d[j] *= out_l[j] * (1.0 - out_l[j]);
-        break;
-      case Activation::Linear:
-        break;
-      default:
-        for (std::size_t j = 0; j < width; ++j)
-            d[j] *= activateDerivativeFromOutput(act, out_l[j]);
-    }
+    for (std::size_t j = 0; j < width; ++j)
+        d[j] *= y[j] * (1.0 - y[j]);
 }
 
 /**
@@ -300,15 +290,7 @@ MlpWorkspace::ensureBatch(std::size_t rows)
 
 Mlp::Mlp(MlpConfig config) : config_(std::move(config))
 {
-    util::require(config_.learningRate > 0.0,
-                  "Mlp: learningRate must be positive");
-    util::require(config_.momentum >= 0.0 && config_.momentum < 1.0,
-                  "Mlp: momentum must be in [0, 1)");
     util::require(config_.epochs >= 1, "Mlp: epochs must be >= 1");
-    util::require(config_.initWeightRange > 0.0,
-                  "Mlp: initWeightRange must be positive");
-    util::require(config_.learningRateDecay >= 0.0,
-                  "Mlp: learningRateDecay must be >= 0");
 }
 
 void
@@ -357,7 +339,7 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
     }
 
     const std::size_t attempts =
-        trainAndPublish(xn, yn, ws, 0, config_.learningRate);
+        trainAndPublish(xn, yn, ws, 0, kLearningRate);
     span.arg("attempts", static_cast<std::uint64_t>(attempts));
 }
 
@@ -390,7 +372,7 @@ Mlp::trainAndPublish(const linalg::Matrix &xn, const std::vector<double> &yn,
     for (;; ++attempt) {
         if (trainOnce(xn, yn, lr_base, config_.seed + attempt, ws))
             break;
-        util::require(attempt < config_.maxRestarts,
+        util::require(attempt < kMaxRestarts,
                       "Mlp::fit: training diverged even after reducing "
                       "the learning rate");
         util::debug("Mlp::fit: attempt " + std::to_string(attempt + 1) +
@@ -439,7 +421,6 @@ Mlp::publish(std::span<const double *const> wt,
         layer.bias.resize(out);
         for (std::size_t r = 0; r < out; ++r)
             layer.bias[r] = bias[li][r * stride];
-        layer.activation = layerActivation(li, n_layers);
         layers_.push_back(std::move(layer));
         in = out;
     }
@@ -449,9 +430,7 @@ Mlp::publish(std::span<const double *const> wt,
 bool
 Mlp::lanesSupport(const MlpConfig &config)
 {
-    return config.batchSize == 1 && config.hiddenLayers.size() <= 1 &&
-           config.hiddenActivation == Activation::Sigmoid &&
-           config.outputActivation == Activation::Linear;
+    return config.batchSize == 1 && config.hiddenLayers.size() <= 1;
 }
 
 void
@@ -549,7 +528,7 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
     // weights input-ascending, then the bias.
     std::vector<util::Rng> rngs;
     rngs.reserve(k);
-    const double range = cfg.initWeightRange;
+    const double range = kInitWeightRange;
     for (std::size_t l = 0; l < k; ++l) {
         util::Rng &rng = rngs.emplace_back(nets[l].config_.seed);
         for (std::size_t r = 0; r < hidden; ++r) {
@@ -565,8 +544,8 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
     simd::MlpLaneStep step{k,
                            in,
                            hidden,
-                           0.0,
-                           cfg.momentum,
+                           kLearningRate,
+                           kMomentum,
                            ws.x,
                            ws.y,
                            ws.w1,
@@ -594,10 +573,8 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
     std::size_t n_live = k;
     for (std::size_t epoch = 0; epoch < cfg.epochs && n_live > 0; ++epoch) {
         for (std::size_t l = 0; l < k; ++l)
-            if (live[l] && cfg.shuffleEachEpoch)
+            if (live[l])
                 rngs[l].shuffle(ws.visit[l]);
-        step.lr = cfg.learningRate /
-                  (1.0 + cfg.learningRateDecay * static_cast<double>(epoch));
         std::fill_n(ws.sse, kS, 0.0);
         for (std::size_t vi = 0; vi < n; ++vi) {
             for (std::size_t l = 0; l < k; ++l) {
@@ -619,7 +596,7 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
             std::vector<double> &loss = nets[l].loss_history_;
             loss[epoch] = ws.sse[l] / static_cast<double>(n);
             const double bound =
-                cfg.divergenceFactor * std::max(loss[0], 1e-6);
+                kDivergenceFactor * std::max(loss[0], 1e-6);
             if (!std::isfinite(loss[epoch]) || loss[epoch] > bound) {
                 live[l] = false;
                 --n_live;
@@ -641,15 +618,13 @@ Mlp::fitLaneGroup(std::span<Mlp> nets, const linalg::Matrix &xn,
             continue;
         }
         // Attempt 0 diverged: retry alone, exactly as fit() goes on.
-        util::require(cfg.maxRestarts > 0,
-                      "Mlp::fit: training diverged even after reducing "
-                      "the learning rate");
+        static_assert(kMaxRestarts > 0);
         util::debug("Mlp::fit: attempt 1 diverged; retrying with "
                     "learning rate " +
-                    std::to_string(cfg.learningRate * 0.5));
+                    std::to_string(kLearningRate * 0.5));
         mlpMetrics().retries.inc();
         net.trainAndPublish(xn.selectColumns(columns[l]), yn[l],
-                            threadWorkspace(), 1, cfg.learningRate * 0.5);
+                            threadWorkspace(), 1, kLearningRate * 0.5);
     }
 }
 
@@ -680,10 +655,9 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
         double *__restrict bias = ws.bias_.data() + ws.uOff_[li + 1];
         for (std::size_t r = 0; r < out; ++r) {
             for (std::size_t c = 0; c < in; ++c)
-                wt[c * out + r] = rng.uniform(-config_.initWeightRange,
-                                              config_.initWeightRange);
-            bias[r] = rng.uniform(-config_.initWeightRange,
-                                  config_.initWeightRange);
+                wt[c * out + r] =
+                    rng.uniform(-kInitWeightRange, kInitWeightRange);
+            bias[r] = rng.uniform(-kInitWeightRange, kInitWeightRange);
         }
     }
     std::fill(ws.prevDw_.begin(), ws.prevDw_.end(), 0.0);
@@ -695,11 +669,7 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
         ws.visit_[i] = i;
 
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-        if (config_.shuffleEachEpoch)
-            rng.shuffle(ws.visit_);
-        const double lr =
-            lr_base /
-            (1.0 + config_.learningRateDecay * static_cast<double>(epoch));
+        rng.shuffle(ws.visit_);
 
         double sse = 0.0;
         for (std::size_t vi = 0; vi < n; ++vi) {
@@ -716,18 +686,18 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
                                 li == 0 ? input
                                         : ws.acts_.data() + ws.uOff_[li],
                                 a_out);
-                applyActivation(kt, layerActivation(li, n_layers), out,
-                                a_out);
+                if (li + 1 < n_layers)
+                    kt.sigmoid(out, a_out);
             }
             const double pred = ws.acts_[ws.uOff_[n_layers]];
             const double err = yn[i] - pred;
+            // Summed in this epoch's visit order, fixed by the seed:
+            // dtrank-analyze-ignore(no-fp-accumulate)
             sse += err * err;
 
             // Backward pass: deltas_[uOff_[l+1] + j] = dE/d(net_j) at
-            // layer l.
-            ws.deltas_[ws.uOff_[n_layers]] =
-                err * activateDerivativeFromOutput(
-                          layerActivation(n_layers - 1, n_layers), pred);
+            // layer l; the output unit is linear.
+            ws.deltas_[ws.uOff_[n_layers]] = err;
             for (std::size_t lk = n_layers - 1; lk-- > 0;) {
                 const std::size_t width = sizes[lk + 1];
                 double *d = ws.deltas_.data() + ws.uOff_[lk + 1];
@@ -735,14 +705,14 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
                                   ws.weights_.data() + ws.wOff_[lk + 1],
                                   ws.deltas_.data() + ws.uOff_[lk + 2],
                                   d);
-                scaleByDerivative(layerActivation(lk, n_layers), width,
-                                  ws.acts_.data() + ws.uOff_[lk + 1], d);
+                scaleBySigmoidDerivative(
+                    width, ws.acts_.data() + ws.uOff_[lk + 1], d);
             }
 
             // Weight updates with momentum.
             for (std::size_t lk = 0; lk < n_layers; ++lk)
-                kt.mlpUpdateLayer(sizes[lk], sizes[lk + 1], lr,
-                                  config_.momentum,
+                kt.mlpUpdateLayer(sizes[lk], sizes[lk + 1], lr_base,
+                                  kMomentum,
                                   lk == 0 ? input
                                           : ws.acts_.data() + ws.uOff_[lk],
                                   ws.deltas_.data() + ws.uOff_[lk + 1],
@@ -753,7 +723,7 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
         }
         ws.loss_[epoch] = sse / static_cast<double>(n);
         const double bound =
-            config_.divergenceFactor * std::max(ws.loss_[0], 1e-6);
+            kDivergenceFactor * std::max(ws.loss_[0], 1e-6);
         if (!std::isfinite(ws.loss_[epoch]) || ws.loss_[epoch] > bound) {
             mlpMetrics().epochs.inc(epoch + 1);
             return false;
@@ -794,10 +764,9 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
         double *__restrict bias = ws.bias_.data() + ws.uOff_[li + 1];
         for (std::size_t r = 0; r < out; ++r) {
             for (std::size_t c = 0; c < in; ++c)
-                wt[c * out + r] = rng.uniform(-config_.initWeightRange,
-                                              config_.initWeightRange);
-            bias[r] = rng.uniform(-config_.initWeightRange,
-                                  config_.initWeightRange);
+                wt[c * out + r] =
+                    rng.uniform(-kInitWeightRange, kInitWeightRange);
+            bias[r] = rng.uniform(-kInitWeightRange, kInitWeightRange);
         }
     }
     std::fill(ws.prevDw_.begin(), ws.prevDw_.end(), 0.0);
@@ -807,11 +776,7 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
         ws.visit_[i] = i;
 
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-        if (config_.shuffleEachEpoch)
-            rng.shuffle(ws.visit_);
-        const double lr =
-            lr_base /
-            (1.0 + config_.learningRateDecay * static_cast<double>(epoch));
+        rng.shuffle(ws.visit_);
 
         double sse = 0.0;
         for (std::size_t b0 = 0; b0 < n; b0 += batch) {
@@ -843,8 +808,8 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
                 const double *bias = ws.bias_.data() + ws.uOff_[li + 1];
                 kt.mlpBatchNets(bn, in, out, a_in, in, wt, bias, a_out,
                                 out);
-                applyActivation(kt, layerActivation(li, n_layers),
-                                bn * out, a_out);
+                if (li + 1 < n_layers)
+                    kt.sigmoid(bn * out, a_out);
             }
 
             // Output deltas and the epoch loss (batch order is visit
@@ -853,13 +818,12 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
                 ws.actsB_.data() + ws.uOff_[n_layers] * stride;
             double *d_out =
                 ws.deltasB_.data() + ws.uOff_[n_layers] * stride;
-            const Activation out_act =
-                layerActivation(n_layers - 1, n_layers);
             for (std::size_t s = 0; s < bn; ++s) {
                 const double err = yn[ws.visit_[b0 + s]] - preds[s];
+                // Batch order is visit order, fixed by the seed:
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 sse += err * err;
-                d_out[s] =
-                    err * activateDerivativeFromOutput(out_act, preds[s]);
+                d_out[s] = err; // linear output unit
             }
 
             // Backward: the per-sample delta recurrence kernel over
@@ -879,11 +843,9 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
                     kt.mlpLayerDeltas(width, width_next, w_next,
                                       d_next + s * width_next,
                                       d + s * width);
-                scaleByDerivative(layerActivation(lk, n_layers),
-                                  bn * width,
-                                  ws.actsB_.data() +
-                                      ws.uOff_[lk + 1] * stride,
-                                  d);
+                scaleBySigmoidDerivative(
+                    bn * width,
+                    ws.actsB_.data() + ws.uOff_[lk + 1] * stride, d);
             }
 
             // Gradient sums over the batch: the fused batch kernel
@@ -907,19 +869,19 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
                 kt.mlpGradAccum(bn, out, in, d, out, a_in, in, gw);
                 for (std::size_t s = 0; s < bn; ++s)
                     kt.axpy(gb, d + s * out, 1.0, out);
-                const double step = lr / static_cast<double>(bn);
+                const double step = lr_base / static_cast<double>(bn);
                 momentumUpdateTransposed(
                     ws.weights_.data() + ws.wOff_[lk],
-                    ws.prevDw_.data() + ws.wOff_[lk], gw, step,
-                    config_.momentum, in, out);
+                    ws.prevDw_.data() + ws.wOff_[lk], gw, step, kMomentum,
+                    in, out);
                 momentumUpdate(ws.bias_.data() + ws.uOff_[lk + 1],
                                ws.prevDb_.data() + ws.uOff_[lk + 1], gb,
-                               step, config_.momentum, out);
+                               step, kMomentum, out);
             }
         }
         ws.loss_[epoch] = sse / static_cast<double>(n);
         const double bound =
-            config_.divergenceFactor * std::max(ws.loss_[0], 1e-6);
+            kDivergenceFactor * std::max(ws.loss_[0], 1e-6);
         if (!std::isfinite(ws.loss_[epoch]) || ws.loss_[epoch] > bound) {
             mlpMetrics().epochs.inc(epoch + 1);
             return false;
@@ -941,13 +903,12 @@ Mlp::forward(const std::vector<double> &input) const
         // bias + canonical dot per unit: the same formulation as the
         // batched predictColumns(), so scalar and batched predictions
         // stay bit-identical at every dispatch tier.
-        for (std::size_t r = 0; r < layer.weights.rows(); ++r) {
-            const double net =
-                layer.bias[r] + simd::dot(layer.weights.rowData(r),
-                                          prev.data(),
-                                          layer.weights.cols());
-            next[r] = activate(layer.activation, net);
-        }
+        for (std::size_t r = 0; r < layer.weights.rows(); ++r)
+            next[r] = layer.bias[r] + simd::dot(layer.weights.rowData(r),
+                                                prev.data(),
+                                                layer.weights.cols());
+        if (&layer != &layers_.back())
+            simd::sigmoid(next.size(), next.data());
         outputs.push_back(std::move(next));
     }
     return outputs;
@@ -1018,7 +979,8 @@ Mlp::predictColumns(const linalg::Matrix &xt) const
                                  ld, layer.weights.rowData(0),
                                  layer.weights.cols(), layer.bias.data(),
                                  next, w);
-            applyActivation(kt, layer.activation, units * w, next);
+            if (&layer != &layers_.back())
+                kt.sigmoid(units * w, next);
             in = next;
             ld = w;
             next = next == acts.data() ? acts.data() + widest * tile

@@ -8,7 +8,13 @@
  * (#attributes + #outputs) / 2 sigmoid units, a linear output unit for
  * numeric targets, stochastic backpropagation with learning rate 0.3 and
  * momentum 0.2 for 500 epochs, and normalization of both attributes and
- * the numeric target to [-1, 1].
+ * the numeric target to [-1, 1]. Each epoch visits the rows in a fresh
+ * random order, and initial weights are uniform in [-0.5, 0.5]. The
+ * learning rate, momentum, weight range and activations are constants
+ * of mlp.cpp, as is the restart protocol for a run whose loss
+ * diverges; MlpConfig holds only what callers set: the epochs, the
+ * seed, normalization, and the hidden layers and batch size of the
+ * deeper DEEP^T network.
  */
 
 #pragma once
@@ -18,13 +24,15 @@
 #include <vector>
 
 #include "linalg/matrix.h"
-#include "ml/activation.h"
 #include "ml/normalizer.h"
 
 namespace dtrank::ml
 {
 
-/** Hyperparameters of the Mlp. Defaults replicate WEKA v3. */
+/**
+ * The settings of the Mlp that callers choose; the rest of WEKA's
+ * defaults are constants of mlp.cpp (see the file comment).
+ */
 struct MlpConfig
 {
     /**
@@ -32,26 +40,12 @@ struct MlpConfig
      * (#attributes + #outputs) / 2 units (the 'a' wildcard).
      */
     std::vector<std::size_t> hiddenLayers;
-    /** Backpropagation step size. */
-    double learningRate = 0.3;
-    /** Momentum applied to previous weight updates. */
-    double momentum = 0.2;
     /** Number of passes over the training data. */
     std::size_t epochs = 500;
-    /** Hidden-unit nonlinearity. */
-    Activation hiddenActivation = Activation::Sigmoid;
-    /** Output-unit activation (linear for regression). */
-    Activation outputActivation = Activation::Linear;
     /** Seed for weight initialization and shuffling. */
     std::uint64_t seed = 1;
     /** Normalize attributes and target to [-1, 1] (WEKA default). */
     bool normalize = true;
-    /** Initial weights drawn uniformly from [-range, range]. */
-    double initWeightRange = 0.5;
-    /** Decay the learning rate as lr / (1 + decay * epoch). */
-    double learningRateDecay = 0.0;
-    /** Visit training rows in random order each epoch. */
-    bool shuffleEachEpoch = true;
     /**
      * Training batch size. 1 (the default) is WEKA's per-sample
      * stochastic backprop — the exact per-sample code path, bit-
@@ -66,16 +60,6 @@ struct MlpConfig
      * bit-identical across dispatch tiers and thread counts.
      */
     std::size_t batchSize = 1;
-    /**
-     * Stochastic backprop with a fixed step can diverge on tiny
-     * training sets (the transposition setting trains on as few as 3
-     * machines). When the epoch loss turns non-finite or grows beyond
-     * divergenceFactor x the first epoch's loss, training restarts
-     * with the learning rate halved, up to maxRestarts times.
-     */
-    std::size_t maxRestarts = 6;
-    /** Loss growth factor that counts as divergence. */
-    double divergenceFactor = 100.0;
 
     bool operator==(const MlpConfig &other) const = default;
 };
@@ -216,8 +200,8 @@ class Mlp
 
     /**
      * True when fitLanes() trains networks with this config as lanes:
-     * per-sample training (batchSize 1), one hidden layer (explicit or
-     * WEKA's automatic one) of sigmoid units and a linear output.
+     * per-sample training (batchSize 1) and one hidden layer (explicit
+     * or WEKA's automatic one).
      */
     static bool lanesSupport(const MlpConfig &config);
 
@@ -261,7 +245,6 @@ class Mlp
     {
         linalg::Matrix weights;   // out x in
         std::vector<double> bias; // out
-        Activation activation = Activation::Sigmoid;
     };
 
     /** Resolves hidden_ for `inputs` features (WEKA's 'a' default). */
@@ -329,14 +312,6 @@ class Mlp
     bool trainOnceBatched(const linalg::Matrix &xn,
                           const std::vector<double> &yn, double lr_base,
                           std::uint64_t seed, MlpWorkspace &ws) const;
-
-    /** Activation of layer `li` out of `n_layers`. */
-    Activation
-    layerActivation(std::size_t li, std::size_t n_layers) const
-    {
-        return li + 1 == n_layers ? config_.outputActivation
-                                  : config_.hiddenActivation;
-    }
 
     MlpConfig config_;
     std::vector<Layer> layers_;

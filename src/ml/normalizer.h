@@ -96,7 +96,6 @@ class StandardNormalizer
     bool fitted() const { return !means_.empty(); }
 
     const std::vector<double> &means() const { return means_; }
-    const std::vector<double> &stddevs() const { return stddevs_; }
 
   private:
     std::vector<double> means_;

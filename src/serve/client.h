@@ -64,8 +64,6 @@ class BlockingClient
 
     void close();
 
-    bool connected() const { return fd_ >= 0; }
-
   private:
     int fd_ = -1;
     FrameReader reader_;

@@ -10,9 +10,9 @@
  *     held in 16 / W vectors (partial s[j] in lane j % W of vector
  *     j / W), a sequential scalar tail, then T::fold, the tier's
  *     spelling of the canonical combine tree (simd.h);
- *   - the masked reductions crush each invalid term to +0.0 after its
- *     arithmetic (T::keep), so an all-set mask reproduces the dense
- *     kernel bit for bit and NaN-poisoned cells never reach the sum;
+ *   - the masked sum crushes each invalid term to +0.0 (T::keep), so
+ *     an all-set mask reproduces the dense sum bit for bit and
+ *     NaN-poisoned cells never reach it;
  *   - the elementwise sweeps and MLP layer kernels never sum across
  *     elements, so any width gives the same bits.
  *
@@ -162,20 +162,6 @@ struct VectorKernels
     }
 
     static double
-    maskedDot(const double *a, const double *b, const std::uint64_t *valid,
-              std::size_t n)
-    {
-        return reduce(
-            n,
-            [=](std::size_t i) {
-                return T::keep(laneBits(valid, i), load(a + i) * load(b + i));
-            },
-            [=](std::size_t i) {
-                return validBit(valid, i) ? a[i] * b[i] : 0.0;
-            });
-    }
-
-    static double
     maskedSum(const double *a, const std::uint64_t *valid, std::size_t n)
     {
         return reduce(
@@ -184,40 +170,6 @@ struct VectorKernels
                 return T::keep(laneBits(valid, i), load(a + i));
             },
             [=](std::size_t i) { return validBit(valid, i) ? a[i] : 0.0; });
-    }
-
-    static double
-    maskedSquaredDistance(const double *a, const double *b,
-                          const std::uint64_t *valid, std::size_t n)
-    {
-        return reduce(
-            n,
-            [=](std::size_t i) {
-                const V d = load(a + i) - load(b + i);
-                return T::keep(laneBits(valid, i), d * d);
-            },
-            [=](std::size_t i) {
-                const double d = a[i] - b[i];
-                return validBit(valid, i) ? d * d : 0.0;
-            });
-    }
-
-    static double
-    maskedWeightedSquaredDistance(const double *a, const double *b,
-                                  const double *w,
-                                  const std::uint64_t *valid,
-                                  std::size_t n)
-    {
-        return reduce(
-            n,
-            [=](std::size_t i) {
-                const V d = load(a + i) - load(b + i);
-                return T::keep(laneBits(valid, i), (load(w + i) * d) * d);
-            },
-            [=](std::size_t i) {
-                const double d = a[i] - b[i];
-                return validBit(valid, i) ? (w[i] * d) * d : 0.0;
-            });
     }
 
     static void
@@ -238,16 +190,6 @@ struct VectorKernels
             storeLanes(v + i, load(v + i) * factor);
         for (; i < n; ++i)
             v[i] *= factor;
-    }
-
-    static void
-    mulAdd(double *out, const double *a, const double *b, std::size_t n)
-    {
-        std::size_t i = 0;
-        for (; i + W <= n; i += W)
-            storeLanes(out + i, load(out + i) + load(a + i) * load(b + i));
-        for (; i < n; ++i)
-            out[i] += a[i] * b[i];
     }
 
     static void
@@ -495,8 +437,6 @@ vectorKernelTable(const char *name)
         name,
         K::dot,
         K::axpy,
-        K::scale,
-        K::mulAdd,
         K::gemmMicro,
         K::squaredDistance,
         K::weightedSquaredDistance,
@@ -509,10 +449,7 @@ vectorKernelTable(const char *name)
         mlpLaneStepBody<K::W>,
         K::exp,
         K::sigmoid,
-        K::maskedDot,
         K::maskedSum,
-        K::maskedSquaredDistance,
-        K::maskedWeightedSquaredDistance,
     };
 }
 

@@ -160,13 +160,6 @@ struct KernelTable
     void (*axpy)(double *a, const double *b, double factor,
                  std::size_t n);
 
-    /** v[i] *= factor. */
-    void (*scale)(double *v, double factor, std::size_t n);
-
-    /** out[i] += a[i] * b[i] (elementwise multiply-accumulate). */
-    void (*mulAdd)(double *out, const double *a, const double *b,
-                   std::size_t n);
-
     /**
      * GEMM microkernel: one output-row panel update
      *     c[j] += sum over kk of a[kk] * b[kk * ldb + j]
@@ -302,37 +295,18 @@ struct KernelTable
      */
     void (*sigmoid)(std::size_t n, double *a);
 
-    // -----------------------------------------------------------------
-    // Masked reductions (ragged score matrices). `valid` is a packed
-    // little-endian bit vector: element i is valid iff bit (i % 64) of
-    // valid[i / 64] is set. Every masked kernel runs the SAME canonical
-    // lane-blocked reduction as its dense sibling with each invalid
-    // term replaced by a literal +0.0 (zero-substitution) — never by
-    // skipping the add — so an all-set mask is bit-identical to the
-    // unmasked kernel by construction, in every tier. Each invalid
-    // term is crushed to +0.0 after its arithmetic, in every tier, so
-    // NaN-poisoned masked cells cannot leak into the sum.
-    // -----------------------------------------------------------------
-
-    /** Masked canonical dot: sum over valid i of a[i] * b[i]. */
-    double (*maskedDot)(const double *a, const double *b,
-                        const std::uint64_t *valid, std::size_t n);
-
-    /** Masked canonical sum: sum over valid i of a[i]. */
+    /**
+     * Masked canonical sum over valid i of a[i] (ragged score
+     * matrices). `valid` is a packed little-endian bit vector: element
+     * i is valid iff bit (i % 64) of valid[i / 64] is set. It runs the
+     * SAME canonical lane-blocked reduction as a dense sum with each
+     * invalid term replaced by a literal +0.0 (zero-substitution) —
+     * never by skipping the add — so an all-set mask is bit-identical
+     * to the unmasked sum by construction, in every tier, and a
+     * NaN-poisoned masked cell cannot leak into the sum.
+     */
     double (*maskedSum)(const double *a, const std::uint64_t *valid,
                         std::size_t n);
-
-    /** Masked canonical sum over valid i of (a[i] - b[i])^2. */
-    double (*maskedSquaredDistance)(const double *a, const double *b,
-                                    const std::uint64_t *valid,
-                                    std::size_t n);
-
-    /** Masked sum over valid i of (w[i] * (a[i]-b[i])) * (a[i]-b[i]). */
-    double (*maskedWeightedSquaredDistance)(const double *a,
-                                            const double *b,
-                                            const double *w,
-                                            const std::uint64_t *valid,
-                                            std::size_t n);
 };
 
 /** The portable one-lane tier. Always available. */
@@ -459,18 +433,6 @@ axpy(double *a, const double *b, double factor, std::size_t n)
 }
 
 inline void
-scale(double *v, double factor, std::size_t n)
-{
-    kernels().scale(v, factor, n);
-}
-
-inline void
-mulAdd(double *out, const double *a, const double *b, std::size_t n)
-{
-    kernels().mulAdd(out, a, b, n);
-}
-
-inline void
 gemmMicro(std::size_t k, std::size_t n, const double *a, const double *b,
           std::size_t ldb, double *c)
 {
@@ -526,31 +488,9 @@ centeredDot(const double *a, const double *b, double ca, double cb,
 }
 
 inline double
-maskedDot(const double *a, const double *b, const std::uint64_t *valid,
-          std::size_t n)
-{
-    return kernels().maskedDot(a, b, valid, n);
-}
-
-inline double
 maskedSum(const double *a, const std::uint64_t *valid, std::size_t n)
 {
     return kernels().maskedSum(a, valid, n);
-}
-
-inline double
-maskedSquaredDistance(const double *a, const double *b,
-                      const std::uint64_t *valid, std::size_t n)
-{
-    return kernels().maskedSquaredDistance(a, b, valid, n);
-}
-
-inline double
-maskedWeightedSquaredDistance(const double *a, const double *b,
-                              const double *w,
-                              const std::uint64_t *valid, std::size_t n)
-{
-    return kernels().maskedWeightedSquaredDistance(a, b, w, valid, n);
 }
 
 } // namespace dtrank::simd

@@ -8,7 +8,7 @@ namespace dtrank::stats
 {
 
 std::vector<double>
-rankData(const std::vector<double> &values, TieMethod method)
+rankData(const std::vector<double> &values)
 {
     const std::size_t n = values.size();
     std::vector<std::size_t> order(n);
@@ -25,23 +25,10 @@ rankData(const std::vector<double> &values, TieMethod method)
         std::size_t j = i + 1;
         while (j < n && values[order[j]] == values[order[i]])
             ++j;
-        for (std::size_t k = i; k < j; ++k) {
-            double r;
-            switch (method) {
-              case TieMethod::Average:
-                r = 0.5 * (static_cast<double>(i + 1) +
-                           static_cast<double>(j));
-                break;
-              case TieMethod::Min:
-                r = static_cast<double>(i + 1);
-                break;
-              case TieMethod::Ordinal:
-              default:
-                r = static_cast<double>(k + 1);
-                break;
-            }
+        const double r =
+            0.5 * (static_cast<double>(i + 1) + static_cast<double>(j));
+        for (std::size_t k = i; k < j; ++k)
             ranks[order[k]] = r;
-        }
         i = j;
     }
     return ranks;

@@ -12,24 +12,15 @@
 namespace dtrank::stats
 {
 
-/** How equal values are ranked. */
-enum class TieMethod
-{
-    Average, ///< Tied values share the average of their positions.
-    Min,     ///< Tied values all get the smallest position ("competition").
-    Ordinal  ///< Ties broken by original index (no shared ranks).
-};
-
 /**
  * Computes 1-based ranks of the input values, smallest value gets rank 1.
+ * Tied values share the average of their positions, as the standard
+ * Spearman definition asks.
  *
  * @param values The observations.
- * @param method Tie-handling policy (Average by default, matching the
- *               standard Spearman definition).
  * @return ranks[i] is the rank of values[i].
  */
-std::vector<double> rankData(const std::vector<double> &values,
-                             TieMethod method = TieMethod::Average);
+std::vector<double> rankData(const std::vector<double> &values);
 
 /**
  * Returns the indices that would sort `values` descending, i.e. the

@@ -43,14 +43,6 @@ class Rng
         return std::uniform_real_distribution<double>(lo, hi)(engine_);
     }
 
-    /** Uniform integer in the closed range [lo, hi]. */
-    int
-    uniformInt(int lo, int hi)
-    {
-        require(lo <= hi, "Rng::uniformInt: lo must be <= hi");
-        return std::uniform_int_distribution<int>(lo, hi)(engine_);
-    }
-
     /** Uniform index in [0, n). Requires n > 0. */
     std::size_t
     index(std::size_t n)
@@ -75,14 +67,6 @@ class Rng
     {
         require(p >= 0.0 && p <= 1.0, "Rng::bernoulli: p outside [0, 1]");
         return std::bernoulli_distribution(p)(engine_);
-    }
-
-    /** Log-normally distributed real (mean/stddev of underlying normal). */
-    double
-    logNormal(double mu, double sigma)
-    {
-        require(sigma >= 0.0, "Rng::logNormal: sigma must be >= 0");
-        return std::lognormal_distribution<double>(mu, sigma)(engine_);
     }
 
     /** Fisher-Yates shuffle of an arbitrary vector. */

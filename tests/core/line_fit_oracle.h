@@ -125,7 +125,7 @@ struct NnResult
     core::LinearTranspositionDiagnostics diagnostics;
 };
 
-/** NN^T on a dense problem: the first best-scoring fit per target. */
+/** NN^T on a dense problem: the first lowest-RSS fit per target. */
 inline NnResult
 nnOracle(const core::TranspositionProblem &problem,
          const core::LinearTranspositionConfig &config)
@@ -134,16 +134,11 @@ nnOracle(const core::TranspositionProblem &problem,
     NnResult out;
     core::LinearTranspositionDiagnostics &diag = out.diagnostics;
     for (const auto &row : fits) {
-        double best_score = std::numeric_limits<double>::infinity();
+        double best_rss = std::numeric_limits<double>::infinity();
         std::size_t best_p = 0;
         for (std::size_t p = 0; p < row.size(); ++p) {
-            const double score =
-                config.criterion ==
-                        core::FitCriterion::ResidualSumSquares
-                    ? row[p].residualSumSquares()
-                    : -row[p].rSquared();
-            if (score < best_score) {
-                best_score = score;
+            if (row[p].residualSumSquares() < best_rss) {
+                best_rss = row[p].residualSumSquares();
                 best_p = p;
             }
         }
@@ -170,7 +165,8 @@ struct KnnResult
 
 /**
  * kNN^T on a dense problem: per target, the k lowest single-proxy RSS
- * (ties by index) as the regressors of one ridge regression.
+ * (ties by index) as the regressors of one ridge regression with
+ * kNN^T's penalty, 1e-6.
  */
 inline KnnResult
 knnOracle(const core::TranspositionProblem &problem,
@@ -202,7 +198,7 @@ knnOracle(const core::TranspositionProblem &problem,
         }
         const stats::MultipleLinearRegression fit(
             design, fitColumn(problem.targetBenchScores, t, config.logSpace),
-            config.ridge);
+            1e-6);
         double pred = fit.predict(app);
         if (config.logSpace)
             pred = std::exp2(pred);

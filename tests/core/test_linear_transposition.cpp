@@ -101,16 +101,6 @@ TEST(LinearTransposition, LogSpaceRecoversPowerLaws)
     EXPECT_NEAR(pred[0], 49.0, 1e-6);
 }
 
-TEST(LinearTransposition, RSquaredCriterionAgreesOnCleanData)
-{
-    auto problem = affineProblem();
-    core::LinearTranspositionConfig config;
-    config.criterion = core::FitCriterion::RSquared;
-    core::LinearTransposition predictor(config);
-    const auto pred = predictor.predict(problem);
-    EXPECT_NEAR(pred[0], 23.0, 1e-9);
-}
-
 TEST(LinearTransposition, HandsOffOnTooFewBenchmarks)
 {
     core::TranspositionProblem p;
@@ -133,12 +123,9 @@ TEST(LinearTransposition, DeterministicAcrossCalls)
 /** Predicts with the given configuration and returns all outputs. */
 oracle::NnResult
 runScan(const core::TranspositionProblem &problem, std::size_t threads,
-        bool log_space = false,
-        core::FitCriterion criterion =
-            core::FitCriterion::ResidualSumSquares)
+        bool log_space = false)
 {
     core::LinearTranspositionConfig config;
-    config.criterion = criterion;
     config.threads = threads;
     config.logSpace = log_space;
     core::LinearTransposition predictor(config);
@@ -148,12 +135,9 @@ runScan(const core::TranspositionProblem &problem, std::size_t threads,
 
 /** The per-pair oracle for the configuration runScan would build. */
 oracle::NnResult
-runOracle(const core::TranspositionProblem &problem, bool log_space = false,
-          core::FitCriterion criterion =
-              core::FitCriterion::ResidualSumSquares)
+runOracle(const core::TranspositionProblem &problem, bool log_space = false)
 {
     core::LinearTranspositionConfig config;
-    config.criterion = criterion;
     config.logSpace = log_space;
     return oracle::nnOracle(problem, config);
 }
@@ -186,9 +170,9 @@ TEST(LinearTransposition, TiledScanMatchesNaiveInLogSpace)
 }
 
 /**
- * The per-pair oracle against the scan over the shape grid, both
- * criteria, log space on and off, serial and pooled, at every SIMD
- * tier (the scan dispatches no kernel, so no tier may move a bit).
+ * The per-pair oracle against the scan over the shape grid, log space
+ * on and off, serial and pooled, at every SIMD tier (the scan
+ * dispatches no kernel, so no tier may move a bit).
  */
 TEST(LinearTransposition, TiledScanMatchesNaiveAcrossShapesAndModes)
 {
@@ -197,23 +181,14 @@ TEST(LinearTransposition, TiledScanMatchesNaiveAcrossShapesAndModes)
     for (const simd::Tier tier : oracle::availableTiers()) {
         simd::setTier(tier);
         for (const auto &problem : problems) {
-            for (const auto criterion :
-                 {core::FitCriterion::ResidualSumSquares,
-                  core::FitCriterion::RSquared}) {
-                for (const bool log_space : {false, true}) {
-                    SCOPED_TRACE(
-                        std::string(simd::tierName(tier)) + " " +
-                        oracle::shapeName(problem) + " r2=" +
-                        std::to_string(criterion ==
-                                       core::FitCriterion::RSquared) +
-                        " log=" + std::to_string(log_space));
-                    const auto expected =
-                        runOracle(problem, log_space, criterion);
-                    for (const std::size_t threads : {1u, 4u})
-                        expectSameOutputs(expected,
-                                          runScan(problem, threads,
-                                                  log_space, criterion));
-                }
+            for (const bool log_space : {false, true}) {
+                SCOPED_TRACE(std::string(simd::tierName(tier)) + " " +
+                             oracle::shapeName(problem) +
+                             " log=" + std::to_string(log_space));
+                const auto expected = runOracle(problem, log_space);
+                for (const std::size_t threads : {1u, 4u})
+                    expectSameOutputs(expected, runScan(problem, threads,
+                                                        log_space));
             }
         }
     }

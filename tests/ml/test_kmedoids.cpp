@@ -132,16 +132,6 @@ TEST(KMedoids, Validation)
         util::InvalidArgument);
 }
 
-TEST(KMedoids, ConfigValidation)
-{
-    ml::KMedoidsConfig config;
-    config.maxIterations = 0;
-    EXPECT_THROW(ml::KMedoids{config}, util::InvalidArgument);
-    config.maxIterations = 10;
-    config.restarts = 0;
-    EXPECT_THROW(ml::KMedoids{config}, util::InvalidArgument);
-}
-
 TEST(KMedoids, CostDecreasesWithMoreClusters)
 {
     const auto points = twoBlobs();

@@ -148,7 +148,9 @@ TEST(StandardNormalizer, ExposesMoments)
     ml::StandardNormalizer norm;
     norm.fit(Matrix{{1}, {3}});
     EXPECT_DOUBLE_EQ(norm.means()[0], 2.0);
-    EXPECT_NEAR(norm.stddevs()[0], std::sqrt(2.0), 1e-12);
+    // Sample standard deviation sqrt(2): 3 maps to 1 / sqrt(2).
+    EXPECT_NEAR(norm.transform(Matrix{{3}})(0, 0), 1.0 / std::sqrt(2.0),
+                1e-12);
 }
 
 TEST(StandardNormalizer, Validation)

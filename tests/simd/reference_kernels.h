@@ -86,48 +86,14 @@ validBit(const std::uint64_t *valid, std::size_t i)
     return ((valid[i >> 6] >> (i & 63)) & 1u) != 0;
 }
 
-// The masked reductions add a literal +0.0 for each invalid term and
-// never read its operands.
-
-inline double
-maskedDot(const double *a, const double *b, const std::uint64_t *valid,
-          std::size_t n)
-{
-    return canonicalSum(n, [=](std::size_t i) {
-        return validBit(valid, i) ? a[i] * b[i] : 0.0;
-    });
-}
+// The masked sum adds a literal +0.0 for each invalid term and never
+// reads its operand.
 
 inline double
 maskedSum(const double *a, const std::uint64_t *valid, std::size_t n)
 {
     return canonicalSum(n, [=](std::size_t i) {
         return validBit(valid, i) ? a[i] : 0.0;
-    });
-}
-
-inline double
-maskedSquaredDistance(const double *a, const double *b,
-                      const std::uint64_t *valid, std::size_t n)
-{
-    return canonicalSum(n, [=](std::size_t i) {
-        if (!validBit(valid, i))
-            return 0.0;
-        const double d = a[i] - b[i];
-        return d * d;
-    });
-}
-
-inline double
-maskedWeightedSquaredDistance(const double *a, const double *b,
-                              const double *w, const std::uint64_t *valid,
-                              std::size_t n)
-{
-    return canonicalSum(n, [=](std::size_t i) {
-        if (!validBit(valid, i))
-            return 0.0;
-        const double d = a[i] - b[i];
-        return (w[i] * d) * d;
     });
 }
 
@@ -143,13 +109,6 @@ scale(double *v, double factor, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         v[i] *= factor;
-}
-
-inline void
-mulAdd(double *out, const double *a, const double *b, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] += a[i] * b[i];
 }
 
 inline void

@@ -1,8 +1,8 @@
 /**
  * @file
- * The masked reduction kernels: all-valid bit-equality against their
- * unmasked counterparts per tier (the mask=∅ half of the masked-kernel
- * contract), bit-equality of every tier with the written-out oracle
+ * The masked sum kernel: all-valid bit-equality against the unmasked
+ * reduction per tier (the mask=∅ half of the masked-kernel contract),
+ * bit-equality of every tier with the written-out oracle
  * (tests/simd/reference_kernels.h) under random masks, and NaN
  * containment — a NaN-poisoned invalid cell must contribute a
  * literal +0.0 instead of leaking into the sum. Lengths 1..67 cover
@@ -36,17 +36,6 @@ operand(std::size_t n, std::uint64_t seed)
     std::vector<double> v(n);
     for (double &x : v)
         x = rng.uniform(-3.0, 3.0);
-    return v;
-}
-
-/** Non-negative operand (distance weights). */
-std::vector<double>
-weightOperand(std::size_t n, std::uint64_t seed)
-{
-    util::Rng rng(seed);
-    std::vector<double> v(n);
-    for (double &x : v)
-        x = rng.uniform(0.0, 2.0);
     return v;
 }
 
@@ -107,23 +96,12 @@ TEST_P(MaskedKernels, AllValidMaskMatchesUnmaskedBitForBit)
     for (std::size_t n = 1; n <= kMaxLen; ++n) {
         SCOPED_TRACE("n=" + std::to_string(n));
         const auto a = operand(n, 100 + n);
-        const auto b = operand(n, 200 + n);
-        const auto w = weightOperand(n, 300 + n);
         const auto valid = allValidMask(n);
-        EXPECT_EQ(tier_->maskedDot(a.data(), b.data(), valid.data(), n),
-                  tier_->dot(a.data(), b.data(), n));
         // maskedSum has no dense sibling; dot against ones runs the
         // identical canonical reduction with terms a[i] * 1.0 == a[i].
         const std::vector<double> ones(n, 1.0);
         EXPECT_EQ(tier_->maskedSum(a.data(), valid.data(), n),
                   tier_->dot(a.data(), ones.data(), n));
-        EXPECT_EQ(tier_->maskedSquaredDistance(a.data(), b.data(),
-                                               valid.data(), n),
-                  tier_->squaredDistance(a.data(), b.data(), n));
-        EXPECT_EQ(tier_->maskedWeightedSquaredDistance(
-                      a.data(), b.data(), w.data(), valid.data(), n),
-                  tier_->weightedSquaredDistance(a.data(), b.data(),
-                                                 w.data(), n));
     }
 }
 
@@ -134,21 +112,9 @@ TEST_P(MaskedKernels, RandomMasksAgreeWithScalarTier)
     for (std::size_t n = 1; n <= kMaxLen; ++n) {
         SCOPED_TRACE("n=" + std::to_string(n));
         const auto a = operand(n, 400 + n);
-        const auto b = operand(n, 500 + n);
-        const auto w = weightOperand(n, 600 + n);
         const auto valid = randomMask(n, 700 + n);
-        EXPECT_EQ(ref::maskedDot(a.data(), b.data(), valid.data(), n),
-                  tier_->maskedDot(a.data(), b.data(), valid.data(), n));
         EXPECT_EQ(ref::maskedSum(a.data(), valid.data(), n),
                   tier_->maskedSum(a.data(), valid.data(), n));
-        EXPECT_EQ(ref::maskedSquaredDistance(a.data(), b.data(),
-                                             valid.data(), n),
-                  tier_->maskedSquaredDistance(a.data(), b.data(),
-                                               valid.data(), n));
-        EXPECT_EQ(ref::maskedWeightedSquaredDistance(
-                      a.data(), b.data(), w.data(), valid.data(), n),
-                  tier_->maskedWeightedSquaredDistance(
-                      a.data(), b.data(), w.data(), valid.data(), n));
     }
 }
 
@@ -158,37 +124,20 @@ TEST_P(MaskedKernels, NaNPoisonedInvalidCellsDoNotLeak)
     for (std::size_t n = 1; n <= kMaxLen; ++n) {
         SCOPED_TRACE("n=" + std::to_string(n));
         auto a = operand(n, 800 + n);
-        auto b = operand(n, 900 + n);
-        const auto w = weightOperand(n, 1000 + n);
         const auto valid = randomMask(n, 1100 + n);
 
-        // Reference: the same mask over clean operands.
-        const double ref_dot =
-            tier_->maskedDot(a.data(), b.data(), valid.data(), n);
+        // Reference: the same mask over a clean operand.
         const double ref_sum =
             tier_->maskedSum(a.data(), valid.data(), n);
-        const double ref_d2 = tier_->maskedSquaredDistance(
-            a.data(), b.data(), valid.data(), n);
-        const double ref_wd2 = tier_->maskedWeightedSquaredDistance(
-            a.data(), b.data(), w.data(), valid.data(), n);
 
         // Poison every invalid cell the way PerfDatabase does.
         for (std::size_t i = 0; i < n; ++i)
-            if (((valid[i / 64] >> (i % 64)) & 1u) == 0) {
+            if (((valid[i / 64] >> (i % 64)) & 1u) == 0)
                 a[i] = nan;
-                b[i] = nan;
-            }
-        EXPECT_EQ(ref_dot, tier_->maskedDot(a.data(), b.data(),
-                                            valid.data(), n));
-        EXPECT_EQ(ref_sum,
-                  tier_->maskedSum(a.data(), valid.data(), n));
-        EXPECT_EQ(ref_d2, tier_->maskedSquaredDistance(
-                              a.data(), b.data(), valid.data(), n));
-        EXPECT_EQ(ref_wd2, tier_->maskedWeightedSquaredDistance(
-                               a.data(), b.data(), w.data(),
-                               valid.data(), n));
-        EXPECT_FALSE(std::isnan(
-            tier_->maskedDot(a.data(), b.data(), valid.data(), n)));
+        const double poisoned =
+            tier_->maskedSum(a.data(), valid.data(), n);
+        EXPECT_EQ(ref_sum, poisoned);
+        EXPECT_FALSE(std::isnan(poisoned));
     }
 }
 
@@ -198,14 +147,8 @@ TEST_P(MaskedKernels, AllInvalidMaskReducesToZero)
                           std::size_t{64}, std::size_t{67}}) {
         SCOPED_TRACE("n=" + std::to_string(n));
         const auto a = operand(n, 1200 + n);
-        const auto b = operand(n, 1300 + n);
         const std::vector<std::uint64_t> none((n + 63) / 64, 0);
-        EXPECT_EQ(tier_->maskedDot(a.data(), b.data(), none.data(), n),
-                  0.0);
         EXPECT_EQ(tier_->maskedSum(a.data(), none.data(), n), 0.0);
-        EXPECT_EQ(tier_->maskedSquaredDistance(a.data(), b.data(),
-                                               none.data(), n),
-                  0.0);
     }
 }
 

@@ -26,19 +26,6 @@ TEST(RankData, AverageTies)
     EXPECT_EQ(r, (std::vector<double>{1.5, 1.5, 3}));
 }
 
-TEST(RankData, MinTies)
-{
-    const auto r = stats::rankData({10, 10, 20}, stats::TieMethod::Min);
-    EXPECT_EQ(r, (std::vector<double>{1, 1, 3}));
-}
-
-TEST(RankData, OrdinalTies)
-{
-    const auto r =
-        stats::rankData({10, 10, 20}, stats::TieMethod::Ordinal);
-    EXPECT_EQ(r, (std::vector<double>{1, 2, 3}));
-}
-
 TEST(RankData, AllEqualAverage)
 {
     const auto r = stats::rankData({5, 5, 5, 5});

@@ -61,17 +61,6 @@ TEST(Rng, UniformRejectsEmptyRange)
     EXPECT_THROW(rng.uniform(2.0, 1.0), util::InvalidArgument);
 }
 
-TEST(Rng, UniformIntCoversRangeInclusive)
-{
-    util::Rng rng(5);
-    std::set<int> seen;
-    for (int i = 0; i < 1000; ++i)
-        seen.insert(rng.uniformInt(0, 3));
-    EXPECT_EQ(seen.size(), 4u);
-    EXPECT_TRUE(seen.count(0));
-    EXPECT_TRUE(seen.count(3));
-}
-
 TEST(Rng, IndexWithinBounds)
 {
     util::Rng rng(6);
@@ -176,14 +165,6 @@ TEST(Rng, SampleWithoutReplacementIsUnbiased)
     // Expected count per index: trials * 3 / 10 = 1500.
     for (int c : counts)
         EXPECT_NEAR(c, 1500, 150);
-}
-
-TEST(Rng, LogNormalIsPositive)
-{
-    util::Rng rng(17);
-    for (int i = 0; i < 200; ++i)
-        EXPECT_GT(rng.logNormal(0.0, 0.5), 0.0);
-    EXPECT_THROW(rng.logNormal(0.0, -0.5), util::InvalidArgument);
 }
 
 } // namespace

@@ -20,12 +20,21 @@ unlinked symbol is not on the allowlist, or if an allowlist line has no
 reason or names a symbol that is no longer unlinked.
 
 Inline and template functions are weak (nm type W) and not compared,
-so code that lives only in headers is not seen.
+so code that lives only in headers is not seen. Nor are the entries of
+simd::KernelTable: every tier's table takes each kernel's address, so
+a kernel is linked whether or not anything calls it. A second check,
+on the sources, covers them: every function-pointer field of
+KernelTable (src/simd/simd.h) must be read by some source outside
+src/simd and tests/, either directly (`.field(` or `->field(`) or by
+calling a simd.h wrapper that reads it (`simd::wrapper(`). The
+allowlist names a field that may stay unread as "KernelTable::field",
+with its reason, and goes stale the same way.
 """
 
 import argparse
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -38,6 +47,9 @@ FLAGS = [
 ]
 BINARY_DIRS = ("bench", "tools", "examples")
 HARNESS = ("pb_offline", "pb_serve")
+FIELD_PREFIX = "KernelTable::"
+# Where a kernel's readers live; src/simd itself is left out.
+READER_DIRS = ("src", "bench", "tools", "examples", "perfbench")
 
 
 def run(cmd):
@@ -116,6 +128,80 @@ def parse_allowlist(text):
     return entries, errors
 
 
+def strip_comments(code):
+    code = re.sub(r"/\*.*?\*/", " ", code, flags=re.S)
+    return re.sub(r"//[^\n]*", "", code)
+
+
+def kernel_fields(header):
+    """The function-pointer fields of struct KernelTable, in order."""
+    body = re.search(r"struct KernelTable\s*\{(.*?)\n\};", header, re.S)
+    return re.findall(r"\(\*(\w+)\)\s*\(", strip_comments(body.group(1)))
+
+
+def kernel_wrappers(header):
+    """Maps each function the header defines to the fields it reads
+    through kernels()."""
+    wrappers = {}
+    code = strip_comments(header)
+    for m in re.finditer(r"^(\w+)\([^;{]*?\)\s*\{(.*?)^\}", code,
+                         re.S | re.M):
+        reads = re.findall(r"kernels\(\)\.(\w+)\s*\(", m.group(2))
+        if reads:
+            wrappers.setdefault(m.group(1), set()).update(reads)
+    return wrappers
+
+
+def read_fields(fields, wrappers, sources):
+    """The fields that some source text reads, directly or through a
+    wrapper."""
+    read = set()
+    for text in sources:
+        code = strip_comments(text)
+        for field in fields:
+            if re.search(rf"(?:\.|->)\s*{field}\s*\(", code):
+                read.add(field)
+        for wrapper, reads in wrappers.items():
+            if re.search(rf"\bsimd::{wrapper}\s*\(", code):
+                read.update(reads)
+    return read
+
+
+def reader_sources(root):
+    """The text of every C++ source outside src/simd and tests/."""
+    simd_dir = root / "src" / "simd"
+    for d in READER_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix in (".cpp", ".h") and simd_dir not in path.parents:
+                yield path.read_text()
+
+
+def compare_fields(fields, read, allowlist):
+    """Returns (unread fields not allowlisted, stale allowlisted fields)."""
+    unread = set(fields) - read
+    return (sorted(unread - allowlist.keys()),
+            sorted(allowlist.keys() - unread))
+
+
+def check_kernel_fields(root, allowlist):
+    """compare_fields() for the KernelTable of the tree at root."""
+    header = (root / "src" / "simd" / "simd.h").read_text()
+    fields = kernel_fields(header)
+    read = read_fields(fields, kernel_wrappers(header), reader_sources(root))
+    return fields, compare_fields(fields, read, allowlist)
+
+
+def split_allowlist(entries):
+    """Splits allowlist entries into (symbols, KernelTable fields)."""
+    symbols, fields = {}, {}
+    for name, reason in entries.items():
+        if name.startswith(FIELD_PREFIX):
+            fields[name[len(FIELD_PREFIX):]] = reason
+        else:
+            symbols[name] = reason
+    return symbols, fields
+
+
 def compare(defined, linked, allowlist):
     """Returns (unlisted unlinked symbols, stale allowlist symbols)."""
     unlinked = {name for name in defined if name not in linked}
@@ -129,29 +215,43 @@ def main():
                         help="build directory (default: build-symbols)")
     args = parser.parse_args()
 
+    entries, errors = parse_allowlist(ALLOWLIST.read_text())
+    allowlist, allowed_fields = split_allowlist(entries)
+    fields, (unread, stale_fields) = check_kernel_fields(ROOT,
+                                                         allowed_fields)
+
     root_build, harness_build = build(pathlib.Path(args.work).resolve())
 
     objects = src_objects(root_build)
     bins = binaries(root_build, harness_build)
     defined = strong_defined(objects)
     linked = kept(bins)
-    allowlist, errors = parse_allowlist(ALLOWLIST.read_text())
     unlisted, stale = compare(defined, linked, allowlist)
 
     print(f"{len(defined)} strong symbols in {len(objects)} src/ objects; "
           f"{len(bins)} binaries; {len(allowlist)} allowlisted")
+    print(f"{len(fields)} KernelTable fields; "
+          f"{len(allowed_fields)} allowlisted")
     for name in unlisted:
         rel = defined[name].relative_to(root_build)
         print(f"unlinked: {name}  [{rel}]")
+    for name in unread:
+        print(f"unread: {FIELD_PREFIX}{name} (no source outside src/simd "
+              "and tests/ calls it)")
     for name in stale:
         print(f"stale allowlist line (symbol is linked or gone): {name}")
+    for name in stale_fields:
+        print(f"stale allowlist line (field is read or gone): "
+              f"{FIELD_PREFIX}{name}")
     for error in errors:
         print(error)
-    if unlisted or stale or errors:
-        print(f"FAIL: {len(unlisted)} unlinked, {len(stale)} stale, "
+    if unlisted or unread or stale or stale_fields or errors:
+        print(f"FAIL: {len(unlisted)} unlinked, {len(unread)} unread, "
+              f"{len(stale) + len(stale_fields)} stale, "
               f"{len(errors)} malformed")
         return 1
-    print("OK: every strong src/ symbol is linked or allowlisted")
+    print("OK: every strong src/ symbol is linked or allowlisted, and "
+          "every KernelTable field is read or allowlisted")
     return 0
 
 
