@@ -18,6 +18,7 @@
 #include <iostream>
 
 #include "dataset/mica.h"
+#include "dataset/perf_database.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/bench_options.h"
 #include "experiments/family_cv.h"
@@ -118,10 +119,15 @@ main(int argc, char **argv)
     std::cout << "\n== Extension 3: effective dimensionality of the "
                  "data (PCA) ==\n\n";
     // Machine space: rows = machines, features = log2 benchmark scores.
-    linalg::Matrix machine_space(db.machineCount(),
-                                 db.benchmarkCount());
-    for (std::size_t m = 0; m < db.machineCount(); ++m) {
-        const auto scores = db.machineScores(m);
+    // A masked database's unobserved cells are imputed first, as the
+    // k-medoid selection does; a dense one is used as it is.
+    const dataset::PerfDatabase observed =
+        db.masked() ? dataset::imputeObserved(db) : dataset::PerfDatabase{};
+    const dataset::PerfDatabase &space_db = db.masked() ? observed : db;
+    linalg::Matrix machine_space(space_db.machineCount(),
+                                 space_db.benchmarkCount());
+    for (std::size_t m = 0; m < space_db.machineCount(); ++m) {
+        const auto scores = space_db.machineScores(m);
         for (std::size_t b = 0; b < scores.size(); ++b)
             machine_space(m, b) = std::log2(scores[b]);
     }

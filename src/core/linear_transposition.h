@@ -77,8 +77,6 @@ class LinearTransposition : public TranspositionPredictor
         return diagnostics_;
     }
 
-    const LinearTranspositionConfig &config() const { return config_; }
-
   private:
     /**
      * Best-fit scan for ragged problems: each (target, predictive)

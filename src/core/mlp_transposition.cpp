@@ -1,7 +1,6 @@
 #include "core/mlp_transposition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <utility>
 
@@ -35,23 +34,16 @@ observedBenchMeans(const linalg::Matrix &scores,
     return means;
 }
 
-double
-maybeLog(bool log_space, double v)
-{
-    return log_space ? std::log2(v) : v;
-}
-
 /**
  * Training inputs: one row per kept predictive machine, one column per
  * benchmark row of `scores` (the transposed view of the benchmark x
  * machine data — the "data transposition"). Unobserved cells are
- * imputed with their benchmark's observed mean, then every cell is
- * logged in log space. Dense scores take the same loop with every mask
- * query answering true.
+ * imputed with their benchmark's observed mean. Dense scores take the
+ * same loop with every mask query answering true.
  */
 linalg::Matrix
 trainingRows(const linalg::Matrix &scores, const dataset::ScoreMask &mask,
-             const std::vector<std::size_t> &kept, bool log_space)
+             const std::vector<std::size_t> &kept)
 {
     std::vector<double> means;
     if (!mask.dense())
@@ -60,8 +52,7 @@ trainingRows(const linalg::Matrix &scores, const dataset::ScoreMask &mask,
     for (std::size_t r = 0; r < kept.size(); ++r) {
         const std::size_t p = kept[r];
         for (std::size_t b = 0; b < scores.rows(); ++b)
-            train(r, b) = maybeLog(
-                log_space, mask.valid(b, p) ? scores(b, p) : means[b]);
+            train(r, b) = mask.valid(b, p) ? scores(b, p) : means[b];
     }
     return train;
 }
@@ -69,16 +60,14 @@ trainingRows(const linalg::Matrix &scores, const dataset::ScoreMask &mask,
 /**
  * The transductive feature scaling: per benchmark, the range over the
  * training rows, then the target machines (unobserved target cells
- * imputed with their benchmark's observed target mean, logged like the
- * rows). That is the order RangeNormalizer::fit visits a stacked
+ * imputed with their benchmark's observed target mean). That is the order RangeNormalizer::fit visits a stacked
  * (rows + targets) x bench matrix, so min/max get the same bits,
  * swept feature-major without staging that matrix.
  */
 ml::RangeNormalizer
 transductiveNormalizer(const linalg::Matrix &train,
                        const linalg::Matrix &target_scores,
-                       const dataset::ScoreMask &target_mask,
-                       bool log_space)
+                       const dataset::ScoreMask &target_mask)
 {
     const std::size_t n_bench = target_scores.rows();
     const std::size_t n_target = target_scores.cols();
@@ -92,9 +81,7 @@ transductiveNormalizer(const linalg::Matrix &train,
     for (std::size_t b = 0; b < n_bench; ++b) {
         const double *src = target_scores.rowData(b);
         auto target_value = [&](std::size_t t) {
-            return maybeLog(log_space, target_mask.valid(b, t)
-                                           ? src[t]
-                                           : target_means[b]);
+            return target_mask.valid(b, t) ? src[t] : target_means[b];
         };
         std::size_t t = 0;
         double l = train.rows() == 0 ? target_value(t++) : train(0, b);
@@ -144,21 +131,18 @@ MlpTransposition::fit(const TranspositionProblem &problem)
     for (std::size_t p = 0; p < n_pred; ++p)
         if (problem.appScoreValid(p))
             kept.push_back(p);
-    linalg::Matrix train =
-        trainingRows(problem.predictiveBenchScores, problem.predictiveMask,
-                     kept, config_.logSpace);
+    linalg::Matrix train = trainingRows(problem.predictiveBenchScores,
+                                        problem.predictiveMask, kept);
     std::vector<double> targets(kept.size());
     for (std::size_t r = 0; r < kept.size(); ++r)
-        targets[r] =
-            maybeLog(config_.logSpace, problem.predictiveAppScores[kept[r]]);
+        targets[r] = problem.predictiveAppScores[kept[r]];
 
     feature_norm_ = ml::RangeNormalizer{};
     if (config_.transductiveNormalization) {
         // Feature scaling over predictive + target machines (all
         // published data).
         feature_norm_ = transductiveNormalizer(
-            train, problem.targetBenchScores, problem.targetMask,
-            config_.logSpace);
+            train, problem.targetBenchScores, problem.targetMask);
         train = feature_norm_.transform(train);
     }
     const ml::MlpConfig mlp_config = networkConfig(targets);
@@ -195,32 +179,23 @@ MlpTransposition::predictColumns(linalg::Matrix target_bench_scores) const
                   "MlpTransposition::predictColumns: benchmark count "
                   "does not match the fitted network");
 
-    auto maybe_exp = [&](double v) {
-        return config_.logSpace ? std::exp2(v) : v;
-    };
-
-    // Log and normalize in place, feature-major: one benchmark row at
-    // a time (each row has one min/max pair), leaving the layout the
+    // Normalize in place, feature-major: one benchmark row at a time
+    // (each row has one min/max pair), leaving the layout the
     // network's column-major forward pass reads. Same per-element
-    // expressions as the row-major transforms, so the same bits.
-    for (std::size_t b = 0; b < n_bench; ++b) {
-        double *row = target_bench_scores.rowData(b);
-        if (config_.logSpace)
-            for (std::size_t t = 0; t < n_target; ++t)
-                row[t] = std::log2(row[t]);
-        if (config_.transductiveNormalization)
+    // expressions as the row-major transform, so the same bits.
+    if (config_.transductiveNormalization)
+        for (std::size_t b = 0; b < n_bench; ++b) {
+            double *row = target_bench_scores.rowData(b);
             feature_norm_.transformFeature(b, row, row, n_target);
-    }
+        }
     std::vector<double> predictions =
         network_->predictColumns(target_bench_scores);
-    for (std::size_t t = 0; t < n_target; ++t) {
-        double raw = predictions[t];
+    for (double &p : predictions) {
         if (config_.transductiveNormalization)
-            raw = target_norm_.inverseTransformScalar(raw);
-        predictions[t] = maybe_exp(raw);
+            p = target_norm_.inverseTransformScalar(p);
         // SPEC ratios are positive; clamp pathological extrapolations.
-        if (!config_.logSpace && predictions[t] <= 0.0)
-            predictions[t] = 1e-6;
+        if (p <= 0.0)
+            p = 1e-6;
     }
     return predictions;
 }
@@ -326,12 +301,10 @@ MlpTransposition::trainHeldOutGroup(const MlpTranspositionConfig &config,
     // A benchmark's imputed mean and range do not depend on the
     // held-out app, so neither do the block's cells: every group of
     // the block builds the same matrix.
-    linalg::Matrix x =
-        trainingRows(pred_scores, predictive.mask(), kept, config.logSpace);
+    linalg::Matrix x = trainingRows(pred_scores, predictive.mask(), kept);
     ml::RangeNormalizer norm;
     if (config.transductiveNormalization) {
-        norm = transductiveNormalizer(x, target.scores(), target.mask(),
-                                      config.logSpace);
+        norm = transductiveNormalizer(x, target.scores(), target.mask());
         x = norm.transform(x);
     }
 
@@ -352,7 +325,7 @@ MlpTransposition::trainHeldOutGroup(const MlpTranspositionConfig &config,
                 columns[l].push_back(b);
         const double *app_row = pred_scores.rowData(app);
         for (std::size_t p : kept)
-            targets[l].push_back(maybeLog(config.logSpace, app_row[p]));
+            targets[l].push_back(app_row[p]);
         if (config.transductiveNormalization)
             pr.feature_norm_ = norm.selectFeatures(columns[l]);
         nets.emplace_back(pr.networkConfig(targets[l]));

@@ -29,8 +29,6 @@ struct MlpTranspositionConfig
 {
     /** Network hyperparameters; defaults replicate WEKA v3. */
     ml::MlpConfig mlp;
-    /** Train and predict in log2 performance space (ablation). */
-    bool logSpace = false;
     /**
      * Normalize the input features over the union of predictive and
      * target machines (default). The target machines' benchmark scores
@@ -83,8 +81,8 @@ class MlpTransposition : public TranspositionPredictor
      * a per-column computation (ml::Mlp::predictColumns is
      * bit-identical to per-machine scalar predicts) and the
      * normalization is per-element. The scores are taken by value and
-     * logged and normalized in place: pass a temporary (or move) to
-     * spare the copy.
+     * normalized in place: pass a temporary (or move) to spare the
+     * copy.
      */
     std::vector<double>
     predictColumns(linalg::Matrix target_bench_scores) const;
@@ -111,9 +109,9 @@ class MlpTransposition : public TranspositionPredictor
      * makeLeaveOneOutProblem(predictive, target, app)).
      *
      * Rather than one leave-one-out problem per app, the step builds
-     * ONE machine x benchmark training matrix per row block (log space
-     * and imputation applied, and under transductive normalization
-     * range-normalized over predictive plus target machines). A
+     * ONE machine x benchmark training matrix per row block (imputation
+     * applied, and under transductive normalization range-normalized
+     * over predictive plus target machines). A
      * benchmark's range does not depend on which app is held out, so
      * the matrix minus an app's column holds exactly that app's
      * normalized training inputs. Apps that keep the same predictive
@@ -165,12 +163,10 @@ class MlpTransposition : public TranspositionPredictor
                                   const HeldOutPlan &plan, std::size_t group,
                                   std::vector<std::vector<double>> &out);
 
-    const MlpTranspositionConfig &config() const { return config_; }
-
   private:
     /**
-     * The network's config for training on `targets` (the logged app
-     * scores of the kept machines). Under transductive normalization
+     * The network's config for training on `targets` (the app scores
+     * of the kept machines). Under transductive normalization
      * fits target_norm_ on them, maps them in place and turns the
      * network's own normalization off.
      */

@@ -1,7 +1,6 @@
 #include "core/multi_transposition.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "core/line_scan.h"
@@ -47,20 +46,13 @@ MultiTransposition::predict(const TranspositionProblem &problem)
     util::require(n_bench >= 2,
                   "MultiTransposition: needs >= 2 training benchmarks");
 
-    auto maybe_log = [&](double v) {
-        return config_.logSpace ? std::log2(v) : v;
-    };
-    auto maybe_exp = [&](double v) {
-        return config_.logSpace ? std::exp2(v) : v;
-    };
-
     const std::vector<std::vector<double>> pred_cols =
-        machineColumns(problem.predictiveBenchScores, config_.logSpace);
+        machineColumns(problem.predictiveBenchScores, false);
 
     // Rank predictive machines by their single-proxy fit, as NN^T
     // does: every predictor's RSS against every target.
     std::vector<double> fit_rss(n_target * n_pred);
-    scanLineFits(pred_cols, problem.targetBenchScores, config_.logSpace,
+    scanLineFits(pred_cols, problem.targetBenchScores, false,
                  1, [&](std::size_t t, std::size_t p, const LineFit &fit) {
                      fit_rss[t * n_pred + p] = fit.rss;
                  });
@@ -72,10 +64,7 @@ MultiTransposition::predict(const TranspositionProblem &problem)
 
     std::vector<double> predictions(n_target, 0.0);
     for (std::size_t t = 0; t < n_target; ++t) {
-        std::vector<double> y = problem.targetBenchScores.column(t);
-        if (config_.logSpace)
-            for (double &v : y)
-                v = std::log2(v);
+        const std::vector<double> y = problem.targetBenchScores.column(t);
 
         // Keep the k best (ties broken by index) as joint regressors
         // and fit the ridge regression.
@@ -99,10 +88,9 @@ MultiTransposition::predict(const TranspositionProblem &problem)
 
         std::vector<double> app_features(k);
         for (std::size_t j = 0; j < k; ++j)
-            app_features[j] =
-                maybe_log(problem.predictiveAppScores[order[j]]);
-        predictions[t] = maybe_exp(fit.predict(app_features));
-        if (!config_.logSpace && !(predictions[t] > 0.0))
+            app_features[j] = problem.predictiveAppScores[order[j]];
+        predictions[t] = fit.predict(app_features);
+        if (!(predictions[t] > 0.0))
             predictions[t] = 1e-6;
 
         diagnostics_.chosenProxies[t] = order;

@@ -25,8 +25,6 @@ struct MultiTranspositionConfig
 {
     /** Number of proxy machines combined per target (>= 1). */
     std::size_t proxies = 3;
-    /** Fit and predict in log2 performance space (ablation). */
-    bool logSpace = false;
 };
 
 /** Diagnostics from the last predict() call. */
@@ -55,8 +53,6 @@ class MultiTransposition : public TranspositionPredictor
     {
         return diagnostics_;
     }
-
-    const MultiTranspositionConfig &config() const { return config_; }
 
   private:
     MultiTranspositionConfig config_;

@@ -1,8 +1,8 @@
 #include "core/spline_transposition.h"
 
-#include <cmath>
 #include <limits>
 
+#include "core/line_scan.h"
 #include "stats/spline.h"
 #include "util/error.h"
 
@@ -31,20 +31,8 @@ SplineTransposition::predict(const TranspositionProblem &problem)
     util::require(n_bench >= 2,
                   "SplineTransposition: needs >= 2 training benchmarks");
 
-    auto maybe_log = [&](double v) {
-        return config_.logSpace ? std::log2(v) : v;
-    };
-    auto maybe_exp = [&](double v) {
-        return config_.logSpace ? std::exp2(v) : v;
-    };
-
-    std::vector<std::vector<double>> pred_cols(n_pred);
-    for (std::size_t p = 0; p < n_pred; ++p) {
-        pred_cols[p] = problem.predictiveBenchScores.column(p);
-        if (config_.logSpace)
-            for (double &v : pred_cols[p])
-                v = std::log2(v);
-    }
+    const std::vector<std::vector<double>> pred_cols =
+        machineColumns(problem.predictiveBenchScores, false);
 
     diagnostics_ = SplineTranspositionDiagnostics{};
     diagnostics_.chosenPredictive.assign(n_target, 0);
@@ -52,10 +40,7 @@ SplineTransposition::predict(const TranspositionProblem &problem)
 
     std::vector<double> predictions(n_target, 0.0);
     for (std::size_t t = 0; t < n_target; ++t) {
-        std::vector<double> y = problem.targetBenchScores.column(t);
-        if (config_.logSpace)
-            for (double &v : y)
-                v = std::log2(v);
+        const std::vector<double> y = problem.targetBenchScores.column(t);
 
         double best_rss = std::numeric_limits<double>::infinity();
         std::size_t best_p = 0;
@@ -68,13 +53,13 @@ SplineTransposition::predict(const TranspositionProblem &problem)
                 best_rss = fit.residualSumSquares();
                 best_p = p;
                 best_r2 = fit.rSquared();
-                best_prediction = fit.predict(
-                    maybe_log(problem.predictiveAppScores[p]));
+                best_prediction =
+                    fit.predict(problem.predictiveAppScores[p]);
             }
         }
 
-        predictions[t] = maybe_exp(best_prediction);
-        if (!config_.logSpace && predictions[t] <= 0.0)
+        predictions[t] = best_prediction;
+        if (predictions[t] <= 0.0)
             predictions[t] = 1e-6;
         diagnostics_.chosenPredictive[t] = best_p;
         diagnostics_.fitRSquared[t] = best_r2;

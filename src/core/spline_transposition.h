@@ -20,16 +20,6 @@
 namespace dtrank::core
 {
 
-/**
- * Configuration of the SPL^T predictor. Each spline has 4 knots, fewer
- * when the data cannot support them.
- */
-struct SplineTranspositionConfig
-{
-    /** Fit and predict in log2 performance space (ablation). */
-    bool logSpace = false;
-};
-
 /** Diagnostics from the last predict() call. */
 struct SplineTranspositionDiagnostics
 {
@@ -39,16 +29,13 @@ struct SplineTranspositionDiagnostics
     std::vector<double> fitRSquared;
 };
 
-/** The SPL^T predictor. */
+/**
+ * The SPL^T predictor. Each spline has 4 knots, fewer when the data
+ * cannot support them.
+ */
 class SplineTransposition : public TranspositionPredictor
 {
   public:
-    explicit SplineTransposition(
-        SplineTranspositionConfig config = SplineTranspositionConfig{})
-        : config_(config)
-    {
-    }
-
     std::vector<double>
     predict(const TranspositionProblem &problem) override;
 
@@ -60,10 +47,7 @@ class SplineTransposition : public TranspositionPredictor
         return diagnostics_;
     }
 
-    const SplineTranspositionConfig &config() const { return config_; }
-
   private:
-    SplineTranspositionConfig config_;
     SplineTranspositionDiagnostics diagnostics_;
 };
 

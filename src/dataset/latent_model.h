@@ -99,5 +99,66 @@ const std::vector<BenchmarkProfile> &benchmarkCatalog();
 /** Number of machines per nickname in the paper's dataset. */
 constexpr int kMachinesPerNickname = 3;
 
+// The calibration both generators (synthetic_spec.cpp, scaled_spec.cpp)
+// draw every machine with, spreads and sigmas in log2 units.
+
+/**
+ * Per-(benchmark, machine) measurement noise, log2 stddev: compiler
+ * flag, memory configuration and run-to-run differences in published
+ * results. The default of SyntheticSpecConfig::measurementNoiseSigma.
+ */
+constexpr double kMeasurementNoiseSigma = 0.02;
+/**
+ * Log2 stddev of a per-machine bias on every floating-point benchmark:
+ * toolchain and platform effects (vendors submit with different
+ * compilers, which shift a machine's integer/floating-point balance).
+ */
+constexpr double kFpDomainBiasSigma = 0.05;
+/**
+ * Log2 half-range of the per-variant clock bin: the machines of one
+ * nickname are the same silicon at different clock speeds. The bin
+ * shifts every core-clock-domain capability (frequency, ILP, FP,
+ * integer, branch) together.
+ */
+constexpr double kVariantSpread = 0.22;
+/**
+ * Log2 half-range of the per-machine memory configuration (FSB/DRAM
+ * speed, channel population). Partly independent of the clock bin, so
+ * machines of one nickname rank differently for memory-bound than for
+ * compute-bound workloads: the app-specific ranking signal the
+ * per-application predictors exploit.
+ */
+constexpr double kVariantMemSpread = 0.18;
+/** Log2 half-range of the per-machine cache configuration. */
+constexpr double kVariantCacheSpread = 0.05;
+/**
+ * Share of the memory and cache bins that follows the clock bin:
+ * vendors pair faster CPUs with better platforms, but never so
+ * strictly that a nickname's memory ranking fully inverts.
+ */
+constexpr double kConfigCorrelation = 0.35;
+/** Small per-variant, per-dimension capability jitter (log2 stddev). */
+constexpr double kVariantCapabilityJitter = 0.06;
+/**
+ * Extra log2 score on machines whose nickname carries the streaming
+ * platform boost, for benchmarks with bandwidth demand >=
+ * kStreamingBoostThreshold (NicknameProfile::streamingPlatformBoost).
+ * The default of SyntheticSpecConfig::streamingBoost.
+ */
+constexpr double kStreamingBoost = 0.25;
+/** Bandwidth-demand threshold of the streaming boost. */
+constexpr double kStreamingBoostThreshold = 0.50;
+/**
+ * Log2 stddev, per benchmark per year of machine age, of a
+ * benchmark-specific temporal drift. Older machines were measured with
+ * older compilers and libraries, so a benchmark's relation to the rest
+ * of the suite is not quite stationary over time: the effect behind
+ * Table 3's degradation with predictive-set age (and GA-kNN's relative
+ * advantage far out, since it only consumes target-machine data).
+ */
+constexpr double kTemporalDriftSigma = 0.04;
+/** Release year the drift is measured from (the newest machines). */
+constexpr int kDriftReferenceYear = 2009;
+
 } // namespace dtrank::dataset
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "linalg/vector_ops.h"
@@ -44,6 +45,26 @@ const std::array<CharacteristicSpec, 12> kCharacteristics = {{
 }};
 
 constexpr std::size_t kNumChars = kCharacteristics.size();
+
+/** Seed of every draw of the characteristic generator. */
+constexpr std::uint64_t kSeed = 7;
+/** Profiling noise added to each characteristic. */
+constexpr double kNoiseSigma = 0.03;
+/**
+ * Within-cluster spread, in units of the minimum distance between
+ * cluster centres (which is normalized to 1).
+ */
+constexpr double kIntraClusterSigma = 0.17;
+/**
+ * Distance of a disguised outlier from its twin cluster's centre, in
+ * the same units. It exceeds 1 so the outlier stays out of mainstream
+ * neighbour lists while the twin cluster remains its own nearest
+ * neighbourhood.
+ */
+constexpr double kRingRadius = 1.80;
+static_assert(kRingRadius > 1.0,
+              "the ring must lie beyond the normalized inter-centre "
+              "distance");
 
 /** Maps a demand vector through the characteristic mixing matrix. */
 std::vector<double>
@@ -95,23 +116,14 @@ micaClusterOf(const BenchmarkProfile &profile)
                : MicaCluster::FpNumeric;
 }
 
-MicaGenerator::MicaGenerator(MicaConfig config) : config_(config)
-{
-    util::require(config_.noiseSigma >= 0.0,
-                  "MicaGenerator: noise sigma must be >= 0");
-    util::require(config_.intraClusterSigma > 0.0,
-                  "MicaGenerator: intraClusterSigma must be positive");
-    util::require(config_.ringRadius > 1.0,
-                  "MicaGenerator: ringRadius must exceed 1 (the "
-                  "normalized inter-centre distance)");
-}
+MicaGenerator::MicaGenerator(MicaConfig config) : config_(config) {}
 
 linalg::Matrix
 MicaGenerator::generate(
     const std::vector<BenchmarkProfile> &profiles) const
 {
     util::require(!profiles.empty(), "MicaGenerator: no profiles");
-    util::Rng rng(config_.seed);
+    util::Rng rng(kSeed);
     const auto &disguises = characteristicDisguises();
 
     // Assign clusters. Disguised outliers are ring members of their
@@ -249,20 +261,20 @@ MicaGenerator::generate(
             for (double &x : dir)
                 x /= n;
             ring_dirs.emplace_back(assign[b].cluster, dir);
-            linalg::addScaled(point, dir, config_.ringRadius);
+            linalg::addScaled(point, dir, kRingRadius);
             // A little residual spread on top of the ring position.
             for (double &x : point)
-                x += rng.gaussian(0.0, 0.3 * config_.intraClusterSigma);
+                x += rng.gaussian(0.0, 0.3 * kIntraClusterSigma);
         } else {
             for (double &x : point)
-                x += rng.gaussian(0.0, config_.intraClusterSigma);
+                x += rng.gaussian(0.0, kIntraClusterSigma);
         }
 
         for (std::size_t c = 0; c < kNumChars; ++c)
-            raw(b, c) = point[c] + rng.gaussian(0.0, config_.noiseSigma);
+            raw(b, c) = point[c] + rng.gaussian(0.0, kNoiseSigma);
     }
 
-    if (!config_.standardize || profiles.size() < 2)
+    if (profiles.size() < 2)
         return raw;
 
     ml::StandardNormalizer norm;

@@ -25,7 +25,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -44,24 +43,13 @@ enum class MicaCluster
     Memory      ///< Codes with visibly memory-centric behaviour.
 };
 
-/** Knobs of the characteristic generator. */
+/**
+ * Knobs of the characteristic generator. Its geometry (seed, noise,
+ * cluster spread, ring radius) is fixed in mica.cpp, and every
+ * characteristic is z-normalized across benchmarks.
+ */
 struct MicaConfig
 {
-    std::uint64_t seed = 7;
-    /** Profiling noise added to each characteristic. */
-    double noiseSigma = 0.03;
-    /**
-     * Within-cluster spread, in units of the minimum distance between
-     * cluster centres (which is normalized to 1).
-     */
-    double intraClusterSigma = 0.17;
-    /**
-     * Distance of a disguised outlier from its twin cluster's centre,
-     * in the same units. Must exceed 1 so the outlier stays out of
-     * mainstream neighbour lists while the twin cluster remains its
-     * own nearest neighbourhood.
-     */
-    double ringRadius = 1.80;
     /**
      * Place the benchmarks in characteristicDisguises() on the outlier
      * ring of their twin's cluster (default). Disabling this gives
@@ -69,8 +57,6 @@ struct MicaConfig
      * removes the GA-kNN baseline's outlier weakness.
      */
     bool disguiseOutliers = true;
-    /** Z-normalize each characteristic across benchmarks (default). */
-    bool standardize = true;
 };
 
 /**
@@ -104,8 +90,6 @@ class MicaGenerator
 
     /** Characteristics for the full paper benchmark catalog. */
     linalg::Matrix generateForCatalog() const;
-
-    const MicaConfig &config() const { return config_; }
 
   private:
     MicaConfig config_;

@@ -1,5 +1,6 @@
 #include "dataset/scaled_spec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -21,6 +22,24 @@ constexpr std::uint64_t kStreamDrift = 3;
 constexpr std::uint64_t kStreamBenchProfile = 4;
 constexpr std::uint64_t kStreamNickProfile = 5;
 
+/**
+ * Log2 stddev of the per-dimension capability jitter of derived
+ * (generation >= 1) nicknames. Zero-mean: derived families are
+ * siblings of the base family, not faster or slower ones.
+ */
+constexpr double kNicknameCapabilityJitter = 0.10;
+/**
+ * Stddev of the demand-weight jitter of derived benchmarks (bandwidth
+ * demand is never jittered; see the header comment).
+ */
+constexpr double kDemandJitterSigma = 0.02;
+/** Log2 stddev of the offset jitter of derived benchmarks. */
+constexpr double kOffsetJitterSigma = 0.10;
+
+// Machines of a nickname are numbered 0..n-1 and span its clock bin.
+static_assert(kMachinesPerNickname >= 2,
+              "a nickname needs two variants to span its clock bin");
+
 /** splitmix64 finalizer. */
 constexpr std::uint64_t
 mix64(std::uint64_t x)
@@ -41,8 +60,7 @@ scaledStreamSeed(std::uint64_t seed, std::uint64_t stream,
 }
 
 std::vector<NicknameProfile>
-makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed,
-                           double capabilityJitter)
+makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed)
 {
     const auto &catalog = nicknameCatalog();
     std::vector<NicknameProfile> out;
@@ -57,7 +75,8 @@ makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed,
             util::Rng rng(
                 scaledStreamSeed(seed, kStreamNickProfile, i));
             for (std::size_t d = 0; d < kCapabilityDims; ++d)
-                p.capability[d] += rng.gaussian(0.0, capabilityJitter);
+                p.capability[d] +=
+                    rng.gaussian(0.0, kNicknameCapabilityJitter);
         }
         out.push_back(std::move(p));
     }
@@ -65,9 +84,7 @@ makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed,
 }
 
 std::vector<BenchmarkProfile>
-makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed,
-                            double demandJitterSigma,
-                            double offsetJitterSigma)
+makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed)
 {
     const auto &catalog = benchmarkCatalog();
     constexpr auto kMembw =
@@ -93,7 +110,9 @@ makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed,
                     continue;
                 b.demand[d] = std::max(
                     0.005,
-                    b.demand[d] + rng.gaussian(0.0, demandJitterSigma));
+                    b.demand[d] + rng.gaussian(0.0, kDemandJitterSigma));
+                // Summed in ascending demand-dimension order:
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 rest += b.demand[d];
             }
             if (rest > 0.0) {
@@ -102,7 +121,7 @@ makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed,
                     if (d != kMembw)
                         b.demand[d] *= target / rest;
             }
-            b.offset += rng.gaussian(0.0, offsetJitterSigma);
+            b.offset += rng.gaussian(0.0, kOffsetJitterSigma);
         }
         out.push_back(std::move(b));
     }
@@ -116,35 +135,24 @@ ScaledSpecGenerator::ScaledSpecGenerator(ScaledSpecConfig config)
                   "ScaledSpecGenerator: machines must be >= 1");
     util::require(config_.benchmarks >= 3,
                   "ScaledSpecGenerator: benchmarks must be >= 3");
-    util::require(config_.base.machinesPerNickname >= 1,
-                  "ScaledSpecGenerator: machinesPerNickname must be >= 1");
-    util::require(config_.nicknameCapabilityJitter >= 0.0 &&
-                      config_.demandJitterSigma >= 0.0 &&
-                      config_.offsetJitterSigma >= 0.0,
-                  "ScaledSpecGenerator: jitter sigmas must be >= 0");
 }
 
 std::vector<BenchmarkProfile>
 ScaledSpecGenerator::benchmarkProfiles() const
 {
-    return makeScaledBenchmarkProfiles(config_.benchmarks, config_.seed,
-                                       config_.demandJitterSigma,
-                                       config_.offsetJitterSigma);
+    return makeScaledBenchmarkProfiles(config_.benchmarks, config_.seed);
 }
 
 PerfDatabase
 ScaledSpecGenerator::generate() const
 {
-    const SyntheticSpecConfig &base = config_.base;
     const auto n_machines = config_.machines;
     const auto n_bench = config_.benchmarks;
-    const auto per_nick =
-        static_cast<std::size_t>(base.machinesPerNickname);
+    constexpr auto per_nick = static_cast<std::size_t>(kMachinesPerNickname);
     const std::size_t n_nick = (n_machines + per_nick - 1) / per_nick;
 
     const std::vector<NicknameProfile> nicknames =
-        makeScaledNicknameProfiles(n_nick, config_.seed,
-                                   config_.nicknameCapabilityJitter);
+        makeScaledNicknameProfiles(n_nick, config_.seed);
     const std::vector<BenchmarkProfile> benchmarks = benchmarkProfiles();
 
     std::vector<BenchmarkInfo> bench_infos;
@@ -155,7 +163,7 @@ ScaledSpecGenerator::generate() const
     std::vector<double> drift(n_bench);
     for (std::size_t b = 0; b < n_bench; ++b) {
         util::Rng rng(scaledStreamSeed(config_.seed, kStreamDrift, b));
-        drift[b] = rng.gaussian(0.0, base.temporalDriftSigma);
+        drift[b] = rng.gaussian(0.0, kTemporalDriftSigma);
     }
 
     std::vector<MachineInfo> machines(n_machines);
@@ -187,18 +195,14 @@ ScaledSpecGenerator::generate() const
             scaledStreamSeed(config_.seed, kStreamNicknameBins, n));
         std::vector<double> ordered(per_nick, 0.0);
         for (std::size_t v = 0; v < per_nick; ++v) {
-            ordered[v] =
-                per_nick > 1
-                    ? 2.0 * (static_cast<double>(v) /
-                                 static_cast<double>(per_nick - 1) -
-                             0.5)
-                    : 0.0;
+            ordered[v] = 2.0 * (static_cast<double>(v) /
+                                    static_cast<double>(per_nick - 1) -
+                                0.5);
         }
         std::vector<double> mem_mix = ordered;
         std::vector<double> cache_mix = ordered;
         nick_rng.shuffle(mem_mix);
         nick_rng.shuffle(cache_mix);
-        constexpr double kConfigCorrelation = 0.35;
 
         for (std::size_t v = 0; v < per_nick; ++v) {
             const std::size_t mi = n * per_nick + v;
@@ -208,18 +212,16 @@ ScaledSpecGenerator::generate() const
                 scaledStreamSeed(config_.seed, kStreamMachine, mi));
 
             const double clock_bin =
-                per_nick > 1
-                    ? (static_cast<double>(v) /
-                           static_cast<double>(per_nick - 1) -
-                       0.5) *
-                          2.0 * base.variantSpread
-                    : 0.0;
+                (static_cast<double>(v) /
+                     static_cast<double>(per_nick - 1) -
+                 0.5) *
+                2.0 * kVariantSpread;
             const double mem_bin =
-                base.variantMemSpread *
+                kVariantMemSpread *
                 (kConfigCorrelation * ordered[v] +
                  (1.0 - kConfigCorrelation) * mem_mix[v]);
             const double cache_bin =
-                base.variantCacheSpread *
+                kVariantCacheSpread *
                 (kConfigCorrelation * ordered[v] +
                  (1.0 - kConfigCorrelation) * cache_mix[v]);
 
@@ -232,29 +234,37 @@ ScaledSpecGenerator::generate() const
                     cap[d] += cache_bin;
                 else
                     cap[d] += clock_bin;
-                cap[d] +=
-                    m_rng.gaussian(0.0, base.variantCapabilityJitter);
+                cap[d] += m_rng.gaussian(0.0, kVariantCapabilityJitter);
             }
-            const double fp_bias =
-                m_rng.gaussian(0.0, base.fpDomainBiasSigma);
+            const double fp_bias = m_rng.gaussian(0.0, kFpDomainBiasSigma);
 
-            const int age =
-                base.driftReferenceYear - nick.releaseYear;
+            // Each log score sums its terms in the paper-scale
+            // generator's fixed order: demand dimensions ascending,
+            // then FP bias, boost, drift and noise.
+            const int age = kDriftReferenceYear - nick.releaseYear;
             double *row = machine_major.rowData(mi);
             for (std::size_t b = 0; b < n_bench; ++b) {
                 const BenchmarkProfile &bench = benchmarks[b];
                 double log_score = bench.offset;
-                for (std::size_t d = 0; d < kCapabilityDims; ++d)
+                for (std::size_t d = 0; d < kCapabilityDims; ++d) {
+                    // dtrank-analyze-ignore(no-fp-accumulate)
                     log_score += bench.demand[d] * cap[d];
-                if (bench.info.domain == BenchmarkDomain::FloatingPoint)
+                }
+                if (bench.info.domain == BenchmarkDomain::FloatingPoint) {
+                    // dtrank-analyze-ignore(no-fp-accumulate)
                     log_score += fp_bias;
+                }
                 if (nick.streamingPlatformBoost &&
-                    bench.demand[kMembw] >= base.streamingBoostThreshold)
-                    log_score += base.streamingBoost;
-                if (age > 0)
+                    bench.demand[kMembw] >= kStreamingBoostThreshold) {
+                    // dtrank-analyze-ignore(no-fp-accumulate)
+                    log_score += kStreamingBoost;
+                }
+                if (age > 0) {
+                    // dtrank-analyze-ignore(no-fp-accumulate)
                     log_score += drift[b] * static_cast<double>(age);
-                log_score +=
-                    m_rng.gaussian(0.0, base.measurementNoiseSigma);
+                }
+                // dtrank-analyze-ignore(no-fp-accumulate)
+                log_score += m_rng.gaussian(0.0, kMeasurementNoiseSigma);
                 row[b] = std::exp2(log_score);
             }
         }

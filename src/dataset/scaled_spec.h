@@ -35,12 +35,15 @@
 
 #include "dataset/latent_model.h"
 #include "dataset/perf_database.h"
-#include "dataset/synthetic_spec.h"
 
 namespace dtrank::dataset
 {
 
-/** Knobs of the scaled database generator. */
+/**
+ * Knobs of the scaled database generator. Its calibration is the
+ * paper-scale generator's defaults (the constants in latent_model.h)
+ * plus the fixed jitters of derived nicknames and benchmarks.
+ */
 struct ScaledSpecConfig
 {
     /** Total machines to generate (any count >= 1). */
@@ -49,25 +52,6 @@ struct ScaledSpecConfig
     std::size_t benchmarks = 29;
     /** Seed controlling every random draw. */
     std::uint64_t seed = 2011;
-    /**
-     * Noise/spread knobs shared with the paper-scale generator. The
-     * `seed` field inside is ignored (the scaled seed above rules) and
-     * machinesPerNickname keeps its usual meaning.
-     */
-    SyntheticSpecConfig base;
-    /**
-     * Log2 stddev of the per-dimension capability jitter applied to
-     * derived (generation >= 1) nicknames. Zero-mean: derived families
-     * are siblings of the base family, not faster or slower ones.
-     */
-    double nicknameCapabilityJitter = 0.10;
-    /**
-     * Stddev of the demand-weight jitter on derived benchmarks
-     * (bandwidth demand is never jittered; see file comment).
-     */
-    double demandJitterSigma = 0.02;
-    /** Log2 stddev of the offset jitter on derived benchmarks. */
-    double offsetJitterSigma = 0.10;
     /**
      * Worker threads for generation (1 = serial, 0 = hardware
      * concurrency). Output is bit-identical for every value.
@@ -89,8 +73,7 @@ std::uint64_t scaledStreamSeed(std::uint64_t seed, std::uint64_t stream,
  * capabilities and suffixed family/nickname names described above.
  */
 std::vector<NicknameProfile>
-makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed,
-                           double capabilityJitter = 0.10);
+makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed);
 
 /**
  * `count` benchmark profiles cycling the base catalog (generation 0
@@ -101,9 +84,7 @@ makeScaledNicknameProfiles(std::size_t count, std::uint64_t seed,
  * derived outliers get honest characteristics.
  */
 std::vector<BenchmarkProfile>
-makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed,
-                            double demandJitterSigma = 0.02,
-                            double offsetJitterSigma = 0.10);
+makeScaledBenchmarkProfiles(std::size_t count, std::uint64_t seed);
 
 /** Scaled database builder; see the file comment for the scheme. */
 class ScaledSpecGenerator
@@ -116,8 +97,6 @@ class ScaledSpecGenerator
 
     /** The benchmark profiles generate() uses, for characteristics. */
     std::vector<BenchmarkProfile> benchmarkProfiles() const;
-
-    const ScaledSpecConfig &config() const { return config_; }
 
   private:
     ScaledSpecConfig config_;

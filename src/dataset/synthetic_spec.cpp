@@ -9,26 +9,15 @@
 namespace dtrank::dataset
 {
 
+// A clock bin spans the nickname's variants from -spread to +spread.
+static_assert(kMachinesPerNickname >= 2,
+              "a nickname needs two variants to span its clock bin");
+
 SyntheticSpecGenerator::SyntheticSpecGenerator(SyntheticSpecConfig config)
     : config_(config)
 {
     util::require(config_.measurementNoiseSigma >= 0.0,
                   "SyntheticSpecGenerator: noise sigma must be >= 0");
-    util::require(config_.fpDomainBiasSigma >= 0.0,
-                  "SyntheticSpecGenerator: fp bias sigma must be >= 0");
-    util::require(config_.variantSpread >= 0.0,
-                  "SyntheticSpecGenerator: variant spread must be >= 0");
-    util::require(config_.variantMemSpread >= 0.0,
-                  "SyntheticSpecGenerator: mem spread must be >= 0");
-    util::require(config_.variantCacheSpread >= 0.0,
-                  "SyntheticSpecGenerator: cache spread must be >= 0");
-    util::require(config_.variantCapabilityJitter >= 0.0,
-                  "SyntheticSpecGenerator: variant jitter must be >= 0");
-    util::require(config_.temporalDriftSigma >= 0.0,
-                  "SyntheticSpecGenerator: drift sigma must be >= 0");
-    util::require(config_.machinesPerNickname >= 1,
-                  "SyntheticSpecGenerator: machinesPerNickname must be "
-                  ">= 1");
 }
 
 PerfDatabase
@@ -49,33 +38,30 @@ SyntheticSpecGenerator::generate() const
         // independent component, so machines of one nickname rank
         // somewhat differently for memory-bound than for compute-bound
         // workloads without ever fully inverting.
-        const auto n_var =
-            static_cast<std::size_t>(config_.machinesPerNickname);
+        constexpr auto n_var =
+            static_cast<std::size_t>(kMachinesPerNickname);
         std::vector<double> ordered(n_var, 0.0);
         for (std::size_t v = 0; v < n_var; ++v) {
-            ordered[v] =
-                n_var > 1 ? 2.0 * (static_cast<double>(v) /
-                                       static_cast<double>(n_var - 1) -
-                                   0.5)
-                          : 0.0;
+            ordered[v] = 2.0 * (static_cast<double>(v) /
+                                    static_cast<double>(n_var - 1) -
+                                0.5);
         }
         std::vector<double> mem_mix = ordered;
         std::vector<double> cache_mix = ordered;
         rng.shuffle(mem_mix);
         rng.shuffle(cache_mix);
-        constexpr double kConfigCorrelation = 0.35;
         std::vector<double> mem_bins(n_var);
         std::vector<double> cache_bins(n_var);
         for (std::size_t i = 0; i < n_var; ++i) {
-            mem_bins[i] = config_.variantMemSpread *
+            mem_bins[i] = kVariantMemSpread *
                           (kConfigCorrelation * ordered[i] +
                            (1.0 - kConfigCorrelation) * mem_mix[i]);
-            cache_bins[i] = config_.variantCacheSpread *
+            cache_bins[i] = kVariantCacheSpread *
                             (kConfigCorrelation * ordered[i] +
                              (1.0 - kConfigCorrelation) * cache_mix[i]);
         }
 
-        for (int v = 0; v < config_.machinesPerNickname; ++v) {
+        for (int v = 0; v < kMachinesPerNickname; ++v) {
             MachineInfo m;
             m.vendor = nick.vendor;
             m.family = nick.family;
@@ -91,12 +77,9 @@ SyntheticSpecGenerator::generate() const
             // configuration, and small per-dimension jitter.
             CapabilityVector cap = nick.capability;
             const double clock_bin =
-                config_.machinesPerNickname > 1
-                    ? (static_cast<double>(v) /
-                           (config_.machinesPerNickname - 1) -
-                       0.5) *
-                          2.0 * config_.variantSpread
-                    : 0.0;
+                (static_cast<double>(v) / (kMachinesPerNickname - 1) -
+                 0.5) *
+                2.0 * kVariantSpread;
             const double mem_bin = mem_bins[static_cast<std::size_t>(v)];
             const double cache_bin =
                 cache_bins[static_cast<std::size_t>(v)];
@@ -108,13 +91,11 @@ SyntheticSpecGenerator::generate() const
                     cap[d] += cache_bin;
                 else
                     cap[d] += clock_bin;
-                cap[d] += rng.gaussian(
-                    0.0, config_.variantCapabilityJitter);
+                cap[d] += rng.gaussian(0.0, kVariantCapabilityJitter);
             }
             capabilities.push_back(cap);
             streaming_boosted.push_back(nick.streamingPlatformBoost);
-            fp_bias.push_back(
-                rng.gaussian(0.0, config_.fpDomainBiasSigma));
+            fp_bias.push_back(rng.gaussian(0.0, kFpDomainBiasSigma));
         }
     }
 
@@ -125,32 +106,41 @@ SyntheticSpecGenerator::generate() const
         bench_infos.push_back(b.info);
 
     // Per-benchmark temporal drift directions (see
-    // SyntheticSpecConfig::temporalDriftSigma).
+    // kTemporalDriftSigma).
     std::vector<double> drift(benchmarks.size());
     for (double &d : drift)
-        d = rng.gaussian(0.0, config_.temporalDriftSigma);
+        d = rng.gaussian(0.0, kTemporalDriftSigma);
 
-    // Score matrix: 2^(offset + demand . capability + noise).
+    // Score matrix: 2^(offset + demand . capability + noise). Each
+    // log score sums its terms in one fixed order: demand dimensions
+    // ascending, then FP bias, boost, drift and noise.
     linalg::Matrix scores(benchmarks.size(), machines.size());
     for (std::size_t bi = 0; bi < benchmarks.size(); ++bi) {
         const BenchmarkProfile &b = benchmarks[bi];
         for (std::size_t mi = 0; mi < machines.size(); ++mi) {
             double log_score = b.offset;
-            for (std::size_t d = 0; d < kCapabilityDims; ++d)
+            for (std::size_t d = 0; d < kCapabilityDims; ++d) {
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 log_score += b.demand[d] * capabilities[mi][d];
-            if (b.info.domain == BenchmarkDomain::FloatingPoint)
+            }
+            if (b.info.domain == BenchmarkDomain::FloatingPoint) {
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 log_score += fp_bias[mi];
+            }
             const double membw_demand = b.demand[static_cast<std::size_t>(
                 CapabilityDim::MemBandwidth)];
             if (streaming_boosted[mi] &&
-                membw_demand >= config_.streamingBoostThreshold)
+                membw_demand >= kStreamingBoostThreshold) {
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 log_score += config_.streamingBoost;
-            const int age = config_.driftReferenceYear -
-                            machines[mi].releaseYear;
-            if (age > 0)
+            }
+            const int age = kDriftReferenceYear - machines[mi].releaseYear;
+            if (age > 0) {
+                // dtrank-analyze-ignore(no-fp-accumulate)
                 log_score += drift[bi] * static_cast<double>(age);
-            log_score +=
-                rng.gaussian(0.0, config_.measurementNoiseSigma);
+            }
+            // dtrank-analyze-ignore(no-fp-accumulate)
+            log_score += rng.gaussian(0.0, config_.measurementNoiseSigma);
             scores(bi, mi) = std::exp2(log_score);
         }
     }

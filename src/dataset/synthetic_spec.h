@@ -15,66 +15,21 @@
 namespace dtrank::dataset
 {
 
-/** Knobs of the synthetic database generator. */
+/**
+ * Knobs of the synthetic database generator. The rest of its
+ * calibration is fixed; see the constants in latent_model.h.
+ */
 struct SyntheticSpecConfig
 {
     /** Seed controlling every random draw in the generator. */
     std::uint64_t seed = 2011;
+    /** Per-(benchmark, machine) measurement noise, log2 stddev. */
+    double measurementNoiseSigma = kMeasurementNoiseSigma;
     /**
-     * Per-(benchmark, machine) measurement noise, log2 stddev. Models
-     * compiler flag, memory configuration and run-to-run differences in
-     * published results.
+     * Extra log2 score of the streaming platform boost (see
+     * kStreamingBoost); 0 turns the boost off.
      */
-    double measurementNoiseSigma = 0.02;
-    /**
-     * Log2 stddev of a per-machine bias applied to all floating-point
-     * benchmarks. Models toolchain and platform effects in published
-     * results (different vendors submit with different compilers,
-     * which shift the integer/floating-point balance of a machine).
-     */
-    double fpDomainBiasSigma = 0.05;
-    /**
-     * Log2 half-range of the per-variant clock bin: the three machines
-     * of one nickname are the same silicon at different clock speeds.
-     * The bin shifts all core-clock-domain capabilities (frequency,
-     * ILP, FP, integer, branch) together.
-     */
-    double variantSpread = 0.22;
-    /**
-     * Log2 half-range of the per-machine memory configuration
-     * (FSB/DRAM speed, channel population). Independent of the clock
-     * bin, so machines of one nickname rank differently for
-     * memory-bound than for compute-bound workloads — the app-specific
-     * ranking signal the paper's per-application predictors exploit.
-     */
-    double variantMemSpread = 0.18;
-    /** Log2 half-range of the per-machine cache configuration. */
-    double variantCacheSpread = 0.05;
-    /** Small per-variant, per-dimension capability jitter (log2). */
-    double variantCapabilityJitter = 0.06;
-    /**
-     * Extra log2 score on machines whose nickname carries the
-     * streaming-platform boost, applied to benchmarks with bandwidth
-     * demand >= streamingBoostThreshold. See
-     * NicknameProfile::streamingPlatformBoost.
-     */
-    double streamingBoost = 0.25;
-    /** Bandwidth-demand threshold for the streaming boost. */
-    double streamingBoostThreshold = 0.50;
-    /**
-     * Log2 stddev, per benchmark per year of machine age, of a
-     * benchmark-specific temporal drift. Older machines were measured
-     * with older compilers and libraries, so the relationship between
-     * a benchmark and the rest of the suite is not quite stationary
-     * over time — the effect behind Table 3's degradation with
-     * predictive-set age (and behind GA-kNN's relative advantage far
-     * out, since it only consumes target-machine data).
-     */
-    double temporalDriftSigma = 0.04;
-    /** Reference year the drift is measured from (newest machines). */
-    int driftReferenceYear = 2009;
-    /** Machines generated per CPU nickname (the paper uses 3). */
-    int machinesPerNickname = kMachinesPerNickname;
+    double streamingBoost = kStreamingBoost;
 };
 
 /**
@@ -95,8 +50,6 @@ class SyntheticSpecGenerator
 
     /** Builds the full 117-machine, 29-benchmark database. */
     PerfDatabase generate() const;
-
-    const SyntheticSpecConfig &config() const { return config_; }
 
   private:
     SyntheticSpecConfig config_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/multi_transposition.h"
+#include "core/spline_transposition.h"
 #include "core/transposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -118,13 +120,13 @@ predictTask(Method method, const MethodSuiteConfig &config,
         break;
       }
       case Method::SplT: {
-        core::SplineTransposition predictor(config.spline);
+        core::SplineTransposition predictor;
         predicted = predictor.predict(
             core::makeLeaveOneOutProblem(pred_db, target_db, app));
         break;
       }
       case Method::MultiNnT: {
-        core::MultiTransposition predictor(config.multi);
+        core::MultiTransposition predictor;
         predicted = predictor.predict(
             core::makeLeaveOneOutProblem(pred_db, target_db, app));
         break;

@@ -18,8 +18,6 @@
 #include "core/linear_transposition.h"
 #include "core/metrics.h"
 #include "core/mlp_transposition.h"
-#include "core/multi_transposition.h"
-#include "core/spline_transposition.h"
 #include "dataset/perf_database.h"
 #include "linalg/matrix.h"
 #include "util/thread_pool.h"
@@ -68,8 +66,6 @@ struct MethodSuiteConfig
     core::LinearTranspositionConfig linear;
     core::MlpTranspositionConfig mlp;
     baseline::GaKnnConfig gaKnn;
-    core::SplineTranspositionConfig spline;
-    core::MultiTranspositionConfig multi;
     core::MlpTranspositionConfig deep = defaultDeepConfig();
     /**
      * Base seed for the MLP; each (split, benchmark) task derives its

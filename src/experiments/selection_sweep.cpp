@@ -12,6 +12,16 @@
 namespace dtrank::experiments
 {
 
+namespace
+{
+
+/** Machines of this year are the targets. */
+constexpr int kTargetYear = 2009;
+/** Seed of the k-medoid and random selections. */
+constexpr std::uint64_t kSeed = 1234;
+
+} // namespace
+
 SelectionSweep::SelectionSweep(const SplitEvaluator &evaluator,
                                SelectionSweepConfig config)
     : evaluator_(evaluator), config_(config)
@@ -27,8 +37,8 @@ SelectionSweep::pooledR2(const std::vector<std::size_t> &predictive,
                          std::uint64_t split_tag) const
 {
     const SplitResults split = evaluator_.evaluateSplit(
-        predictive, targets, {config_.method}, split_tag);
-    const auto &tasks = split.at(config_.method);
+        predictive, targets, {Method::MlpT}, split_tag);
+    const auto &tasks = split.at(Method::MlpT);
 
     // Pool all predictions in log2 space so no single benchmark's
     // scale dominates the fit. Goodness of fit is the squared
@@ -54,11 +64,9 @@ SelectionSweep::run() const
     obs::TraceSpan span("selection_sweep_run", "protocol");
     const dataset::PerfDatabase &db = evaluator_.database();
     const std::vector<std::size_t> targets =
-        db.machineIndicesByYear(config_.targetYear);
+        db.machineIndicesByYear(kTargetYear);
     const std::vector<std::size_t> candidates =
-        config_.poolAllBeforeTarget
-            ? db.machineIndicesBeforeYear(config_.targetYear)
-            : db.machineIndicesByYear(config_.predictiveYear);
+        db.machineIndicesBeforeYear(kTargetYear);
     util::require(targets.size() >= 2,
                   "SelectionSweep: needs >= 2 target machines");
     util::require(config_.maxK <= candidates.size(),
@@ -73,7 +81,7 @@ SelectionSweep::run() const
         std::uint64_t tag = 0;
     };
     const std::size_t per_k = 1 + config_.randomDraws;
-    util::Rng rng(config_.seed);
+    util::Rng rng(kSeed);
     std::uint64_t split_tag = 300;
     std::vector<SweepTask> sweep_tasks;
     sweep_tasks.reserve(config_.maxK * per_k);

@@ -17,28 +17,20 @@
 namespace dtrank::experiments
 {
 
-/** Configuration of the selection sweep. */
+/**
+ * Configuration of the selection sweep. The targets are the 2009
+ * machines, the predictive machines are selected from every machine
+ * released before 2009 (the pool that matches the paper's example
+ * selection: an Intel Core 2, a Pentium D Presler, a Xeon and a
+ * SPARC64 when picking four machines), and the fit measured is
+ * MLP^T's, as in the paper.
+ */
 struct SelectionSweepConfig
 {
-    /** Machines of this year are the targets. */
-    int targetYear = 2009;
-    /** Predictive machines are selected from this year... */
-    int predictiveYear = 2008;
-    /**
-     * ...or, when set (default), from every machine released before
-     * the target year — the richer pool that matches the paper's
-     * example selection (an Intel Core 2, a Pentium D Presler, a Xeon
-     * and a SPARC64 when picking four machines).
-     */
-    bool poolAllBeforeTarget = true;
     /** Largest number of predictive machines swept (1..maxK). */
     std::size_t maxK = 10;
     /** Random draws averaged per k (the paper uses 50). */
     std::size_t randomDraws = 50;
-    /** Seed for selection randomness. */
-    std::uint64_t seed = 1234;
-    /** Method whose fit is measured (the paper uses MLP^T). */
-    Method method = Method::MlpT;
 };
 
 /** One point of Figure 8. */
@@ -69,7 +61,7 @@ class SelectionSweep
     /**
      * Pooled goodness of fit: R² of predicted vs actual scores in log2
      * space, pooled over every (benchmark, target machine) pair of a
-     * split evaluated with the configured method.
+     * split evaluated with MLP^T.
      */
     double pooledR2(const std::vector<std::size_t> &predictive,
                     const std::vector<std::size_t> &targets,

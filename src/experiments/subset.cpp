@@ -1,5 +1,7 @@
 #include "experiments/subset.h"
 
+#include <cstdint>
+
 #include "core/selection.h"
 #include "obs/trace.h"
 #include "util/error.h"
@@ -8,6 +10,18 @@
 
 namespace dtrank::experiments
 {
+
+namespace
+{
+
+/** Machines of this year are the targets. */
+constexpr int kTargetYear = 2009;
+/** Subsets are drawn from machines of this year. */
+constexpr int kPredictiveYear = 2008;
+/** Seed of the subset draws. */
+constexpr std::uint64_t kSeed = 99;
+
+} // namespace
 
 SubsetExperiment::SubsetExperiment(const SplitEvaluator &evaluator,
                                    SubsetExperimentConfig config)
@@ -25,9 +39,9 @@ SubsetExperiment::run(const std::vector<Method> &methods) const
     obs::TraceSpan span("subset_experiment_run", "protocol");
     const dataset::PerfDatabase &db = evaluator_.database();
     const std::vector<std::size_t> targets =
-        db.machineIndicesByYear(config_.targetYear);
+        db.machineIndicesByYear(kTargetYear);
     const std::vector<std::size_t> candidates =
-        db.machineIndicesByYear(config_.predictiveYear);
+        db.machineIndicesByYear(kPredictiveYear);
     util::require(targets.size() >= 2,
                   "SubsetExperiment: needs >= 2 target machines");
 
@@ -37,7 +51,7 @@ SubsetExperiment::run(const std::vector<Method> &methods) const
     // Draw every predictive subset up front on the single seeded RNG
     // (preserving the serial draw order exactly), then evaluate the
     // resulting splits — which are independent — as one flat task set.
-    util::Rng rng(config_.seed);
+    util::Rng rng(kSeed);
     std::uint64_t split_tag = 200;
     std::vector<std::size_t> size_index;
     std::vector<SplitSpec> draws;

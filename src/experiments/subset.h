@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <vector>
 
@@ -17,19 +16,17 @@
 namespace dtrank::experiments
 {
 
-/** Configuration of the subset experiment. */
+/**
+ * Configuration of the subset experiment. The targets are the 2009
+ * machines and the subsets are drawn from the 2008 machines, as in the
+ * paper.
+ */
 struct SubsetExperimentConfig
 {
-    /** Machines of this year are the targets. */
-    int targetYear = 2009;
-    /** Subsets are drawn from machines of this year. */
-    int predictiveYear = 2008;
     /** Subset sizes to evaluate (the paper uses 10, 5 and 3). */
     std::vector<std::size_t> subsetSizes = {10, 5, 3};
     /** Random draws per subset size, averaged. */
     std::size_t draws = 5;
-    /** Seed for the subset draws. */
-    std::uint64_t seed = 99;
 };
 
 /** Averaged metrics for one (subset size, method) table cell. */

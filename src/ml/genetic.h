@@ -100,8 +100,6 @@ class GeneticAlgorithm
      */
     GaResult optimize(const BatchFitnessFn &fitness, util::Rng &rng) const;
 
-    const GaConfig &config() const { return config_; }
-
   private:
     std::vector<double> randomGenome(util::Rng &rng) const;
     void clip(std::vector<double> &genome) const;

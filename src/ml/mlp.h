@@ -231,8 +231,6 @@ class Mlp
     /** Per-epoch training MSE history (size == epochs). */
     const std::vector<double> &lossHistory() const { return loss_history_; }
 
-    const MlpConfig &config() const { return config_; }
-
     /** Number of input features the network was trained on. */
     std::size_t inputSize() const { return input_size_; }
 

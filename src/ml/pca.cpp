@@ -20,6 +20,10 @@ Pca::fit(const linalg::Matrix &x)
     util::require(x.cols() >= 1, "Pca::fit: needs >= 1 feature");
     const std::size_t n = x.rows();
     const std::size_t d = x.cols();
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < d; ++c)
+            util::require(std::isfinite(x(r, c)),
+                          "Pca::fit: every entry must be finite");
 
     means_.assign(d, 0.0);
     scales_.assign(d, 1.0);

@@ -37,8 +37,8 @@ class Pca
     /**
      * Fits the components.
      *
-     * @param x One row per observation; needs >= 2 rows and >= 1
-     *          column.
+     * @param x One row per observation; needs >= 2 rows, >= 1 column
+     *          and finite entries (a NaN would poison the covariance).
      */
     void fit(const linalg::Matrix &x);
 

@@ -218,8 +218,6 @@ class Coalescer
         return queue_.size();
     }
 
-    const CoalescerConfig &config() const { return config_; }
-
   private:
     struct Entry
     {

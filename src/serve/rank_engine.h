@@ -23,7 +23,7 @@
  *    is predictive ∪ complement offline and predictive ∪ all machines
  *    here: the same set. std::min/std::max are exact and
  *    order-independent on it, since scores are positive and finite
- *    (no NaN) and log2 of a positive number is never -0.0.
+ *    (no NaN, no -0.0).
  *
  * MLP^T and coalescing. Because the scaling is fitted over every
  * machine, any requested subset is answered by selecting columns of
@@ -145,8 +145,6 @@ class RankEngine
 
     /** True when GA-kNN requests can be served. */
     bool gaKnnAvailable() const { return characteristics_.has_value(); }
-
-    const RankEngineConfig &config() const { return config_; }
 
   private:
     /** Cached state of one (predictive set, partial vector, app). */

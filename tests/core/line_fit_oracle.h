@@ -164,15 +164,15 @@ struct KnnResult
 };
 
 /**
- * kNN^T on a dense problem: per target, the k lowest single-proxy RSS
- * (ties by index) as the regressors of one ridge regression with
- * kNN^T's penalty, 1e-6.
+ * kNN^T on a dense problem, in linear space: per target, the k lowest
+ * single-proxy RSS (ties by index) as the regressors of one ridge
+ * regression with kNN^T's penalty, 1e-6.
  */
 inline KnnResult
 knnOracle(const core::TranspositionProblem &problem,
           const core::MultiTranspositionConfig &config)
 {
-    const auto fits = pairFits(problem, config.logSpace);
+    const auto fits = pairFits(problem, false);
     const std::size_t n_pred = problem.predictiveMachineCount();
     const std::size_t k = std::min(config.proxies, n_pred);
     KnnResult out;
@@ -190,19 +190,13 @@ knnOracle(const core::TranspositionProblem &problem,
         linalg::Matrix design(problem.benchmarkCount(), k);
         std::vector<double> app(k);
         for (std::size_t j = 0; j < k; ++j) {
-            design.setColumn(j, fitColumn(problem.predictiveBenchScores,
-                                          order[j], config.logSpace));
+            design.setColumn(j, problem.predictiveBenchScores.column(order[j]));
             app[j] = problem.predictiveAppScores[order[j]];
-            if (config.logSpace)
-                app[j] = std::log2(app[j]);
         }
         const stats::MultipleLinearRegression fit(
-            design, fitColumn(problem.targetBenchScores, t, config.logSpace),
-            1e-6);
+            design, problem.targetBenchScores.column(t), 1e-6);
         double pred = fit.predict(app);
-        if (config.logSpace)
-            pred = std::exp2(pred);
-        else if (pred <= 0.0)
+        if (pred <= 0.0)
             pred = 1e-6;
         out.predictions.push_back(pred);
         out.diagnostics.chosenProxies.push_back(order);

@@ -81,17 +81,6 @@ TEST(SplineTransposition, WorksOnThePaperDataset)
               0.9);
 }
 
-TEST(SplineTransposition, LogSpaceMode)
-{
-    auto problem = quadraticProblem();
-    core::SplineTranspositionConfig config;
-    config.logSpace = true;
-    core::SplineTransposition predictor(config);
-    const auto pred = predictor.predict(problem);
-    EXPECT_GT(pred[0], 0.0);
-    EXPECT_TRUE(std::isfinite(pred[0]));
-}
-
 TEST(MultiTransposition, SingleProxyMatchesNnTClosely)
 {
     const dataset::PerfDatabase db = dataset::makePaperDataset();
@@ -116,9 +105,9 @@ TEST(MultiTransposition, SingleProxyMatchesNnTClosely)
 
 /**
  * kNN^T against its per-pair oracle over NN^T's shape grid (constant
- * predictive and target columns, so RSS ties are broken by index), log
- * space on and off, at every SIMD tier: the predictions, the chosen
- * proxies and the ridge fits' R² are all bit-identical.
+ * predictive and target columns, so RSS ties are broken by index), at
+ * every SIMD tier: the predictions, the chosen proxies and the ridge
+ * fits' R² are all bit-identical.
  */
 TEST(MultiTransposition, TiledScanMatchesNaiveBitForBit)
 {
@@ -127,20 +116,16 @@ TEST(MultiTransposition, TiledScanMatchesNaiveBitForBit)
     for (const simd::Tier tier : oracle::availableTiers()) {
         simd::setTier(tier);
         for (const auto &problem : problems) {
-            for (const bool log_space : {false, true}) {
-                SCOPED_TRACE(std::string(simd::tierName(tier)) + " " +
-                             oracle::shapeName(problem) +
-                             " log=" + std::to_string(log_space));
-                core::MultiTranspositionConfig config;
-                config.logSpace = log_space;
-                const auto expected = oracle::knnOracle(problem, config);
-                core::MultiTransposition multi(config);
-                EXPECT_EQ(multi.predict(problem), expected.predictions);
-                EXPECT_EQ(multi.diagnostics().chosenProxies,
-                          expected.diagnostics.chosenProxies);
-                EXPECT_EQ(multi.diagnostics().fitRSquared,
-                          expected.diagnostics.fitRSquared);
-            }
+            SCOPED_TRACE(std::string(simd::tierName(tier)) + " " +
+                         oracle::shapeName(problem));
+            const auto expected = oracle::knnOracle(
+                problem, core::MultiTranspositionConfig{});
+            core::MultiTransposition multi;
+            EXPECT_EQ(multi.predict(problem), expected.predictions);
+            EXPECT_EQ(multi.diagnostics().chosenProxies,
+                      expected.diagnostics.chosenProxies);
+            EXPECT_EQ(multi.diagnostics().fitRSquared,
+                      expected.diagnostics.fitRSquared);
         }
     }
 }

@@ -53,16 +53,6 @@ TEST(Mica, DeterministicForFixedSeed)
     EXPECT_TRUE(test::approxEquals(a, b, 0.0));
 }
 
-TEST(Mica, SeedChangesOutput)
-{
-    MicaConfig config;
-    config.seed = 1234;
-    const linalg::Matrix a = MicaGenerator().generateForCatalog();
-    const linalg::Matrix b =
-        MicaGenerator(config).generateForCatalog();
-    EXPECT_FALSE(test::approxEquals(a, b, 1e-9));
-}
-
 TEST(Mica, StandardizedColumnsHaveZeroMeanUnitVariance)
 {
     const linalg::Matrix chars = MicaGenerator().generateForCatalog();
@@ -174,21 +164,6 @@ TEST(Mica, DisguiseFallsBackWhenTwinIsAbsent)
     ASSERT_EQ(subset.size(), 4u);
     const linalg::Matrix chars = MicaGenerator().generate(subset);
     EXPECT_EQ(chars.rows(), 4u);
-}
-
-TEST(Mica, ValidatesConfig)
-{
-    MicaConfig config;
-    config.noiseSigma = -0.1;
-    EXPECT_THROW(MicaGenerator{config}, util::InvalidArgument);
-
-    config = MicaConfig{};
-    config.intraClusterSigma = 0.0;
-    EXPECT_THROW(MicaGenerator{config}, util::InvalidArgument);
-
-    config = MicaConfig{};
-    config.ringRadius = 0.9;
-    EXPECT_THROW(MicaGenerator{config}, util::InvalidArgument);
 }
 
 TEST(Mica, RejectsEmptyProfileList)

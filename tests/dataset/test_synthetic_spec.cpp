@@ -137,20 +137,10 @@ TEST(SyntheticSpec, NewerMachinesAreFasterOnAverage)
     EXPECT_GT(new_machines.mean(), old_machines.mean());
 }
 
-TEST(SyntheticSpec, ConfigurableMachinesPerNickname)
-{
-    SyntheticSpecConfig config;
-    config.machinesPerNickname = 2;
-    const PerfDatabase db = SyntheticSpecGenerator(config).generate();
-    EXPECT_EQ(db.machineCount(), 39u * 2u);
-}
-
 TEST(SyntheticSpec, NoiseKnobChangesSpread)
 {
     SyntheticSpecConfig quiet;
     quiet.measurementNoiseSigma = 0.0;
-    quiet.variantCapabilityJitter = 0.0;
-    quiet.fpDomainBiasSigma = 0.0;
     SyntheticSpecConfig noisy = quiet;
     noisy.measurementNoiseSigma = 0.2;
 
@@ -175,18 +165,6 @@ TEST(SyntheticSpec, ValidatesConfig)
 {
     SyntheticSpecConfig config;
     config.measurementNoiseSigma = -0.1;
-    EXPECT_THROW(SyntheticSpecGenerator{config}, util::InvalidArgument);
-
-    config = SyntheticSpecConfig{};
-    config.variantSpread = -1.0;
-    EXPECT_THROW(SyntheticSpecGenerator{config}, util::InvalidArgument);
-
-    config = SyntheticSpecConfig{};
-    config.machinesPerNickname = 0;
-    EXPECT_THROW(SyntheticSpecGenerator{config}, util::InvalidArgument);
-
-    config = SyntheticSpecConfig{};
-    config.variantMemSpread = -0.1;
     EXPECT_THROW(SyntheticSpecGenerator{config}, util::InvalidArgument);
 }
 

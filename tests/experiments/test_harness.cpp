@@ -266,14 +266,6 @@ TEST(SplitMlpLanes, ImputedFeaturesInSharedLaneGroupsMatch)
     expectSplitMatchesPerApp(ragged, fastSuite(), f.chars);
 }
 
-TEST(SplitMlpLanes, LogSpaceMatchesPerAppPredictTask)
-{
-    Fixture f;
-    experiments::MethodSuiteConfig config = fastSuite();
-    config.mlp.logSpace = true;
-    expectSplitMatchesPerApp(f.db, config, f.chars);
-}
-
 TEST(SplitMlpLanes, TrainingOnlyNormalizationMatchesPerAppPredictTask)
 {
     // The non-transductive ablation normalizes inside each network,

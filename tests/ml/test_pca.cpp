@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -208,6 +210,28 @@ TEST(Pca, Validation)
                  util::InvalidArgument);
     EXPECT_THROW(pca.transform(std::vector<double>{1.0, 2.0}, 0),
                  util::InvalidArgument);
+}
+
+TEST(Pca, RejectsNonFiniteInput)
+{
+    // A NaN (an unobserved cell of a masked database) or an infinity
+    // would poison the covariance; the fit names the problem itself.
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+        Matrix x{{1, 2}, {3, 4}, {5, 7}};
+        x(1, 0) = bad;
+        ml::Pca pca{};
+        try {
+            pca.fit(x);
+            ADD_FAILURE() << "fit accepted " << bad;
+        } catch (const util::InvalidArgument &e) {
+            EXPECT_NE(std::string(e.what()).find("Pca::fit"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_FALSE(pca.fitted());
+    }
 }
 
 } // namespace

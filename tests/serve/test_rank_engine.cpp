@@ -200,15 +200,13 @@ TEST_F(RankEngineTest, MatchesOfflineEvaluateSplitBitForBit)
                                    "scaled:2000");
     }
 
-    // NN^T and MLP^T in log2 space.
+    // NN^T in log2 space.
     {
         experiments::MethodSuiteConfig logged = suite;
         logged.linear.logSpace = true;
-        logged.mlp.logSpace = true;
-        expectEngineMatchesOffline(
-            db_, paper_chars, logged, predictive_,
-            {experiments::Method::NnT, experiments::Method::MlpT},
-            "paper log2");
+        expectEngineMatchesOffline(db_, paper_chars, logged, predictive_,
+                                   {experiments::Method::NnT},
+                                   "paper log2");
     }
 
     // Predictive machines that carry some benchmarks' min and max
@@ -236,11 +234,6 @@ TEST_F(RankEngineTest, MatchesOfflineEvaluateSplitBitForBit)
             {experiments::Method::NnT, experiments::Method::MlpT,
              experiments::Method::DeepT},
             "extremes owned");
-        experiments::MethodSuiteConfig logged = suite;
-        logged.mlp.logSpace = true;
-        expectEngineMatchesOffline(db_, paper_chars, logged, owned,
-                                   {experiments::Method::MlpT},
-                                   "extremes owned log2");
     }
 }
 

@@ -85,9 +85,74 @@ class KernelFieldTest(unittest.TestCase):
 
     def test_checked_in_kernel_table_is_read_or_allowlisted(self):
         entries, _ = us.parse_allowlist(us.ALLOWLIST.read_text())
-        _, allowed = us.split_allowlist(entries)
+        _, allowed, _ = us.split_allowlist(entries)
         fields, result = us.check_kernel_fields(us.ROOT, allowed)
         self.assertIn("dot", fields)
+        self.assertEqual(result, ([], []))
+
+
+CONFIG_HEADER = """
+/** Knobs. */
+struct DemoConfig
+{
+    /** Set by a binary. */
+    std::size_t threads = 1;
+    std::vector<std::size_t> sizes = {10, 5, 3};
+    InnerConfig inner;
+    double unused = 0.5; // only tests set it
+    bool operator==(const DemoConfig &other) const = default;
+    std::size_t resolved() const { return threads == 0 ? 4 : threads; }
+};
+
+struct InnerConfig
+{
+    int depth = 2;
+    int width = 3;
+};
+"""
+
+
+class ConfigFieldTest(unittest.TestCase):
+    def test_fields_are_parsed(self):
+        structs = us.config_fields(CONFIG_HEADER)
+        self.assertEqual(list(structs["DemoConfig"]),
+                         ["threads", "sizes", "inner", "unused"])
+        self.assertEqual(structs["DemoConfig"]["inner"], "InnerConfig")
+        self.assertEqual(list(structs["InnerConfig"]), ["depth", "width"])
+
+    def test_unset_fields_are_reported(self):
+        structs = us.config_fields(CONFIG_HEADER)
+        sources = [
+            # A write through a member counts for the member's struct,
+            # and as a write of the member itself.
+            "DemoConfig config;\n"
+            "config.threads = 4;\n"
+            "config.inner.depth = 3;\n"
+            "if (config.unused == 1.0) {}\n",
+            # The nearest declaration above a write decides its struct:
+            # this `demo` is an InnerConfig, which has no `sizes`.
+            "DemoConfig demo;\n"
+            "InnerConfig demo;\n"
+            "demo.sizes = {};\n"
+            "// demo.unused = 1.0;\n",
+        ]
+        self.assertEqual(us.unset_config_fields(structs, sources),
+                         ["DemoConfig::sizes", "DemoConfig::unused",
+                          "InnerConfig::width"])
+
+    def test_a_write_after_its_declaration_counts(self):
+        structs = us.config_fields(CONFIG_HEADER)
+        sources = ["void f(DemoConfig &c) { c.sizes = {1}; c.unused = 2; "
+                   "c.inner = InnerConfig{}; }",
+                   "InnerConfig i; i.width = 1;"]
+        self.assertEqual(us.unset_config_fields(structs, sources),
+                         ["DemoConfig::threads", "InnerConfig::depth"])
+
+    def test_checked_in_config_fields_are_written_or_allowlisted(self):
+        entries, _ = us.parse_allowlist(us.ALLOWLIST.read_text())
+        _, _, allowed = us.split_allowlist(entries)
+        count, result = us.check_config_fields(us.ROOT, allowed)
+        self.assertGreater(count, len(allowed))
         self.assertEqual(result, ([], []))
 
 

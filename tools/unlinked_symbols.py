@@ -29,6 +29,14 @@ src/simd and tests/, either directly (`.field(` or `->field(`) or by
 calling a simd.h wrapper that reads it (`simd::wrapper(`). The
 allowlist names a field that may stay unread as "KernelTable::field",
 with its reason, and goes stale the same way.
+
+A third check, also on the sources, finds dead knobs: every field of a
+`struct ...Config` under src/ must be written by some source outside
+tests/, as `x.field = ...` or through a write to one of its sub-fields
+(`x.field.sub = ...`). A write counts for the struct when `x` is
+declared with that struct's type in the same file, or is itself a
+field of that type. The allowlist names a field that only tests set as
+"SomeConfig::field", with its reason, and goes stale the same way.
 """
 
 import argparse
@@ -50,6 +58,7 @@ HARNESS = ("pb_offline", "pb_serve")
 FIELD_PREFIX = "KernelTable::"
 # Where a kernel's readers live; src/simd itself is left out.
 READER_DIRS = ("src", "bench", "tools", "examples", "perfbench")
+CONFIG_FIELD = re.compile(r"^\w+Config::\w+$")
 
 
 def run(cmd):
@@ -191,15 +200,134 @@ def check_kernel_fields(root, allowlist):
     return fields, compare_fields(fields, read, allowlist)
 
 
+def config_fields(text):
+    """Maps each `struct ...Config` of the text to its fields, as
+    {field: declared type}. Member functions are left out."""
+    structs = {}
+    code = strip_comments(text)
+    for m in re.finditer(r"\bstruct\s+(\w+Config)\s*\{", code):
+        depth, i = 1, m.end()
+        statements, stmt_start, opened = [], m.end(), None
+        while depth:
+            c = code[i]
+            if c in "{(":
+                if depth == 1 and c == "{":
+                    opened = i
+                depth += 1
+            elif c in "})":
+                depth -= 1
+                # A member function's body ends its statement.
+                if depth == 1 and c == "}" and re.search(
+                        r"\)\s*(?:const|noexcept|override|\s)*$",
+                        code[stmt_start:opened]):
+                    stmt_start = i + 1
+            elif c == ";" and depth == 1:
+                statements.append(code[stmt_start:i])
+                stmt_start = i + 1
+            i += 1
+        fields = {}
+        for stmt in statements:
+            decl = re.split(r"(?<![=!<>])=(?!=)|\{", stmt, maxsplit=1)[0]
+            decl = decl.strip()
+            if not decl or "(" in decl or decl.startswith(
+                    ("using ", "static ", "friend ", "template")):
+                continue
+            name = re.search(r"(\w+)\s*$", decl)
+            if name:
+                fields[name.group(1)] = decl[:name.start()].strip()
+        structs[m.group(1)] = fields
+    return structs
+
+
+def declarations(code, struct_names):
+    """(position, identifier, struct) for every identifier the code
+    declares with a config struct's type: variables, parameters and
+    members."""
+    if not struct_names:
+        return []
+    pattern = (r"\b(" + "|".join(map(re.escape, sorted(struct_names))) +
+               r")\b\s*(?:const\s*)?[&*]?\s*(\w+)")
+    return [(m.start(), m.group(2), m.group(1))
+            for m in re.finditer(pattern, code)]
+
+
+def field_writes(code):
+    """(position, owner, field, owner is the chain's head) for every
+    step of every write `a.b.c = ...` in the code: (a, b) and (b, c)
+    for that one."""
+    writes = []
+    for m in re.finditer(r"\b(\w+)((?:\s*(?:\.|->)\s*\w+)+)\s*=(?!=)",
+                         code):
+        chain = [m.group(1)] + re.findall(r"\w+", m.group(2))
+        for i in range(1, len(chain)):
+            writes.append((m.start(), chain[i - 1], chain[i], i == 1))
+    return writes
+
+
+def unset_config_fields(structs, sources):
+    """The "Struct::field" names no source writes, given the structs
+    (config_fields() of the src/ headers) and the source texts. A write
+    `x.f = ...` counts for the struct of x's nearest declaration above
+    it in the same text (its scope, to a first approximation); a write
+    through a member, `y.x.f = ...`, for the struct x is declared with
+    as a config field."""
+    names = set(structs)
+    members = {}
+    for fields in structs.values():
+        for field, decl in fields.items():
+            for owner in names:
+                if re.search(rf"\b{owner}\b", decl):
+                    members.setdefault(field, set()).add(owner)
+    written = set()
+    for text in sources:
+        code = strip_comments(text)
+        decls = declarations(code, names)
+        for pos, owner, field, head in field_writes(code):
+            owners = members.get(owner, set())
+            if head:
+                local = [struct for at, ident, struct in decls
+                         if ident == owner and at < pos]
+                owners = {local[-1]} if local else owners
+            for struct in owners:
+                if field in structs[struct]:
+                    written.add(f"{struct}::{field}")
+    every = {f"{struct}::{field}" for struct, fields in structs.items()
+             for field in fields}
+    return sorted(every - written)
+
+
+def writer_sources(root):
+    """The text of every C++ source outside tests/."""
+    for d in READER_DIRS:
+        for path in sorted((root / d).rglob("*")):
+            if path.suffix in (".cpp", ".h"):
+                yield path.read_text()
+
+
+def check_config_fields(root, allowlist):
+    """(unset fields not allowlisted, stale allowlisted fields) for the
+    config structs of the tree at root."""
+    structs = {}
+    for path in sorted((root / "src").rglob("*.h")):
+        structs.update(config_fields(path.read_text()))
+    unset = set(unset_config_fields(structs, writer_sources(root)))
+    count = sum(len(fields) for fields in structs.values())
+    return count, (sorted(unset - allowlist.keys()),
+                   sorted(allowlist.keys() - unset))
+
+
 def split_allowlist(entries):
-    """Splits allowlist entries into (symbols, KernelTable fields)."""
-    symbols, fields = {}, {}
+    """Splits allowlist entries into (symbols, KernelTable fields,
+    config fields)."""
+    symbols, fields, knobs = {}, {}, {}
     for name, reason in entries.items():
         if name.startswith(FIELD_PREFIX):
             fields[name[len(FIELD_PREFIX):]] = reason
+        elif CONFIG_FIELD.match(name):
+            knobs[name] = reason
         else:
             symbols[name] = reason
-    return symbols, fields
+    return symbols, fields, knobs
 
 
 def compare(defined, linked, allowlist):
@@ -216,9 +344,10 @@ def main():
     args = parser.parse_args()
 
     entries, errors = parse_allowlist(ALLOWLIST.read_text())
-    allowlist, allowed_fields = split_allowlist(entries)
+    allowlist, allowed_fields, allowed_knobs = split_allowlist(entries)
     fields, (unread, stale_fields) = check_kernel_fields(ROOT,
                                                          allowed_fields)
+    knobs, (unset, stale_knobs) = check_config_fields(ROOT, allowed_knobs)
 
     root_build, harness_build = build(pathlib.Path(args.work).resolve())
 
@@ -232,26 +361,34 @@ def main():
           f"{len(bins)} binaries; {len(allowlist)} allowlisted")
     print(f"{len(fields)} KernelTable fields; "
           f"{len(allowed_fields)} allowlisted")
+    print(f"{knobs} config fields; {len(allowed_knobs)} allowlisted")
     for name in unlisted:
         rel = defined[name].relative_to(root_build)
         print(f"unlinked: {name}  [{rel}]")
     for name in unread:
         print(f"unread: {FIELD_PREFIX}{name} (no source outside src/simd "
               "and tests/ calls it)")
+    for name in unset:
+        print(f"unset: {name} (no source outside tests/ writes it)")
     for name in stale:
         print(f"stale allowlist line (symbol is linked or gone): {name}")
     for name in stale_fields:
         print(f"stale allowlist line (field is read or gone): "
               f"{FIELD_PREFIX}{name}")
+    for name in stale_knobs:
+        print(f"stale allowlist line (field is written or gone): {name}")
     for error in errors:
         print(error)
-    if unlisted or unread or stale or stale_fields or errors:
+    if unlisted or unread or unset or stale or stale_fields or \
+            stale_knobs or errors:
         print(f"FAIL: {len(unlisted)} unlinked, {len(unread)} unread, "
-              f"{len(stale) + len(stale_fields)} stale, "
-              f"{len(errors)} malformed")
+              f"{len(unset)} unset, "
+              f"{len(stale) + len(stale_fields) + len(stale_knobs)} "
+              f"stale, {len(errors)} malformed")
         return 1
-    print("OK: every strong src/ symbol is linked or allowlisted, and "
-          "every KernelTable field is read or allowlisted")
+    print("OK: every strong src/ symbol is linked or allowlisted, every "
+          "KernelTable field is read or allowlisted, and every config "
+          "field is written or allowlisted")
     return 0
 
 
