@@ -98,6 +98,10 @@ const std::vector<BenchmarkProfile> &benchmarkCatalog();
 
 /** Number of machines per nickname in the paper's dataset. */
 constexpr int kMachinesPerNickname = 3;
+// The generators span a nickname's clock bin from its first variant to
+// its last.
+static_assert(kMachinesPerNickname >= 2,
+              "a nickname needs two variants to span its clock bin");
 
 // The calibration both generators (synthetic_spec.cpp, scaled_spec.cpp)
 // draw every machine with, spreads and sigmas in log2 units.

@@ -36,10 +36,6 @@ constexpr double kDemandJitterSigma = 0.02;
 /** Log2 stddev of the offset jitter of derived benchmarks. */
 constexpr double kOffsetJitterSigma = 0.10;
 
-// Machines of a nickname are numbered 0..n-1 and span its clock bin.
-static_assert(kMachinesPerNickname >= 2,
-              "a nickname needs two variants to span its clock bin");
-
 /** splitmix64 finalizer. */
 constexpr std::uint64_t
 mix64(std::uint64_t x)

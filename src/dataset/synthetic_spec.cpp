@@ -9,10 +9,6 @@
 namespace dtrank::dataset
 {
 
-// A clock bin spans the nickname's variants from -spread to +spread.
-static_assert(kMachinesPerNickname >= 2,
-              "a nickname needs two variants to span its clock bin");
-
 SyntheticSpecGenerator::SyntheticSpecGenerator(SyntheticSpecConfig config)
     : config_(config)
 {
